@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import sys
 import typing as t
 
 import warnings
@@ -275,7 +276,10 @@ def _fast_forward_no_io(
     drain = current * scaled
     if drain <= 0.0 or scaled <= 0.0:
         return
-    n = int(battery.available_mas / drain) - FastForwardController.DEATH_MARGIN_CYCLES
+    # No horizon: the run ends at death, which safe_cycles bounds alone.
+    n = battery.safe_cycles(
+        [(current, scaled)], FastForwardController.DEATH_MARGIN_CYCLES, sys.maxsize
+    )
     if n < FastForwardController.MIN_EPOCHS:
         return
     battery.advance_cycles([(current, scaled)], n)
@@ -301,6 +305,7 @@ def _fast_forward_no_io(
             t1=span,
             late=0,
             drained_mah={node.name: drain * n / 3600.0},
+            charge_fraction={node.name: battery.charge_fraction()},
             link_busy_s={},
         )
 

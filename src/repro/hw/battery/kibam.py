@@ -268,6 +268,79 @@ class KiBaM(Battery):
             drain += current_ma * dt_s
         return (a11, a12, a21, a22, b1, b2), drain
 
+    def _heads_ordered(self) -> bool:
+        """True when the bound head is not below the available head.
+
+        ``h1 = y1 / c`` and ``h2 = y2 / (1 - c)``. Their gap obeys
+        ``d(h2 - h1)/dt = I / c - k' (h2 - h1)``, so a discharge-only
+        history (every current >= 0) keeps ``h2 >= h1`` for good and the
+        recovery flow into the available well non-negative. A fresh cell
+        sits at ``h1 == h2`` up to rounding, hence the relative slack.
+        """
+        c = self.params.c
+        return self._y1 * (1.0 - c) <= self._y2 * c * (1.0 + 1e-12)
+
+    def safe_cycles(
+        self,
+        cycle: t.Sequence[tuple[float, float]],
+        margin_cycles: int,
+        limit: int,
+    ) -> int:
+        """Largest ``n <= limit`` whose n-cycle jump provably stays alive.
+
+        Returns the largest ``n`` for which the state after every
+        ``k <= n`` whole cycles keeps ``y1 > margin_cycles * drain +
+        DEATH_EPS_MAS``; with ``margin_cycles >= 2`` the result is always
+        accepted by :meth:`advance_cycles`. The bound credits the charge
+        the bound well feeds back during the jump, so one call reaches
+        within ``margin_cycles`` cycles of death.
+
+        Why it is exact: at cycle ends ``y1_k = c (q0 - k drain) -
+        c (1 - c) (d* + (d0 - d*) lam^k)``, where ``d`` is the head gap
+        ``h2 - h1``, ``d*`` its periodic fixed point and ``lam = e^{-k'T}``
+        in (0, 1). That sequence is either monotone decreasing or
+        concave in ``k``, so ``{k : y1_k > floor}`` is a prefix
+        ``0..K`` and greedy binary lifting over the squared cycle maps
+        finds ``min(K, limit)`` in O(log min(K, limit)) compositions.
+        Within a cycle ``y1`` falls by at most the cycle's drain while
+        ``h2 >= h1``; with unordered heads (only reachable by
+        constructing such a state) the argument fails and 0 is returned.
+        """
+        if limit <= 0 or self._dead or not cycle:
+            return 0
+        (a11, a12, a21, a22, b1, b2), drain = self.cycle_map(cycle)
+        floor = margin_cycles * drain + self.DEATH_EPS_MAS
+        y1, y2 = self._y1, self._y2
+        if y1 <= floor or not self._heads_ordered():
+            return 0
+        # powers[j] is the cycle map raised to 2**j; squaring stops once
+        # 2**j cycles from the start no longer clear the floor (then
+        # K < 2**j), so the cost is O(log K) even for a huge limit.
+        powers = [(a11, a12, a21, a22, b1, b2)]
+        while 1 << len(powers) <= limit and a11 * y1 + a12 * y2 + b1 > floor:
+            powers.append(
+                (
+                    a11 * a11 + a12 * a21,
+                    a11 * a12 + a12 * a22,
+                    a21 * a11 + a22 * a21,
+                    a21 * a12 + a22 * a22,
+                    a11 * b1 + a12 * b2 + b1,
+                    a21 * b1 + a22 * b2 + b2,
+                )
+            )
+            a11, a12, a21, a22, b1, b2 = powers[-1]
+        n = 0
+        for j in range(len(powers) - 1, -1, -1):
+            step = 1 << j
+            if n + step > limit:
+                continue
+            p11, p12, p21, p22, q1, q2 = powers[j]
+            ny1 = p11 * y1 + p12 * y2 + q1
+            if ny1 > floor:
+                y1, y2 = ny1, p21 * y1 + p22 * y2 + q2
+                n += step
+        return n
+
     def advance_cycles(
         self, cycle: t.Sequence[tuple[float, float]], n_cycles: int
     ) -> None:
@@ -275,11 +348,15 @@ class KiBaM(Battery):
 
         One O(log n) affine-map power replaces ``n * len(cycle)``
         individual draws — this is what makes lifetime prediction over
-        tens of thousands of frame cycles cheap. The caller must
-        guarantee the cell survives every intermediate instant; the
-        available well drains no faster than the cycle's total charge,
-        so ``available_mas > (n_cycles + 1) * drain`` is a sufficient
-        margin (see :func:`repro.core.calibration.predicted_lifetime_hours`).
+        tens of thousands of frame cycles cheap. The jump is accepted
+        only when both endpoints keep more than one cycle's drain in the
+        available well (``y1 > drain + DEATH_EPS_MAS`` before and after)
+        and the heads are ordered (``h2 >= h1``). That rules out death at
+        every intermediate instant: the cycle-end ``y1`` is monotone
+        decreasing or concave in the cycle index, so its minimum is at an
+        endpoint, and within a cycle it falls by at most the drain (see
+        :meth:`safe_cycles`, which sizes jumps to this rule). Any other
+        jump raises :class:`BatteryError` and leaves the state untouched.
         """
         if n_cycles < 0:
             raise BatteryError(f"cycle count must be >= 0, got {n_cycles}")
@@ -288,10 +365,11 @@ class KiBaM(Battery):
         if self._dead:
             raise BatteryError("cannot advance a dead cell")
         (a11, a12, a21, a22, b1, b2), drain = self.cycle_map(cycle)
-        if self._y1 - n_cycles * drain <= self.DEATH_EPS_MAS:
+        floor = drain + self.DEATH_EPS_MAS
+        if self._y1 <= floor or not self._heads_ordered():
             raise BatteryError(
                 f"advance_cycles({n_cycles}) may cross death; "
-                "leave at least one cycle's drain of margin"
+                "the cell must start above one cycle's drain with h2 >= h1"
             )
         # Binary power of the affine map: (A, b)^2 = (A A, A b + b).
         r11, r12, r21, r22 = 1.0, 0.0, 0.0, 1.0
@@ -318,7 +396,13 @@ class KiBaM(Battery):
                     a21 * b1 + a22 * b2 + b2,
                 )
         y1, y2 = self._y1, self._y2
-        self._y1 = r11 * y1 + r12 * y2 + c1
+        ny1 = r11 * y1 + r12 * y2 + c1
+        if ny1 <= floor:
+            raise BatteryError(
+                f"advance_cycles({n_cycles}) may cross death; "
+                "leave at least one cycle's drain of margin"
+            )
+        self._y1 = ny1
         self._y2 = r21 * y1 + r22 * y2 + c2
         self._delivered_mas += n_cycles * drain
 
@@ -448,7 +532,9 @@ def lifetime_seconds(
         if drain_mas > 0.0 and cycle_s > 0.0:
             # The available well drains no faster than one cycle's total
             # charge per cycle, so this many whole cycles provably end
-            # with the cell still alive (see KiBaM.advance_cycles).
+            # with the cell still alive (see KiBaM.advance_cycles). This
+            # stays the conservative cap rather than safe_cycles: the
+            # batch cohort replays exactly this jump sequence bitwise.
             safe = int(cell.available_mas / drain_mas) - 2
             remaining = int((limit_s - t) / cycle_s) + 1
             jump = min(safe, remaining)

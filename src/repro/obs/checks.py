@@ -380,11 +380,14 @@ class RotationBalanceMonitor(InvariantMonitor):
     reported, the spread between the fullest and emptiest cell must
     stay within ``tolerance`` (a charge fraction). The check is
     evaluated per sample, so the verdict pins the moment balance was
-    first lost.
+    first lost. An ``ff.epoch`` record refreshes every node's charge to
+    its post-jump value (without a check of its own), so the first
+    sample after a fast-forward jump is not compared against another
+    node's sample from before the skipped span.
     """
 
     name = "rotation-balance"
-    kinds = ("battery.draw",)
+    kinds = ("battery.draw", "ff.epoch")
 
     def __init__(self, tolerance: float = 0.12, n_nodes: int | None = None):
         super().__init__()
@@ -395,6 +398,9 @@ class RotationBalanceMonitor(InvariantMonitor):
     def _observe(self, event: TelemetryEvent) -> None:
         fraction = event.data.get("charge_fraction")
         if fraction is None:
+            return
+        if event.kind == "ff.epoch":
+            self._charge.update(fraction)
             return
         self._charge[event.actor] = fraction
         expected = self.n_nodes if self.n_nodes is not None else 2

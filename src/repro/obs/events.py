@@ -38,8 +38,9 @@ kind                   emitted by
 ``ff.epoch`` is the coalesced record of one fast-forward jump
 (``mode="fast"`` runs only): the frames, periods, per-node drain, and
 per-sender link busy time that analytic epoch skipping removed from the
-event-by-event stream. Monitors in :mod:`repro.obs.checks` fold these
-back into their counts so verdicts stay well-defined in fast mode.
+event-by-event stream, plus each node's post-jump charge fraction.
+Monitors in :mod:`repro.obs.checks` fold these back into their counts
+so verdicts stay well-defined in fast mode.
 """
 
 from __future__ import annotations

@@ -23,12 +23,14 @@ detects that steady state and skips whole epochs of it analytically:
    exactly at the current draw-log position, the cycle is phase-aligned
    with the lazily-integrated battery state — no cyclic-shift error.
 3. **Re-synchronization.** ``n`` is capped so the jump can never
-   overshoot a boundary that breaks periodicity: battery death (a
-   margin of whole cycles below ``available_mas / drain``, which also
-   satisfies the ``advance_cycles`` safety precondition), ``max_frames``
-   and the horizon. Everything else that breaks periodicity — DVS
-   policy switches, rotation epochs (folded into P), recovery
-   migrations and timeouts — simply makes consecutive windows differ,
+   overshoot a boundary that breaks periodicity: battery death
+   (:meth:`KiBaM.safe_cycles <repro.hw.battery.kibam.KiBaM.safe_cycles>`,
+   the largest jump whose end state keeps ``DEATH_MARGIN_CYCLES``
+   cycles' drain in the available well, crediting the bound well's
+   recovery during the jump, so one jump reaches the endgame),
+   ``max_frames`` and the horizon. Everything else that breaks
+   periodicity — DVS policy switches, rotation epochs (folded into P),
+   recovery migrations and timeouts — simply makes consecutive windows differ,
    so the run stays event-exact through the transition and the detector
    re-arms afterwards (e.g. for a recovery survivor's new steady state).
 
@@ -40,7 +42,8 @@ because skipping frames would desynchronize the stream even if the
 drawn values happened to repeat.
 
 Each jump is reported as one coalesced ``ff.epoch`` telemetry event
-(frames, periods, span, per-node drain, per-direction link busy time)
+(frames, periods, span, per-node drain and post-jump charge fraction,
+per-direction link busy time)
 so event-log digests and the invariant monitors in
 :mod:`repro.obs.checks` stay well-defined in fast mode.
 """
@@ -66,7 +69,7 @@ def _timing_is_deterministic(timing: t.Any) -> bool:
 
 def _battery_supports_cycles(battery: t.Any) -> bool:
     """True when the battery exposes the analytic multi-cycle interface."""
-    return hasattr(battery, "advance_cycles") and hasattr(battery, "available_mas")
+    return hasattr(battery, "safe_cycles") and hasattr(battery, "advance_cycles")
 
 
 class FastForwardController:
@@ -79,13 +82,13 @@ class FastForwardController:
     """
 
     #: Smallest worthwhile jump: below this the detection bookkeeping
-    #: costs more than the skipped events, and near death it prevents an
-    #: asymptotic trickle of ever-smaller jumps.
+    #: costs more than the skipped events.
     MIN_EPOCHS = 4
     #: Whole cycles of charge left un-jumped above the death boundary.
-    #: Two cycles satisfies advance_cycles' documented sufficiency
-    #: margin (``available > (n+1) * drain``) with one cycle to spare,
-    #: so the endgame — death mid-cycle — is always simulated exactly.
+    #: advance_cycles accepts any end state above one cycle's drain; the
+    #: second cycle absorbs rounding between safe_cycles' lifting and
+    #: advance_cycles' power, and the endgame — death mid-cycle — is
+    #: always simulated exactly.
     DEATH_MARGIN_CYCLES = 2
 
     def __init__(self, engine: "PipelineEngine"):
@@ -212,6 +215,9 @@ class FastForwardController:
         if d1 != d2 or d2[2] != 0:
             return
         cycles: dict[str, list[tuple[float, float, str, str]]] = {}
+        # The (current, dt) cycle each battery sees, built once so the
+        # budget and the advance integrate the same list.
+        segments: dict[str, list[tuple[float, float]]] = {}
         for name, log in self._logs.items():
             base = self._base[name]
             a, b, c = i0[name] - base, i1[name] - base, i2[name] - base
@@ -231,36 +237,37 @@ class FastForwardController:
                 ):
                     return
             cycles[name] = w2
-        self._jump(period, c2 - c1, d2, cycles)
+            segments[name] = [(cur, dt) for cur, dt, *_ in w2]
+        self._jump(period, c2 - c1, d2, cycles, segments)
 
     # -- the jump ----------------------------------------------------------
     def _epoch_budget(
         self,
         period_s: float,
         frames_per_period: int,
-        cycles: dict[str, list[tuple[float, float, str, str]]],
+        segments: dict[str, list[tuple[float, float]]],
+        drains: dict[str, float],
     ) -> int:
         """Largest number of periods the jump may safely skip."""
         eng = self.engine
         cfg = eng.config
+        limit = int((cfg.horizon_s - self.sim.now) / period_s) - 1
+        if cfg.max_frames is not None:
+            limit = min(
+                limit, (cfg.max_frames - eng.results_count - 1) // frames_per_period
+            )
         n: int | None = None
         for name, node in self._node_list:
-            if node.is_dead:
+            if node.is_dead or drains[name] <= 0.0:
                 continue
-            drain = sum(cur * dt for cur, dt, *_ in cycles[name])
-            if drain <= 0.0:
-                continue
-            k = int(node.battery.available_mas / drain) - self.DEATH_MARGIN_CYCLES
+            k = node.battery.safe_cycles(
+                segments[name], self.DEATH_MARGIN_CYCLES, limit
+            )
             n = k if n is None else min(n, k)
-        if n is None:
-            # Nothing drains: the run would never end by exhaustion, so
-            # there is no death boundary to race toward — don't jump
-            # (max_frames/horizon runs end through exact simulation).
-            return 0
-        if cfg.max_frames is not None:
-            n = min(n, (cfg.max_frames - eng.results_count - 1) // frames_per_period)
-        n = min(n, int((cfg.horizon_s - self.sim.now) / period_s) - 1)
-        return max(n, 0)
+        # Nothing drains: the run would never end by exhaustion, so
+        # there is no death boundary to race toward — don't jump
+        # (max_frames/horizon runs end through exact simulation).
+        return 0 if n is None else n
 
     def _jump(
         self,
@@ -268,8 +275,12 @@ class FastForwardController:
         frames_per_period: int,
         delta: tuple,
         cycles: dict[str, list[tuple[float, float, str, str]]],
+        segments: dict[str, list[tuple[float, float]]],
     ) -> None:
-        n = self._epoch_budget(period_s, frames_per_period, cycles)
+        drains = {
+            name: sum(cur * dt for cur, dt in segs) for name, segs in segments.items()
+        }
+        n = self._epoch_budget(period_s, frames_per_period, segments, drains)
         if n < self.MIN_EPOCHS:
             return
         eng = self.engine
@@ -283,9 +294,7 @@ class FastForwardController:
         for name, node in self._node_list:
             if node.is_dead or not cycles[name]:
                 continue
-            node.battery.advance_cycles(
-                [(cur, dt) for cur, dt, *_ in cycles[name]], n
-            )
+            node.battery.advance_cycles(segments[name], n)
         sim.warp(span)
         for name, node in self._node_list:
             if node.is_dead:
@@ -346,15 +355,18 @@ class FastForwardController:
                 t1=sim.now,
                 late=n * delta[1],
                 drained_mah={
-                    name: sum(cur * dt for cur, dt, *_ in cycles[name]) * n / 3600.0
-                    for name, _ in self._node_list
+                    name: drains[name] * n / 3600.0 for name, _ in self._node_list
+                },
+                charge_fraction={
+                    name: node.battery.charge_fraction()
+                    for name, node in self._node_list
                 },
                 link_busy_s=self._link_busy(delta, n),
             )
 
         # Re-arm detection: logs and anchors restart from the post-jump
-        # state (a later, smaller jump closes the remaining distance
-        # when the death margin was the binding cap).
+        # state (a recovery survivor's new steady state, or the rest of
+        # a run whose jump was capped by max_frames or the horizon).
         self._anchors.clear()
         for name, log in self._logs.items():
             log.clear()

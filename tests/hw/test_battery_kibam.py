@@ -252,12 +252,48 @@ class TestFastPath:
         assert jumped.bound_mas == pytest.approx(walked.bound_mas, rel=1e-9)
         assert jumped.delivered_mah == pytest.approx(walked.delivered_mah, rel=1e-12)
 
+    def _whole_cycles_to_death(self) -> int:
+        """True whole cycles a fresh cell completes before it dies."""
+        cell = KiBaM(PARAMS)
+        cycles = 0
+        while True:
+            for current, dt in self.CYCLE:
+                if cell.time_to_death(current) <= dt:
+                    return cycles
+                cell.draw(current, dt)
+            cycles += 1
+
     def test_advance_cycles_rejects_unsafe_jump(self):
         cell = KiBaM(PARAMS)
+        before = (cell.available_mas, cell.bound_mas, cell.delivered_mah)
+        k = self._whole_cycles_to_death()
+        # Cycle K+1 kills the cell, so the state after K cycles holds
+        # less than one cycle's drain: both jumps can cross death.
+        for n in (k, k + 10):
+            with pytest.raises(BatteryError):
+                cell.advance_cycles(self.CYCLE, n)
+            assert (cell.available_mas, cell.bound_mas, cell.delivered_mah) == before
+
+    def test_safe_cycles_reaches_the_endgame_in_one_jump(self):
+        k = self._whole_cycles_to_death()
+        cell = KiBaM(PARAMS)
+        n = cell.safe_cycles(self.CYCLE, 2, k + 10)
+        # The recovery-aware bound stops within a few cycles of death,
+        # far past the no-recovery cap y1 / drain.
         drain = sum(i * dt for i, dt in self.CYCLE)
-        too_many = int(cell.available_mas / drain) + 1
-        with pytest.raises(BatteryError):
-            cell.advance_cycles(self.CYCLE, too_many)
+        assert int(cell.available_mas / drain) < n < k
+        assert k - n <= 3
+        cell.advance_cycles(self.CYCLE, n)
+        assert cell.available_mas > 2 * drain
+        assert cell.safe_cycles(self.CYCLE, 2, k) == 0
+
+    def test_safe_cycles_respects_limit_and_dead_cells(self):
+        cell = KiBaM(PARAMS)
+        assert cell.safe_cycles(self.CYCLE, 2, 17) == 17
+        assert cell.safe_cycles(self.CYCLE, 2, 0) == 0
+        assert cell.safe_cycles([], 2, 17) == 0
+        cell.draw(1000.0, cell.time_to_death(1000.0))
+        assert cell.safe_cycles(self.CYCLE, 2, 17) == 0
 
     def test_advance_cycles_rejects_negative_and_dead(self):
         cell = KiBaM(PARAMS)

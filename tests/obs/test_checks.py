@@ -272,6 +272,23 @@ class TestRotationBalanceMonitor:
         assert verdict.ok
         assert "fewer than two nodes" in verdict.detail
 
+    def test_ff_epoch_refreshes_every_node(self):
+        # node2's last sample predates the jump; without the epoch's
+        # post-jump fractions node1's next sample would be compared
+        # against it and report a spread of 0.3.
+        epoch = (
+            "ff.epoch", 960.0, "host",
+            {"frames": 400, "charge_fraction": {"node1": 0.6, "node2": 0.61}},
+        )
+        events = [
+            ("battery.draw", 60.0, "node1", {"charge_fraction": 0.9}),
+            ("battery.draw", 61.0, "node2", {"charge_fraction": 0.9}),
+            epoch,
+            ("battery.draw", 1020.0, "node1", {"charge_fraction": 0.59}),
+        ]
+        verdict = _verdict(RotationBalanceMonitor(n_nodes=2), events)
+        assert verdict.ok, verdict.detail
+
 
 # ---------------------------------------------------------------------------
 # recovery detection latency

@@ -11,6 +11,8 @@ eight-experiment identity run is tier2 (``-m tier2``).
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.experiments import (
@@ -21,7 +23,11 @@ from repro.core.experiments import (
 )
 from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache
+from repro.hw.battery import KiBaM
+from repro.hw.battery.kibam import PAPER_KIBAM_PARAMETERS
 from repro.hw.link import TransactionTiming
+from repro.obs.checks import paper_monitors, replay
+from repro.obs.energy import verify_conservation
 
 from tests.conftest import tiny_battery_factory
 
@@ -117,6 +123,97 @@ class TestPipelineEquivalence:
         assert fast.frames == exact.frames
         assert _rel(fast.t_hours, exact.t_hours) < 1e-3
         assert fast.pipeline.ff_jumps >= 1
+
+
+class TestPaperSuiteJumpCounts:
+    """Full-scale fast mode reaches the endgame in one jump per run.
+
+    The jump size credits the bound well's recovery during the jump
+    (``KiBaM.safe_cycles``), so each steady state is crossed in one
+    jump that stops two cycles short of death. The counts are
+    deterministic; the frames are the exact-mode lifetimes.
+    """
+
+    #: Exact-mode frame counts on the paper battery.
+    EXACT_FRAMES = {
+        "0A": 11218, "0B": 20507, "1": 9509, "1A": 12467,
+        "2": 22307, "2A": 22711, "2B": 25724, "2C": 30653,
+    }
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return {
+            label: run_experiment(PAPER_EXPERIMENTS[label], mode="fast")
+            for label in self.EXACT_FRAMES
+        }
+
+    def test_frames_match_exact(self, runs):
+        assert {k: r.frames for k, r in runs.items()} == self.EXACT_FRAMES
+
+    @pytest.mark.parametrize("label", ["1", "1A", "2", "2A"])
+    def test_one_jump(self, runs, label):
+        assert runs[label].pipeline.ff_jumps == 1
+
+    def test_recovery_run_jumps_at_most_twice(self, runs):
+        # 2B re-arms once after the first node dies and the survivor
+        # settles into its single-node steady state.
+        assert 1 <= runs["2B"].pipeline.ff_jumps <= 2
+
+    def test_rotation_reaches_death_in_one_jump(self, runs):
+        pipe = runs["2C"].pipeline
+        assert pipe.ff_jumps == 1
+        assert runs["2C"].frames - pipe.ff_frames_skipped <= 2500
+
+
+ROTATION_BATTERY = dataclasses.replace(
+    PAPER_KIBAM_PARAMETERS, capacity_mah=PAPER_KIBAM_PARAMETERS.capacity_mah / 25
+)
+
+
+def _rotation_battery() -> KiBaM:
+    return KiBaM(ROTATION_BATTERY)
+
+
+class TestRotationPeriodsBeyondThePaper:
+    """Fast == exact for rotation periods other than the paper's 100.
+
+    At 1/25 of the paper's capacity each run lasts ~400 frames, so the
+    short periods fold into super-periods that detect, jump once, and
+    leave the endgame to exact simulation; period 25 (50-frame
+    super-period) dies before a jump pays off and runs exactly.
+    """
+
+    @pytest.mark.parametrize("deadline_s", [2.3, 2.5])
+    @pytest.mark.parametrize("period", [2, 3, 7, 25])
+    def test_fast_matches_exact(self, period, deadline_s):
+        spec = dataclasses.replace(
+            PAPER_EXPERIMENTS["2C"], rotation_period=period, deadline_s=deadline_s
+        )
+        runs = {
+            mode: run_experiment(
+                spec,
+                battery_factory=_rotation_battery,
+                telemetry=True,
+                monitor_interval_s=120.0,
+                mode=mode,
+            )
+            for mode in ("exact", "fast")
+        }
+        exact, fast = runs["exact"], runs["fast"]
+        assert fast.pipeline.ff_jumps == (1 if period < 25 else 0)
+        assert fast.frames == exact.frames
+        assert _rel(fast.t_hours, exact.t_hours) < 1e-9
+
+        def verdicts(run):
+            return [
+                (v.monitor, v.ok, v.inconclusive)
+                for v in replay(run.obs.events, paper_monitors(spec))
+            ]
+
+        assert verdicts(fast) == verdicts(exact)
+        checks = verify_conservation(fast.obs.energy, fast.pipeline.delivered_mah)
+        assert len(checks) == 2
+        assert all(c.ok for c in checks), [c.as_dict() for c in checks]
 
 
 class TestGating:

@@ -166,8 +166,6 @@ def sensitivity_sweep(
         from repro.batch.sweep import evaluate_tasks_batch
 
         return list(evaluate_tasks_batch(tasks).outcomes)
-    if jobs <= 1:
-        return [_scenario_job(task) for task in tasks]
 
     from repro.exec import SweepExecutor
 

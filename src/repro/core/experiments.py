@@ -30,8 +30,6 @@ import os
 import sys
 import typing as t
 
-import warnings
-
 from repro.apps.atr.profile import PAPER_PROFILE, TaskProfile
 from repro.core.metrics import ExperimentMetrics
 from repro.core.policies import (
@@ -717,12 +715,8 @@ def run_paper_suite(
         :class:`repro.exec.ResultCache` at ``.repro-cache``; or pass a
         configured :class:`~repro.exec.ResultCache`. Traced, monitored,
         and telemetry-carrying runs are cached too — their recorders
-        round-trip through the payload. The only uncached path is a
-        *shared* ``TraceRecorder``/``Telemetry`` instance passed in by
-        the caller (deprecated: it forces serial execution because
-        worker processes cannot append to the caller's object). Cached
-        entries are keyed by the full configuration, so any parameter
-        change is a miss.
+        round-trip through the payload. Cached entries are keyed by the
+        full configuration, so any parameter change is a miss.
     registry:
         Optional :class:`repro.obs.RunRegistry` (or database path).
         Every run is registered in label order, always in the parent
@@ -732,44 +726,34 @@ def run_paper_suite(
     flight:
         Optional :class:`~repro.obs.flight.FlightRecorder`: each
         experiment becomes one journaled executor item with live
-        progress (this routes even serial uncached suites through the
-        executor so the journal is complete).
+        progress.
+
+    Every suite, serial or not, runs its experiments as
+    :class:`~repro.exec.SweepExecutor` items. ``trace`` and
+    ``telemetry`` must be bools: a caller-owned recorder instance
+    cannot be shared with worker processes or cached, so it raises
+    :class:`~repro.errors.ConfigurationError` (use
+    :func:`run_experiment` to record one run into a shared recorder).
     """
     labels = list(labels) if labels is not None else list(PAPER_EXPERIMENTS)
     unknown = [lb for lb in labels if lb not in PAPER_EXPERIMENTS]
     if unknown:
         raise ConfigurationError(f"unknown experiment labels: {unknown}")
 
-    trace = kwargs.get("trace")
-    telemetry = kwargs.get("telemetry")
-    shared_recorder = not isinstance(trace, (bool, type(None))) or not isinstance(
-        telemetry, (bool, type(None))
-    )
-    if shared_recorder:
-        warnings.warn(
-            "passing a shared TraceRecorder/Telemetry instance to "
-            "run_paper_suite forces serial, uncached execution; use "
-            "trace=True / telemetry=True for per-run recorders that "
-            "parallelize and cache",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        jobs = 1
-
-    if jobs <= 1 and not cache and flight is None:
-        runs = {lb: run_experiment(PAPER_EXPERIMENTS[lb], **kwargs) for lb in labels}
-        if registry is not None:
-            for lb in labels:
-                _register_run(registry, runs[lb], PAPER_EXPERIMENTS[lb], kwargs)
-        return runs
+    for name in ("trace", "telemetry"):
+        if not isinstance(kwargs.get(name), (bool, type(None))):
+            raise ConfigurationError(
+                f"run_paper_suite takes {name}=True for per-run recorders, "
+                f"not a shared {type(kwargs[name]).__name__}; use "
+                "run_experiment to record into a shared recorder"
+            )
 
     from repro.exec import ResultCache, SweepExecutor
 
     if cache is True:
         cache = ResultCache()
-    cacheable = not shared_recorder
     keys = None
-    if cache and cacheable:
+    if cache:
         keys = [
             cache.key_for(
                 "run_experiment",

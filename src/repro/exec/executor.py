@@ -19,14 +19,17 @@ A third, optional concern is *visibility*: attach a
 :class:`~repro.obs.flight.FlightRecorder` (``flight=``) and every work
 item additionally emits durable lifecycle records (queued → dispatched
 → started → finished | failed | cache_hit) with wall/CPU/peak-RSS
-telemetry, workers publish heartbeats, and pool crashes become
-per-item retries instead of lost sweeps. With no recorder attached the
-original code path runs unchanged — one attribute check per ``map``
-call — preserving the <5% null-sink overhead budget.
+telemetry, and workers publish heartbeats. With no recorder attached
+the same dispatch loops talk to a null journal whose hooks do nothing
+and which starts no heartbeat machinery — the pattern the EventLog
+null sink uses. Either way a parallel worker failure or pool crash
+becomes a :class:`SweepItemError` (after any ``retries``), never a
+lost sweep.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import time
@@ -34,6 +37,7 @@ import typing as t
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 
+from repro.errors import ReproError
 from repro.exec.cache import ResultCache
 
 try:  # POSIX-only; measurements degrade to zero elsewhere
@@ -47,7 +51,7 @@ T = t.TypeVar("T")
 R = t.TypeVar("R")
 
 
-class SweepItemError(RuntimeError):
+class SweepItemError(ReproError, RuntimeError):
     """A work item failed in a worker process (raised in the parent).
 
     Carries enough to locate the failure: the item index, the attempt
@@ -161,7 +165,7 @@ def _beat(phase: str, index: int | None) -> None:
         pass
 
 
-def _flight_worker_run(
+def _worker_run(
     fn: t.Callable[[T], R], item: T, index: int
 ) -> tuple[int, str, t.Any, dict[str, t.Any]]:
     """Run one item in a worker, measured, exceptions captured.
@@ -189,6 +193,33 @@ def _flight_worker_run(
     return (index, "ok", result, measure)
 
 
+def _ignore(*_args: t.Any, **_kwargs: t.Any) -> None:
+    return None
+
+
+class _NullJournal:
+    """The journal :meth:`SweepExecutor.map` talks to with no recorder.
+
+    Duck-types the :class:`~repro.obs.flight.FlightRecorder` hooks the
+    dispatch loops call, all as no-ops. It has no heartbeat queue, so a
+    parallel map starts no ``multiprocessing.Manager`` and installs no
+    worker initializer.
+    """
+
+    heartbeat_interval_s = None
+    begin_map = end_map = flush = staticmethod(_ignore)
+    item_queued = item_cache_hit = item_dispatched = staticmethod(_ignore)
+    item_started = item_finished = item_failed = staticmethod(_ignore)
+    self_beat = heartbeat_queue = staticmethod(_ignore)
+
+    @staticmethod
+    def drain_heartbeats(ctx: t.Any, beats: t.Any) -> set[int]:
+        return set()
+
+
+_NULL_JOURNAL = _NullJournal()
+
+
 class SweepExecutor:
     """Maps a function over items, in parallel, through a cache.
 
@@ -210,18 +241,21 @@ class SweepExecutor:
         counters are derived from input order, never from scheduling).
     flight:
         Optional :class:`~repro.obs.flight.FlightRecorder`. When
-        attached, ``map`` switches to the instrumented path: per-item
-        journal records, worker heartbeats, live progress, and
-        crash-resilient per-item scheduling. When ``None`` (default)
-        the original fast path runs unchanged.
+        attached, ``map`` journals every item, collects worker
+        heartbeats and feeds live progress. When ``None`` (default) the
+        same loops run against a null journal: no records, no
+        heartbeat queue, no ``multiprocessing.Manager``.
     retries:
         Extra execution attempts per item after a worker process dies
-        mid-item (pool breakage). Only honoured on the instrumented
-        path; an attempt is charged only when the item actually began
-        running (its worker sent a start beat or its future resolved).
-        Items merely queued on a pool that broke are re-dispatched for
-        free, so collateral from another item's crash cannot exhaust
-        their retry budget (journal ``attempts`` reflects this).
+        mid-item (pool breakage), with or without a recorder. With a
+        recorder an attempt is charged only when the item actually
+        began running (its worker sent a start beat or its future
+        resolved); items merely queued on a pool that broke are
+        re-dispatched for free, so collateral from another item's
+        crash cannot exhaust their retry budget (journal ``attempts``
+        reflects this). Without a recorder there are no start beats,
+        so every item still unresolved when a pool breaks is charged,
+        and a sweep gives up after ``1 + retries`` crashed rounds.
 
     Examples
     --------
@@ -287,13 +321,15 @@ class SweepExecutor:
             therefore happen identically for serial, parallel, and
             cache-replayed executions. :attr:`stats` is finalized
             *before* the callbacks run, so an observer that raises
-            leaves the accounting consistent with the journal; on the
-            instrumented path the item is additionally journaled as
+            leaves the accounting consistent with the journal; with a
+            recorder attached the item is additionally journaled as
             ``failed(stage="callback")`` before the exception
             propagates.
         failures:
-            ``"raise"`` (default) propagates the first item failure.
-            ``"keep"`` — instrumented path only — records failures in
+            ``"raise"`` (default) propagates the first item failure:
+            the original exception when ``jobs <= 1``, a
+            :class:`SweepItemError` from a worker process.
+            ``"keep"`` — flight recorder required — records failures in
             the journal, leaves ``None`` at the failed index, skips
             caching and ``on_result`` for those items, and returns the
             survivors.
@@ -308,235 +344,141 @@ class SweepExecutor:
             raise ValueError(f"failures must be 'raise' or 'keep', got {failures!r}")
         if failures == "keep" and self.flight is None:
             raise ValueError("failures='keep' requires a flight recorder")
-        if self.obs is not None:
-            with self.obs.span("sweep.map", items=len(items), jobs=self.jobs):
-                return self._dispatch(
-                    fn, items, keys=keys, encode=encode, decode=decode,
-                    on_result=on_result, failures=failures,
-                )
-        return self._dispatch(
-            fn, items, keys=keys, encode=encode, decode=decode,
-            on_result=on_result, failures=failures,
+        span = (
+            self.obs.span("sweep.map", items=len(items), jobs=self.jobs)
+            if self.obs is not None
+            else contextlib.nullcontext()
         )
+        journal = self.flight if self.flight is not None else _NULL_JOURNAL
+        with span:
+            started = time.perf_counter()
+            n = len(items)
+            results: list[t.Any] = [None] * n
+            settled: list[bool] = [False] * n  # terminal success (hit or executed)
+            ctx = journal.begin_map(fn, n, keys, jobs=self.jobs)
 
-    def _dispatch(self, fn, items, *, keys, encode, decode, on_result, failures):
-        if self.flight is None:
-            return self._map(
-                fn, items, keys=keys, encode=encode, decode=decode,
-                on_result=on_result,
-            )
-        return self._map_flight(
-            fn, items, keys=keys, encode=encode, decode=decode,
-            on_result=on_result, failures=failures,
-        )
-
-    def _map(
-        self,
-        fn: t.Callable[[T], R],
-        items: t.Sequence[T],
-        *,
-        keys: t.Sequence[str | None] | None = None,
-        encode: t.Callable[[R], t.Any] | None = None,
-        decode: t.Callable[[T, t.Any], R] | None = None,
-        on_result: t.Callable[[T, R], None] | None = None,
-    ) -> list[R]:
-        started = time.perf_counter()
-        n = len(items)
-        results: list[t.Any] = [None] * n
-        pending: list[int] = []
-
-        cache = self.cache
-        for i, item in enumerate(items):
-            key = keys[i] if keys is not None and cache is not None else None
-            if key is not None:
-                payload = cache.get(key)
-                if payload is not None:
-                    results[i] = decode(item, payload)  # type: ignore[misc]
-                    continue
-            pending.append(i)
-
-        # Cache writes land per item as each result settles — not in a
-        # batch after the whole map — so a process killed mid-sweep has
-        # already persisted every finished item and a resumed run
-        # re-executes at most the in-flight ones.
-        def store(i: int) -> None:
-            if cache is not None and keys is not None:
-                key = keys[i]
+            cache = self.cache
+            pending: list[int] = []
+            for i, item in enumerate(items):
+                journal.item_queued(ctx, i)
+                key = keys[i] if keys is not None and cache is not None else None
                 if key is not None:
-                    cache.put(key, encode(results[i]))  # type: ignore[misc]
+                    payload = cache.get(key)
+                    if payload is not None:
+                        results[i] = decode(item, payload)  # type: ignore[misc]
+                        settled[i] = True
+                        journal.item_cache_hit(ctx, i)
+                        continue
+                pending.append(i)
 
-        if pending:
-            if self.jobs > 1 and len(pending) > 1:
-                workers = min(self.jobs, len(pending))
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    for i, result in zip(
-                        pending, pool.map(fn, [items[i] for i in pending])
-                    ):
-                        results[i] = result
-                        store(i)
-            else:
-                for i in pending:
-                    results[i] = fn(items[i])
-                    store(i)
+            # Cache writes land per item as each result settles — not in
+            # a batch after the whole map — so a process killed mid-sweep
+            # has already persisted every finished item and a resumed run
+            # re-executes at most the in-flight ones.
+            def store(i: int) -> None:
+                if cache is not None and keys is not None:
+                    key = keys[i]
+                    if key is not None and settled[i]:
+                        cache.put(key, encode(results[i]))  # type: ignore[misc]
 
-        # Stats settle before observer callbacks so a raising observer
-        # cannot leave the accounting stale for work that did happen.
-        self.stats = SweepStats(
-            total=n,
-            executed=len(pending),
-            cache_hits=n - len(pending),
-            jobs=self.jobs,
-            wall_s=time.perf_counter() - started,
-        )
-        self.lifetime.add(self.stats)
-        if self.obs is not None:
-            m = self.obs.metrics
-            m.counter("sweep.items").inc(n)
-            m.counter("sweep.executed").inc(len(pending))
-            m.counter("sweep.cache_hits").inc(n - len(pending))
-
-        if on_result is not None:
-            for i, item in enumerate(items):
-                on_result(item, results[i])
-        return results
-
-    # -- instrumented path ----------------------------------------------
-    def _map_flight(
-        self,
-        fn: t.Callable[[T], R],
-        items: t.Sequence[T],
-        *,
-        keys: t.Sequence[str | None] | None = None,
-        encode: t.Callable[[R], t.Any] | None = None,
-        decode: t.Callable[[T, t.Any], R] | None = None,
-        on_result: t.Callable[[T, R], None] | None = None,
-        failures: str = "raise",
-    ) -> list[R]:
-        flight = self.flight
-        started = time.perf_counter()
-        n = len(items)
-        results: list[t.Any] = [None] * n
-        settled: list[bool] = [False] * n  # terminal success (hit or executed)
-        ctx = flight.begin_map(fn, n, keys, jobs=self.jobs)
-
-        cache = self.cache
-        pending: list[int] = []
-        for i, item in enumerate(items):
-            flight.item_queued(ctx, i)
-            key = keys[i] if keys is not None and cache is not None else None
-            if key is not None:
-                payload = cache.get(key)
-                if payload is not None:
-                    results[i] = decode(item, payload)  # type: ignore[misc]
-                    settled[i] = True
-                    flight.item_cache_hit(ctx, i)
-                    continue
-            pending.append(i)
-
-        # Incremental per-item cache writes, as on the fast path: a
-        # killed sweep keeps everything that settled before the kill.
-        def store(i: int) -> None:
-            if cache is not None and keys is not None:
-                key = keys[i]
-                if key is not None and settled[i]:
-                    cache.put(key, encode(results[i]))  # type: ignore[misc]
-
-        if pending:
-            if self.jobs > 1 and len(pending) > 1:
-                self._flight_parallel(
-                    fn, items, pending, ctx, results, settled, failures, store
+            if pending:
+                run = (
+                    self._parallel
+                    if self.jobs > 1 and len(pending) > 1
+                    else self._serial
                 )
-            else:
-                self._flight_serial(
-                    fn, items, pending, ctx, results, settled, failures, store
-                )
+                run(fn, items, pending, journal, ctx, results, settled,
+                    failures, store)
 
-        self.stats = SweepStats(
-            total=n,
-            executed=len(pending),
-            cache_hits=n - len(pending),
-            jobs=self.jobs,
-            wall_s=time.perf_counter() - started,
-        )
-        self.lifetime.add(self.stats)
-        if self.obs is not None:
-            m = self.obs.metrics
-            m.counter("sweep.items").inc(n)
-            m.counter("sweep.executed").inc(len(pending))
-            m.counter("sweep.cache_hits").inc(n - len(pending))
-        flight.end_map(ctx)
+            # Stats settle before observer callbacks so a raising
+            # observer cannot leave the accounting stale for work that
+            # did happen.
+            self.stats = SweepStats(
+                total=n,
+                executed=len(pending),
+                cache_hits=n - len(pending),
+                jobs=self.jobs,
+                wall_s=time.perf_counter() - started,
+            )
+            self.lifetime.add(self.stats)
+            if self.obs is not None:
+                m = self.obs.metrics
+                m.counter("sweep.items").inc(n)
+                m.counter("sweep.executed").inc(len(pending))
+                m.counter("sweep.cache_hits").inc(n - len(pending))
+            journal.end_map(ctx)
 
-        if on_result is not None:
-            for i, item in enumerate(items):
-                if not settled[i]:
-                    continue
-                try:
-                    on_result(item, results[i])
-                except BaseException as exc:
-                    flight.item_failed(
-                        ctx, i, "callback", f"{type(exc).__name__}: {exc}"
-                    )
-                    flight.flush()
-                    raise
-        return results
+            if on_result is not None:
+                for i, item in enumerate(items):
+                    if not settled[i]:
+                        continue
+                    try:
+                        on_result(item, results[i])
+                    except BaseException as exc:
+                        journal.item_failed(
+                            ctx, i, "callback", f"{type(exc).__name__}: {exc}"
+                        )
+                        journal.flush()
+                        raise
+            return results
 
-    def _flight_serial(
-        self, fn, items, pending, ctx, results, settled, failures, store
+    def _serial(
+        self, fn, items, pending, journal, ctx, results, settled, failures, store
     ) -> None:
-        flight = self.flight
         for i in pending:
-            flight.item_dispatched(ctx, i, 1)
-            flight.item_started(ctx, i, "serial", 1)
-            flight.self_beat("serial", i)
+            journal.item_dispatched(ctx, i, 1)
+            journal.item_started(ctx, i, "serial", 1)
+            journal.self_beat("serial", i)
             t0, r0 = time.perf_counter(), _rusage()
             try:
                 result = fn(items[i])
             except BaseException as exc:
-                flight.item_failed(
+                journal.item_failed(
                     ctx, i, "worker", f"{type(exc).__name__}: {exc}",
                     _measure_since(t0, r0, "serial"),
                 )
                 if failures == "raise":
-                    flight.flush()
+                    journal.flush()
                     raise
                 continue
             results[i] = result
             settled[i] = True
             store(i)
-            flight.item_finished(ctx, i, _measure_since(t0, r0, "serial"))
-        flight.self_beat("serial", None)
+            journal.item_finished(ctx, i, _measure_since(t0, r0, "serial"))
+        journal.self_beat("serial", None)
 
-    def _flight_parallel(
-        self, fn, items, pending, ctx, results, settled, failures, store
+    def _parallel(
+        self, fn, items, pending, journal, ctx, results, settled, failures, store
     ) -> None:
-        flight = self.flight
-        beats = flight.heartbeat_queue()
-        interval = flight.heartbeat_interval_s
+        beats = journal.heartbeat_queue()
+        interval = journal.heartbeat_interval_s
+        heartbeat = (
+            {}
+            if beats is None
+            else {"initializer": _flight_worker_init,
+                  "initargs": (beats, interval)}
+        )
         unresolved: set[int] = set(pending)
         attempts: dict[int, int] = {i: 0 for i in pending}
         max_attempts = 1 + self.retries
 
         while unresolved:
             workers = min(self.jobs, len(unresolved))
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_flight_worker_init,
-                initargs=(beats, interval),
-            )
+            pool = ProcessPoolExecutor(max_workers=workers, **heartbeat)
             broken = False
             round_started: set[int] = set()
             try:
                 futures: dict[t.Any, int] = {}
                 for i in sorted(unresolved):
                     attempts[i] += 1
-                    flight.item_dispatched(ctx, i, attempts[i])
-                    futures[pool.submit(_flight_worker_run, fn, items[i], i)] = i
+                    journal.item_dispatched(ctx, i, attempts[i])
+                    futures[pool.submit(_worker_run, fn, items[i], i)] = i
                 not_done = set(futures)
                 while not_done:
                     done, not_done = wait(
                         not_done, timeout=interval, return_when=FIRST_COMPLETED
                     )
-                    round_started |= flight.drain_heartbeats(ctx, beats)
+                    round_started |= journal.drain_heartbeats(ctx, beats)
                     for fut in done:
                         i = futures[fut]
                         exc = fut.exception()
@@ -548,12 +490,12 @@ class SweepExecutor:
                         round_started.add(i)  # a resolved future ran
                         if exc is not None:
                             err = f"{type(exc).__name__}: {exc}"
-                            flight.item_failed(
+                            journal.item_failed(
                                 ctx, i, "worker", err, {"worker": "pool"}
                             )
                             unresolved.discard(i)
                             if failures == "raise":
-                                flight.flush()
+                                journal.flush()
                                 raise SweepItemError(i, attempts[i], err)
                             continue
                         index, status, payload, measure = fut.result()
@@ -562,14 +504,14 @@ class SweepExecutor:
                             results[index] = payload
                             settled[index] = True
                             store(index)
-                            flight.item_finished(ctx, index, measure)
+                            journal.item_finished(ctx, index, measure)
                         else:
                             err = f"{payload[0]}: {payload[1]}"
-                            flight.item_failed(
+                            journal.item_failed(
                                 ctx, index, "worker", err, measure
                             )
                             if failures == "raise":
-                                flight.flush()
+                                journal.flush()
                                 raise SweepItemError(
                                     index, attempts[index], err
                                 )
@@ -579,16 +521,19 @@ class SweepExecutor:
                 pool.shutdown(wait=False, cancel_futures=True)
             if not broken:
                 break
-            round_started |= flight.drain_heartbeats(ctx, beats)
+            round_started |= journal.drain_heartbeats(ctx, beats)
             # Items that only sat queued on the broken pool never ran:
             # refund their dispatch so collateral from someone else's
             # crash cannot exhaust their retry budget. The crashing
             # item always sent its start beat (the Manager holds it
             # even after the worker dies), so its attempts still rise
-            # every round and the loop terminates.
-            for i in sorted(unresolved):
-                if i not in round_started:
-                    attempts[i] -= 1
+            # every round and the loop terminates. Without heartbeats
+            # nothing tells the two apart, so every unresolved item is
+            # charged and the loop ends after ``max_attempts`` crashes.
+            if beats is not None:
+                for i in sorted(unresolved):
+                    if i not in round_started:
+                        attempts[i] -= 1
             retryable: set[int] = set()
             for i in sorted(unresolved):
                 if attempts[i] >= max_attempts:
@@ -596,12 +541,12 @@ class SweepExecutor:
                         "WorkerCrashed: worker process died mid-item "
                         f"(attempt {attempts[i]}/{max_attempts})"
                     )
-                    flight.item_failed(
+                    journal.item_failed(
                         ctx, i, "worker", err,
                         {"worker": "pool", "wall_s": 0.0},
                     )
                     if failures == "raise":
-                        flight.flush()
+                        journal.flush()
                         raise SweepItemError(i, attempts[i], err)
                 else:
                     retryable.add(i)

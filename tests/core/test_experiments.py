@@ -89,26 +89,14 @@ class TestRunner:
 
 
 class TestSharedRecorderDeprecation:
-    """The shared-instance recorder path: deprecated but not broken.
+    """The removed shared-instance recorder path.
 
-    Passing a caller-owned TraceRecorder/Telemetry into run_paper_suite
-    must warn (it forces serial, uncached execution) while still
-    producing results identical to the preferred per-run recorder path.
+    ``run_paper_suite`` once accepted a caller-owned TraceRecorder or
+    Telemetry (with a warning, forcing serial uncached execution). It
+    now rejects one outright; per-run bool flags are the only way.
     """
 
     _KW = dict(battery_factory=tiny_battery_factory, max_frames=10)
-
-    def test_shared_trace_recorder_warns(self):
-        from repro.sim import TraceRecorder
-
-        with pytest.warns(DeprecationWarning, match="shared"):
-            run_paper_suite(["2"], trace=TraceRecorder(), **self._KW)
-
-    def test_shared_telemetry_warns(self):
-        from repro.obs import Telemetry
-
-        with pytest.warns(DeprecationWarning, match="per-run recorders"):
-            run_paper_suite(["2"], jobs=4, telemetry=Telemetry(), **self._KW)
 
     def test_per_run_bool_flags_do_not_warn(self):
         import warnings as w
@@ -117,30 +105,15 @@ class TestSharedRecorderDeprecation:
             w.simplefilter("error", DeprecationWarning)
             run_paper_suite(["2"], trace=True, telemetry=True, **self._KW)
 
-    def test_shared_path_results_match_per_run_path(self):
-        """Identical simulation outcomes and telemetry either way."""
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("flag", ["trace", "telemetry"])
+    def test_shared_recorder_instance_rejected(self, flag, jobs):
         from repro.obs import Telemetry
         from repro.sim import TraceRecorder
 
-        shared_obs = Telemetry()
-        shared_trace = TraceRecorder()
-        with pytest.warns(DeprecationWarning):
-            shared = run_paper_suite(
-                ["2"], trace=shared_trace, telemetry=shared_obs, **self._KW
-            )["2"]
-        per_run = run_paper_suite(
-            ["2"], trace=True, telemetry=True, **self._KW
-        )["2"]
-
-        assert shared.frames == per_run.frames
-        assert shared.t_hours == per_run.t_hours
-        assert shared.pipeline.death_times_s == per_run.pipeline.death_times_s
-        assert shared.pipeline.late_results == per_run.pipeline.late_results
-        # The shared objects were filled with the same telemetry the
-        # per-run recorders captured.
-        assert shared_obs.events.as_dict() == per_run.obs.events.as_dict()
-        assert shared_obs.metrics.as_dict() == per_run.obs.metrics.as_dict()
-        assert shared_trace.as_dict() == per_run.trace.as_dict()
+        shared = TraceRecorder() if flag == "trace" else Telemetry()
+        with pytest.raises(ConfigurationError, match=f"{flag}=True"):
+            run_paper_suite(["2"], jobs=jobs, **{flag: shared}, **self._KW)
 
 
 class TestMetricsAndSummary:

@@ -1,17 +1,22 @@
-"""Executor failure semantics under the flight recorder.
+"""Executor failure semantics, with and without the flight recorder.
 
 Covers the three ways a sweep item dies — the work function raising in
 a worker, the worker process being killed mid-item, and an observer
 callback raising after results settled — and asserts the journal tells
 the truth about each (outcome, stage, attempt counts) while the
-surviving results stay deterministic.
+surviving results stay deterministic. With no recorder the same
+dispatch loops run against a null journal, so each raise test runs with
+the recorder on and off and expects the same error either way.
 """
 
+import contextlib
+import multiprocessing
 import os
 import signal
 
 import pytest
 
+from repro.errors import ReproError
 from repro.exec import ResultCache, SweepExecutor
 from repro.exec.executor import SweepItemError
 from repro.obs.flight import FlightRecorder, journal_verdicts
@@ -36,27 +41,57 @@ def _failed(flight):
     return [r for r in flight.records if r.outcome == "failed"]
 
 
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Fail the test instead of hanging if the block outlives ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"sweep still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 # -- work function raises ---------------------------------------------------
 
 def test_worker_raise_serial_reraises_original():
-    flight = FlightRecorder(label="t")
-    ex = SweepExecutor(jobs=1, flight=flight)
-    with pytest.raises(ValueError, match="poison item 3"):
-        ex.map(fragile, list(range(6)))
-    failed = _failed(flight)
-    assert len(failed) == 1
-    assert failed[0].index == 3
-    assert failed[0].stage == "worker"
-    assert "poison item 3" in failed[0].error
+    for flight in (FlightRecorder(label="t"), None):
+        ex = SweepExecutor(jobs=1, flight=flight)
+        with pytest.raises(ValueError, match="poison item 3"):
+            ex.map(fragile, list(range(6)))
+        if flight is not None:
+            failed = _failed(flight)
+            assert len(failed) == 1
+            assert failed[0].index == 3
+            assert failed[0].stage == "worker"
+            assert "poison item 3" in failed[0].error
 
 
 def test_worker_raise_parallel_wraps_in_sweep_item_error():
-    flight = FlightRecorder(label="t")
-    ex = SweepExecutor(jobs=2, flight=flight)
-    with pytest.raises(SweepItemError) as excinfo:
-        ex.map(fragile, list(range(6)))
-    assert excinfo.value.index == 3
-    assert "poison item 3" in excinfo.value.error
+    for flight in (FlightRecorder(label="t"), None):
+        ex = SweepExecutor(jobs=2, flight=flight)
+        with pytest.raises(SweepItemError) as excinfo:
+            ex.map(fragile, list(range(6)))
+        assert excinfo.value.index == 3
+        assert "poison item 3" in excinfo.value.error
+        # A library error (the CLI prints it as ``error: ...``) that
+        # older ``except RuntimeError`` callers still catch.
+        assert isinstance(excinfo.value, ReproError)
+        assert isinstance(excinfo.value, RuntimeError)
+
+
+def test_parallel_no_recorder_starts_no_manager(monkeypatch):
+    """No recorder means no heartbeat queue, hence no Manager process."""
+    def no_manager(*args, **kwargs):
+        raise AssertionError("recorder-off map started a Manager")
+
+    monkeypatch.setattr(multiprocessing, "Manager", no_manager)
+    ex = SweepExecutor(jobs=2)
+    assert ex.map(abs, [-1, -2, -3]) == [1, 2, 3]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -128,12 +163,30 @@ def test_sigkill_mid_item_fails_only_poison_with_retries():
 
 
 def test_sigkill_raise_mode_raises_sweep_item_error():
-    flight = FlightRecorder(label="t")
-    ex = SweepExecutor(jobs=2, flight=flight)
-    with pytest.raises(SweepItemError) as excinfo:
-        ex.map(lethal, list(range(6)))
-    assert excinfo.value.index == 3
-    assert "WorkerCrashed" in str(excinfo.value)
+    """A pool death is a SweepItemError with or without a recorder
+    (never a raw BrokenProcessPool), and the retry loop terminates."""
+    for flight in (FlightRecorder(label="t"), None):
+        ex = SweepExecutor(jobs=2, flight=flight)
+        with _deadline(60), pytest.raises(SweepItemError) as excinfo:
+            ex.map(lethal, list(range(6)))
+        assert "WorkerCrashed" in str(excinfo.value)
+        if flight is not None:
+            assert excinfo.value.index == 3
+        else:
+            # No start beats single out the crashing item: every item
+            # still unresolved in the crashed round is charged, and the
+            # lowest-index one of those is reported.
+            assert excinfo.value.index <= 3
+
+
+def test_sigkill_no_recorder_honours_retries():
+    """``retries`` holds without heartbeats: the sweep gives up after
+    exactly ``1 + retries`` crashed rounds."""
+    ex = SweepExecutor(jobs=2, retries=2)
+    with _deadline(60), pytest.raises(SweepItemError) as excinfo:
+        ex.map(lethal, list(range(8)))
+    assert excinfo.value.attempts == 3  # 1 + retries
+    assert "WorkerCrashed" in excinfo.value.error
 
 
 # -- observer callback raises ----------------------------------------------

@@ -94,16 +94,6 @@ def test_traced_runs_are_cached_and_parallel(tmp_path):
         assert t1.all_segments()  # the recorder actually recorded
 
 
-def test_shared_recorder_instance_deprecated():
-    from repro.sim import TraceRecorder
-
-    shared = TraceRecorder()
-    with pytest.deprecated_call():
-        run_paper_suite(["1"], battery_factory=tiny_battery_factory,
-                        max_frames=3, trace=shared, jobs=2)
-    assert shared.all_segments()  # still fills the caller's recorder
-
-
 def test_unknown_label_rejected():
     from repro.errors import ConfigurationError
 

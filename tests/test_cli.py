@@ -145,6 +145,20 @@ class TestRun:
         assert target.exists()
 
 
+class TestSuite:
+    def test_sweep_item_failure_is_a_cli_error(self, capsys, monkeypatch):
+        """A parallel item failure prints ``error: ...``, not a traceback."""
+        from repro import cli
+        from repro.exec.executor import SweepItemError
+
+        def failing_suite(*args, **kwargs):
+            raise SweepItemError(3, 1, "ValueError: poison")
+
+        monkeypatch.setattr(cli, "run_paper_suite", failing_suite)
+        assert main(["suite", "--jobs", "2", "--no-cache"]) == 1
+        assert "error: sweep item 3 failed" in capsys.readouterr().err
+
+
 class TestOptimize:
     def test_ranks_design_space(self, capsys):
         assert main(["optimize", "--fast", "--stages", "2", "--top", "3"]) == 0

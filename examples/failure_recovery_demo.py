@@ -36,12 +36,12 @@ def main() -> None:
     plain = run_experiment(
         PAPER_EXPERIMENTS["2A"],
         battery_factory=small_battery,
-        monitor_interval_s=60.0,
+        telemetry=True,
     )
     recovery = run_experiment(
         PAPER_EXPERIMENTS["2B"],
         battery_factory=small_battery,
-        monitor_interval_s=60.0,
+        telemetry=True,
     )
 
     rows = []

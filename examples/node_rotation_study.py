@@ -59,7 +59,6 @@ def show_balance() -> None:
         run = run_experiment(
             PAPER_EXPERIMENTS[label],
             battery_factory=small_battery,
-            monitor_interval_s=60.0,
         )
         deaths = {
             name: f"{t / 3600:.2f} h" for name, t in run.death_times_s.items()

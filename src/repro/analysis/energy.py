@@ -1,14 +1,15 @@
-"""Per-node energy accounting from battery telemetry.
+"""Per-node energy accounting from the run's energy ledger.
 
 The paper's discussion keeps returning to *where the charge went*: I/O
 time is long but cheap per second, computation dominates, and an
 unbalanced partition strands capacity in the surviving node. This
-module turns a pipeline run's :class:`~repro.hw.battery.BatteryMonitor`
-records into that accounting — per-node delivered charge, per-mode
-charge and time shares, and the charge left stranded at the end.
+module rolls a pipeline run's :class:`~repro.obs.energy.EnergyLedger`
+up by node and power mode — per-node delivered charge, per-mode charge
+and time shares — and adds the charge left stranded at the end
+(:attr:`~repro.pipeline.engine.PipelineResult.remaining_mah`).
 
-Requires the run to have been configured with monitors
-(``monitor_interval_s`` not None).
+Requires the run to have recorded telemetry (``telemetry=True``): that
+is what fills the ledger.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import typing as t
 from repro.analysis.tables import format_table
 from repro.errors import ConfigurationError
 from repro.pipeline.engine import PipelineResult
-from repro.units import mas_to_mah
 
 __all__ = ["energy_breakdown_rows", "render_energy_breakdown"]
 
@@ -32,30 +32,29 @@ def energy_breakdown_rows(result: PipelineResult) -> list[dict[str, t.Any]]:
     Raises
     ------
     ConfigurationError
-        If the run was executed without battery monitors.
+        If the run was executed without telemetry (no energy ledger).
     """
-    if not result.monitors:
+    if result.obs is None or not len(result.obs.energy):
         raise ConfigurationError(
-            "energy breakdown needs battery monitors; run the pipeline "
-            "with monitor_interval_s set"
+            "energy breakdown needs the run's energy ledger; run the "
+            "pipeline with telemetry=True"
         )
+    ledger = result.obs.energy
+    time_s: dict[tuple[str, str], float] = {}
+    for entry in ledger.rows():
+        key = (entry.node, entry.mode)
+        time_s[key] = time_s.get(key, 0.0) + entry.time_s
     rows: list[dict[str, t.Any]] = []
-    for name, monitor in result.monitors.items():
-        row: dict[str, t.Any] = {
-            "node": name,
-            "delivered_mAh": monitor.battery.delivered_mah,
-        }
-        total_time = sum(monitor.time_by_mode_s.values()) or 1.0
+    for name, delivered in result.delivered_mah.items():
+        charge = ledger.mode_totals_mah(name)
+        total_charge = sum(charge.values())
+        total_time = sum(v for (node, _), v in time_s.items() if node == name) or 1.0
+        row: dict[str, t.Any] = {"node": name, "delivered_mAh": delivered}
         for mode in _MODES:
-            row[f"{mode}_charge_pct"] = 100.0 * monitor.mode_share(mode)
-            row[f"{mode}_time_pct"] = (
-                100.0 * monitor.time_by_mode_s.get(mode, 0.0) / total_time
-            )
-        row["stranded_mAh"] = mas_to_mah(
-            monitor.battery.charge_fraction()
-            * monitor.battery.capacity_mah
-            * 3600.0
-        )
+            share = charge.get(mode, 0.0) / total_charge if total_charge > 0 else 0.0
+            row[f"{mode}_charge_pct"] = 100.0 * share
+            row[f"{mode}_time_pct"] = 100.0 * time_s.get((name, mode), 0.0) / total_time
+        row["stranded_mAh"] = result.remaining_mah[name]
         row["died"] = name in result.death_times_s
         rows.append(row)
     return rows

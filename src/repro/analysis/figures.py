@@ -130,19 +130,25 @@ def figure_discharge_curves(run: ExperimentRun, width: int = 64, height: int = 1
     Not a figure the paper prints, but the measurement its power
     monitor produced; shows visually how unbalanced partitions drain
     one cell ahead of the other and how rotation locks the curves
-    together. Requires battery monitors (``monitor_interval_s`` set).
+    together. Built from the run's ``battery.draw`` events, so it
+    needs ``telemetry=True`` and ``monitor_interval_s`` set.
     """
     from repro.analysis.charts import line_plot
     from repro.errors import ConfigurationError
+    from repro.obs.events import discharge_curves
 
-    if run.pipeline is None or not run.pipeline.monitors:
+    curves = {}
+    if run.pipeline is not None and run.obs is not None:
+        curves = discharge_curves(run.obs.events.records)
+    if not curves:
         raise ConfigurationError(
-            "discharge curves need a pipeline run with battery monitors"
+            "discharge curves need battery.draw events: run the pipeline "
+            "with telemetry=True and monitor_interval_s set"
         )
     rows: list[dict[str, t.Any]] = []
     plots: list[str] = []
-    for name, monitor in run.pipeline.monitors.items():
-        curve = [(ts / 3600.0, frac) for ts, frac in monitor.discharge_curve()]
+    for name, samples in curves.items():
+        curve = [(ts / 3600.0, frac) for ts, frac in samples]
         if len(curve) < 2:
             continue
         for hours, frac in curve:

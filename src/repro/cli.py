@@ -325,7 +325,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     from repro.obs import export as obs_export
 
-    monitors = run.pipeline.monitors if run.pipeline is not None else {}
     out = args.output or f"trace_{label}.{_EXPORT_SUFFIX[args.export]}"
     if args.export == "chrome":
         path = obs_export.write_chrome_trace(
@@ -333,14 +332,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             trace=trace,
             events=run.obs.events,
             spans=run.obs.spans,
-            monitors=monitors,
             label=f"repro {label}",
         )
     elif args.export == "jsonl":
         path = obs_export.write_jsonl(
             out,
             trace=trace,
-            monitors=monitors,
             events=run.obs.events,
             spans=run.obs.spans,
             metrics=run.obs.metrics,
@@ -1006,39 +1003,37 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     factory = _battery_factory(args.fast)
     labels = args.labels or None
-    if str(args.output).endswith((".html", ".htm")):
+    html = str(args.output).endswith((".html", ".htm"))
+    if labels and not html:
+        print("experiment labels are only honored for .html reports",
+              file=sys.stderr)
+        return 2
+    journal = None
+    if html and getattr(args, "fleet", False):
+        registry = _registry(args)
+        if registry is None:
+            print("--fleet needs the registry (drop --no-registry)",
+                  file=sys.stderr)
+            return 2
+        journal = registry.list_journal()
+    runs = run_paper_suite(
+        labels,
+        battery_factory=factory,
+        telemetry=True,
+        monitor_interval_s=300.0,
+        **_sweep_kwargs(args),
+    )
+    if html:
         from repro.obs.report import write_html_report
 
-        journal = None
-        if getattr(args, "fleet", False):
-            registry = _registry(args)
-            if registry is None:
-                print("--fleet needs the registry (drop --no-registry)",
-                      file=sys.stderr)
-                return 2
-            journal = registry.list_journal()
-        runs = run_paper_suite(
-            labels,
-            battery_factory=factory,
-            telemetry=True,
-            monitor_interval_s=300.0,
-            **_sweep_kwargs(args),
-        )
         path = write_html_report(args.output, runs, journal=journal)
         extra = (f", fleet timeline over {len(journal)} item(s)"
                  if journal else "")
         print(f"wrote {path} (self-contained HTML, {len(runs)} "
               f"experiments{extra})")
         return 0
-    if labels:
-        print("experiment labels are only honored for .html reports",
-              file=sys.stderr)
-        return 2
     from repro.analysis.report import write_report
 
-    runs = run_paper_suite(
-        battery_factory=factory, monitor_interval_s=300.0
-    )
     path = write_report(args.output, runs=runs, battery_factory=factory)
     print(f"wrote {path}")
     return 0
@@ -1650,7 +1645,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="quarter-capacity batteries (quick demo)")
     p_report.add_argument("--jobs", type=int, default=1, metavar="N",
                           help="fan experiments over N worker processes "
-                               "(.html reports only; bit-identical)")
+                               "(bit-identical)")
     p_report.add_argument("--no-cache", action="store_true",
                           help="recompute instead of reading .repro-cache")
     p_report.add_argument("--no-registry", action="store_true",

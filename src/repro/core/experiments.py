@@ -40,7 +40,7 @@ from repro.core.policies import (
     SlowestFeasiblePolicy,
 )
 from repro.errors import ConfigurationError
-from repro.hw.battery import Battery, BatteryMonitor, PAPER_BATTERY
+from repro.hw.battery import Battery, PAPER_BATTERY
 from repro.hw.dvs import SA1100_TABLE, DVSTable
 from repro.hw.link import PAPER_LINK_TIMING, TransactionTiming
 from repro.hw.node import ItsyNode
@@ -397,7 +397,10 @@ def run_experiment(
     passing a shared recorder instance). ``telemetry=True`` attaches a
     fresh :class:`repro.obs.Telemetry` bundle: structured events,
     the metrics registry, and span profiling, all returned on
-    ``ExperimentRun.obs``.
+    ``ExperimentRun.obs``. ``monitor_interval_s`` spaces the nodes'
+    ``battery.draw`` state-of-charge samples on that bus, so it needs
+    telemetry: setting it without raises
+    :class:`~repro.errors.ConfigurationError`.
 
     ``registry`` (a :class:`repro.obs.RunRegistry` or a database path)
     persists the outcome as a :class:`repro.obs.RunRecord` keyed by the
@@ -429,6 +432,11 @@ def run_experiment(
         obs = None
     else:
         obs = telemetry
+    if monitor_interval_s is not None and obs is None:
+        raise ConfigurationError(
+            "monitor_interval_s samples battery.draw events onto the "
+            "telemetry bus; pass telemetry=True or drop monitor_interval_s"
+        )
     if mode == "fast" and recorder is not None:
         raise ConfigurationError(
             "trace recording requires mode='exact': fast-forward "
@@ -538,9 +546,9 @@ def run_experiment(
 def _run_payload(run: ExperimentRun) -> dict[str, t.Any]:
     """JSON-serializable payload for a cacheable run.
 
-    Per-run trace recorders, battery monitors, and telemetry bundles
-    all round-trip through their ``as_dict``/``from_dict`` forms, so
-    traced and monitored runs cache and parallelize like any other.
+    Per-run trace recorders and telemetry bundles round-trip through
+    their ``as_dict``/``from_dict`` forms, so traced and monitored runs
+    cache and parallelize like any other.
     """
     payload: dict[str, t.Any] = {
         "frames": run.frames,
@@ -560,6 +568,7 @@ def _run_payload(run: ExperimentRun) -> dict[str, t.Any]:
             "end_reason": p.end_reason,
             "death_times_s": dict(p.death_times_s),
             "delivered_mah": dict(p.delivered_mah),
+            "remaining_mah": dict(p.remaining_mah),
             "migrations": [[when, name] for when, name in p.migrations],
             "last_result_s": p.last_result_s,
             "late_results": p.late_results,
@@ -572,9 +581,6 @@ def _run_payload(run: ExperimentRun) -> dict[str, t.Any]:
             "events_processed": p.events_processed,
             "ff_jumps": p.ff_jumps,
             "ff_frames_skipped": p.ff_frames_skipped,
-            "monitors": {
-                name: mon.as_dict() for name, mon in sorted(p.monitors.items())
-            },
         }
     return payload
 
@@ -590,10 +596,6 @@ def _run_from_payload(spec: ExperimentSpec, payload: dict[str, t.Any]) -> Experi
     pipeline = None
     pd = payload["pipeline"]
     if pd is not None:
-        monitors = {
-            name: BatteryMonitor.from_dict(md)
-            for name, md in (pd.get("monitors") or {}).items()
-        }
         pipeline = PipelineResult(
             frames_completed=pd["frames_completed"],
             result_times_s=list(pd["result_times_s"]),
@@ -601,8 +603,8 @@ def _run_from_payload(spec: ExperimentSpec, payload: dict[str, t.Any]) -> Experi
             end_reason=pd["end_reason"],
             death_times_s=dict(pd["death_times_s"]),
             delivered_mah=dict(pd["delivered_mah"]),
+            remaining_mah=dict(pd["remaining_mah"]),
             migrations=[(when, name) for when, name in pd["migrations"]],
-            monitors=monitors,
             trace=trace,
             obs=obs,
             last_result_s=pd["last_result_s"],
@@ -713,8 +715,8 @@ def run_paper_suite(
     cache:
         ``None`` (default) disables caching; ``True`` uses a
         :class:`repro.exec.ResultCache` at ``.repro-cache``; or pass a
-        configured :class:`~repro.exec.ResultCache`. Traced, monitored,
-        and telemetry-carrying runs are cached too — their recorders
+        configured :class:`~repro.exec.ResultCache`. Traced and
+        telemetry-carrying runs are cached too — their recorders
         round-trip through the payload. Cached entries are keyed by the
         full configuration, so any parameter change is a miss.
     registry:

@@ -32,8 +32,9 @@ __all__ = ["CACHE_SALT", "canonical", "stable_key", "ResultCache"]
 
 #: Bumped whenever a change alters simulation results without altering
 #: any configuration object (kernel semantics, battery integration,
-#: protocol fixes). Stale entries then miss instead of lying.
-CACHE_SALT = "substrate-2"
+#: protocol fixes), or the cached run payload's format. Stale entries
+#: then miss instead of lying.
+CACHE_SALT = "substrate-3"
 
 _PRIMITIVES = (str, int, bool, type(None))
 

@@ -18,7 +18,6 @@ from repro.hw.power import PowerMode, PowerModel
 from repro.hw.battery import (
     PAPER_BATTERY,
     Battery,
-    BatteryMonitor,
     KiBaM,
     KiBaMParameters,
     LinearBattery,
@@ -44,7 +43,6 @@ __all__ = [
     "PeukertBattery",
     "RakhmatovBattery",
     "VoltageAwareBattery",
-    "BatteryMonitor",
     "SerialLink",
     "TransactionTiming",
     "HostHub",

@@ -22,7 +22,6 @@ checks that conclusions do not hinge on the choice of approximation.
 from repro.hw.battery.base import Battery
 from repro.hw.battery.kibam import KiBaM, KiBaMParameters, PAPER_BATTERY
 from repro.hw.battery.linear import LinearBattery
-from repro.hw.battery.monitor import BatteryMonitor, BatterySample
 from repro.hw.battery.peukert import PeukertBattery
 from repro.hw.battery.rakhmatov import RakhmatovBattery
 from repro.hw.battery.voltage import LIION_OCV, OcvCurve, VoltageAwareBattery
@@ -38,6 +37,4 @@ __all__ = [
     "VoltageAwareBattery",
     "OcvCurve",
     "LIION_OCV",
-    "BatteryMonitor",
-    "BatterySample",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import typing as t
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.hw.battery import Battery, BatteryMonitor
+from repro.hw.battery import Battery
 from repro.hw.dvs import DVSTable, FrequencyLevel
 from repro.hw.link import SerialLink, Transfer
 from repro.hw.power import PowerMode, PowerModel
@@ -65,12 +65,17 @@ class ItsyNode:
         Available operating points.
     trace:
         Optional trace recorder (Figs. 2/3/9).
-    monitor:
-        Optional battery telemetry.
     obs:
         Optional telemetry event bus; the node publishes ``dvs.switch``
-        (level changes), ``link.stall`` (blocked rendezvous) and
-        ``battery.dead`` records.
+        (level changes), ``link.stall`` (blocked rendezvous),
+        ``battery.draw`` (state-of-charge samples, see
+        ``monitor_interval_s``) and ``battery.dead`` records.
+    monitor_interval_s:
+        Minimum spacing of ``battery.draw`` samples — the role of
+        Itsy's on-board power monitor (§4.4). A sample is taken when a
+        battery segment closes at least this long after the previous
+        one; ``0`` samples every segment, ``None`` (or no live bus)
+        none.
     ledger:
         Optional :class:`~repro.obs.energy.EnergyLedger`; every closed
         battery segment is attributed to a ``(node, mode, bucket)``
@@ -85,9 +90,9 @@ class ItsyNode:
         power_model: PowerModel,
         dvs_table: DVSTable,
         trace: TraceRecorder | None = None,
-        monitor: BatteryMonitor | None = None,
         obs: t.Any = None,
         ledger: t.Any = None,
+        monitor_interval_s: float | None = None,
     ):
         self.sim = sim
         self.name = name
@@ -95,7 +100,6 @@ class ItsyNode:
         self.power_model = power_model
         self.dvs_table = dvs_table
         self.trace = trace
-        self.monitor = monitor
         # Falsy bus -> None: set_state/transfer guard every emit with
         # ``if self.obs is not None:`` in the hottest loops of the simulation, and a
         # None test is free where a disabled EventLog's __bool__ is not.
@@ -103,6 +107,9 @@ class ItsyNode:
         #: Optional energy-attribution ledger (repro.obs.energy); None
         #: keeps the per-segment cost at one C-level test.
         self._ledger = ledger
+        #: battery.draw sampling period; None unless a live bus listens.
+        self._sample_interval = monitor_interval_s if self.obs is not None else None
+        self._last_sample_s = -float("inf")
 
         self.mode = PowerMode.IDLE
         self.level: FrequencyLevel = dvs_table.min
@@ -247,8 +254,19 @@ class ItsyNode:
                     ledger.add(
                         self.name, _MODE_STR[self.mode], bucket, self._current_ma, dt
                     )
-            if self.monitor is not None:
-                self.monitor.observe(now, self._current_ma, dt, _MODE_STR[self.mode])
+            if (
+                self._sample_interval is not None
+                and now - self._last_sample_s >= self._sample_interval
+            ):
+                self._last_sample_s = now
+                self.obs.emit(
+                    "battery.draw",
+                    now,
+                    self.name,
+                    charge_fraction=self.battery.charge_fraction(),
+                    current_ma=self._current_ma,
+                    mode=_MODE_STR[self.mode],
+                )
             if self.trace is not None:
                 self.trace.add(
                     self.name,
@@ -268,13 +286,16 @@ class ItsyNode:
         advanced analytically and :meth:`Simulator.warp` has shifted the
         clock and the pending schedule (including any outstanding death
         timers, which move with the heap). The open segment keeps its
-        elapsed portion; ``_armed_at`` tracks its (shifted) timer; and
+        elapsed portion; ``_armed_at`` tracks its (shifted) timer; the
+        ``battery.draw`` sampling clock moves with the warp (no samples
+        are taken for skipped epochs); and
         the death timer is re-armed because the drained battery's bound
         is now much tighter than whatever was pending before the jump —
         without the re-arm, death inside the first post-jump epoch could
         be missed.
         """
         self._segment_start += delta
+        self._last_sample_s += delta
         if self._armed_at != float("inf"):
             self._armed_at += delta
         self._schedule_death_timer()

@@ -24,7 +24,7 @@ kind                   emitted by
 ``link.xfer``          :class:`repro.hw.link.SerialLink` (rendezvous match)
 ``link.stall``         :class:`repro.hw.node.ItsyNode` (blocked rendezvous)
 ``dvs.switch``         :class:`repro.hw.node.ItsyNode` (level change)
-``battery.draw``       :class:`repro.hw.battery.monitor.BatteryMonitor`
+``battery.draw``       :class:`repro.hw.node.ItsyNode` (state-of-charge sample)
 ``battery.dead``       :class:`repro.hw.node.ItsyNode`
 ``frame.emit``         :class:`repro.pipeline.engine.PipelineEngine`
 ``frame.result``       :class:`repro.pipeline.engine.PipelineEngine`
@@ -41,6 +41,12 @@ per-sender link busy time that analytic epoch skipping removed from the
 event-by-event stream, plus each node's post-jump charge fraction.
 Monitors in :mod:`repro.obs.checks` fold these back into their counts
 so verdicts stay well-defined in fast mode.
+
+``battery.draw`` events are the run's only discharge samples (the
+paper's power-monitor view): a node takes one when a battery segment
+closes at least ``monitor_interval_s`` after its previous sample.
+:func:`discharge_curves` turns them into per-node curves for the
+figures, reports and trace exporters.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from __future__ import annotations
 import dataclasses
 import typing as t
 
-__all__ = ["TelemetryEvent", "EventLog", "NULL_LOG"]
+__all__ = ["TelemetryEvent", "EventLog", "NULL_LOG", "discharge_curves"]
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -327,3 +333,19 @@ class EventLog:
 
 #: Shared always-off log for call sites that want an object, not None.
 NULL_LOG = EventLog(enabled=False, max_events=0)
+
+
+def discharge_curves(
+    events: t.Iterable[TelemetryEvent],
+) -> dict[str, list[tuple[float, float]]]:
+    """node -> [(time_s, charge fraction)] from ``battery.draw`` events.
+
+    Nodes appear in first-sample order, each curve in event order.
+    """
+    curves: dict[str, list[tuple[float, float]]] = {}
+    for event in events:
+        if event.kind == "battery.draw":
+            curves.setdefault(event.actor, []).append(
+                (event.ts, event.data["charge_fraction"])
+            )
+    return curves

@@ -3,16 +3,16 @@
 Three machine-readable views of the same run:
 
 - **JSONL** — one tagged JSON object per line (``{"type": "segment",
-  ...}``), covering trace segments, battery samples, events, spans and
-  the metrics registry. :func:`read_jsonl` reloads the file into the
+  ...}``), covering trace segments, events, spans, the metrics
+  registry and the energy ledger. :func:`read_jsonl` reloads the file into the
   original typed objects *bit-identically* (Python's ``json`` emits
   shortest round-tripping float literals, so every ``float`` survives).
 - **CSV rows** — flat dict rows for :func:`repro.analysis.export.write_rows`.
 - **Chrome trace-event format** — loadable in ``chrome://tracing`` and
   Perfetto. Nodes render as tracks (one ``tid`` per actor) under the
   "simulation" process; activity segments and profiling spans become
-  duration slices, telemetry events become instants, and battery
-  samples become counter tracks, reproducing the paper's Fig. 2/3/9
+  duration slices, telemetry events become instants, and
+  ``battery.draw`` samples become counter tracks, reproducing the paper's Fig. 2/3/9
   timing-vs-power view interactively.
 """
 
@@ -23,9 +23,8 @@ import json
 import pathlib
 import typing as t
 
-from repro.hw.battery.monitor import BatteryMonitor, BatterySample
 from repro.obs.energy import EnergyLedger
-from repro.obs.events import EventLog, TelemetryEvent
+from repro.obs.events import EventLog, TelemetryEvent, discharge_curves
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecord
 from repro.sim.trace import Segment, TraceRecorder
@@ -58,10 +57,9 @@ class TelemetryBundle:
     ----------
     segments:
         Activity-trace segments, in file order.
-    samples:
-        node name -> battery samples, in file order.
     events:
-        Structured telemetry events, in file order.
+        Structured telemetry events (``battery.draw`` discharge
+        samples included), in file order.
     spans:
         Profiling spans, in file order.
     metrics:
@@ -74,7 +72,6 @@ class TelemetryBundle:
     """
 
     segments: list[Segment] = dataclasses.field(default_factory=list)
-    samples: dict[str, list[BatterySample]] = dataclasses.field(default_factory=dict)
     events: list[TelemetryEvent] = dataclasses.field(default_factory=list)
     spans: list[SpanRecord] = dataclasses.field(default_factory=list)
     metrics: MetricsRegistry | None = None
@@ -84,7 +81,6 @@ class TelemetryBundle:
 
 def _jsonl_records(
     trace: TraceRecorder | None,
-    monitors: t.Mapping[str, BatteryMonitor] | None,
     events: EventLog | None,
     spans: t.Sequence[SpanRecord] | None,
     metrics: MetricsRegistry | None,
@@ -94,10 +90,6 @@ def _jsonl_records(
     if trace is not None:
         for segment in trace.all_segments():
             yield {"type": "segment", **segment.as_dict()}
-    if monitors:
-        for node in monitors:
-            for sample in monitors[node].samples:
-                yield {"type": "battery_sample", "node": node, **sample.as_dict()}
     if events is not None:
         for event in events.records:
             yield {"type": "event", **event.as_dict()}
@@ -117,7 +109,6 @@ def write_jsonl(
     path: str | pathlib.Path,
     *,
     trace: TraceRecorder | None = None,
-    monitors: t.Mapping[str, BatteryMonitor] | None = None,
     events: EventLog | None = None,
     spans: t.Sequence[SpanRecord] | None = None,
     metrics: MetricsRegistry | None = None,
@@ -136,7 +127,7 @@ def write_jsonl(
     path = pathlib.Path(path)
     with open(path, "w", encoding="utf-8") as fh:
         for record in _jsonl_records(
-            trace, monitors, events, spans, metrics, energy, journal
+            trace, events, spans, metrics, energy, journal
         ):
             fh.write(json.dumps(record, separators=(",", ":")))
             fh.write("\n")
@@ -161,11 +152,6 @@ def read_jsonl(path: str | pathlib.Path) -> TelemetryBundle:
             kind = record.pop("type", None)
             if kind == "segment":
                 bundle.segments.append(Segment.from_dict(record))
-            elif kind == "battery_sample":
-                node = record.pop("node")
-                bundle.samples.setdefault(node, []).append(
-                    BatterySample.from_dict(record)
-                )
             elif kind == "event":
                 bundle.events.append(TelemetryEvent.from_dict(record))
             elif kind == "span":
@@ -282,14 +268,14 @@ def chrome_trace(
     trace: TraceRecorder | None = None,
     events: EventLog | None = None,
     spans: t.Sequence[SpanRecord] | None = None,
-    monitors: t.Mapping[str, BatteryMonitor] | None = None,
     label: str = "repro",
 ) -> dict[str, t.Any]:
     """Build a Chrome trace-event JSON object from run telemetry.
 
     Process 0 ("simulation") holds one track per actor: activity
     segments as complete ("X") slices, telemetry events as instants
-    ("i"), battery state-of-charge as counter ("C") series. Process 1
+    ("i"), and ``battery.draw`` state-of-charge samples additionally as
+    counter ("C") series. Process 1
     ("profiling") holds wall-clock spans, rebased so the earliest span
     starts at t=0.
     """
@@ -350,18 +336,18 @@ def chrome_trace(
                 }
             )
 
-    if monitors:
-        for node in sorted(monitors):
-            for sample in monitors[node].samples:
+        curves = discharge_curves(events.records)
+        for node in sorted(curves):
+            for ts, fraction in curves[node]:
                 out.append(
                     {
                         "name": f"charge {node}",
                         "cat": "battery",
                         "ph": "C",
-                        "ts": sample.time_s * _US,
+                        "ts": ts * _US,
                         "pid": 0,
                         "tid": tids.get(node, 0),
-                        "args": {"fraction": sample.charge_fraction},
+                        "args": {"fraction": fraction},
                     }
                 )
 
@@ -399,14 +385,11 @@ def write_chrome_trace(
     trace: TraceRecorder | None = None,
     events: EventLog | None = None,
     spans: t.Sequence[SpanRecord] | None = None,
-    monitors: t.Mapping[str, BatteryMonitor] | None = None,
     label: str = "repro",
 ) -> pathlib.Path:
     """Write :func:`chrome_trace` output as a ``chrome://tracing`` file."""
     path = pathlib.Path(path)
-    payload = chrome_trace(
-        trace=trace, events=events, spans=spans, monitors=monitors, label=label
-    )
+    payload = chrome_trace(trace=trace, events=events, spans=spans, label=label)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, separators=(",", ":"))
         fh.write("\n")

@@ -32,6 +32,7 @@ import pathlib
 import typing as t
 
 from repro.obs.energy import verify_conservation
+from repro.obs.events import discharge_curves
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.core.experiments import ExperimentRun
@@ -276,17 +277,12 @@ def _ordering_chart(tnorms: t.Mapping[str, float]) -> str:
 
 def _discharge_series(run: "ExperimentRun") -> dict[str, list[tuple[float, float]]]:
     """node -> [(hours, charge fraction)] from battery.draw events."""
-    series: dict[str, list[tuple[float, float]]] = {}
     if run.obs is None or not run.obs.events:
-        return series
-    for event in run.obs.events.records:
-        if event.kind != "battery.draw":
-            continue
-        fraction = event.data.get("charge_fraction")
-        if fraction is None:
-            continue
-        series.setdefault(event.actor, []).append((event.ts / 3600.0, fraction))
-    return series
+        return {}
+    return {
+        node: [(ts / 3600.0, fraction) for ts, fraction in curve]
+        for node, curve in discharge_curves(run.obs.events.records).items()
+    }
 
 
 def _latency_histogram(run: "ExperimentRun") -> "Histogram | None":

@@ -26,7 +26,7 @@ import dataclasses
 import typing as t
 
 from repro.errors import ConfigurationError
-from repro.hw.battery import Battery, BatteryMonitor
+from repro.hw.battery import Battery
 from repro.hw.dvs import SA1100_TABLE, DVSTable, FrequencyLevel
 from repro.hw.host import HOST_NAME, HostHub
 from repro.hw.link import PAPER_LINK_TIMING, SerialLink, TransactionTiming
@@ -135,7 +135,9 @@ class PipelineConfig:
     trace:
         Optional trace recorder for timing-diagram figures.
     monitor_interval_s:
-        Battery-telemetry sampling period (None disables monitors).
+        Spacing of the nodes' ``battery.draw`` state-of-charge samples
+        on the telemetry bus (None disables sampling; no effect
+        without ``obs``).
     store_and_forward:
         Host-hub forwarding mode (see :class:`~repro.hw.host.HostHub`).
     validate_schedules:
@@ -274,10 +276,11 @@ class PipelineResult:
         node name -> battery-death time (missing if still alive).
     delivered_mah:
         node name -> charge actually delivered by its battery.
+    remaining_mah:
+        node name -> charge left in its battery at run end (the
+        stranded charge of a node that outlived the pipeline).
     migrations:
         (time, surviving node) pairs recorded by the recovery protocol.
-    monitors:
-        node name -> battery telemetry (if enabled).
     trace:
         The trace recorder (if provided).
     """
@@ -288,8 +291,8 @@ class PipelineResult:
     end_reason: str
     death_times_s: dict[str, float]
     delivered_mah: dict[str, float]
+    remaining_mah: dict[str, float]
     migrations: list[tuple[float, str]]
-    monitors: dict[str, BatteryMonitor]
     trace: TraceRecorder | None
     #: Telemetry bundle (events + metrics + spans) if the run was
     #: configured with one.
@@ -393,26 +396,18 @@ class PipelineEngine:
             rng=rng,
             obs=self._log,
         )
-        self.monitors: dict[str, BatteryMonitor] = {}
         self.nodes: dict[str, ItsyNode] = {}
         for name in config.node_names:
-            battery = config.battery_factory()
-            monitor = None
-            if config.monitor_interval_s is not None:
-                monitor = BatteryMonitor(
-                    battery, config.monitor_interval_s, name=name, obs=self._log
-                )
-                self.monitors[name] = monitor
             self.nodes[name] = ItsyNode(
                 self.sim,
                 name,
-                battery,
+                config.battery_factory(),
                 config.power_model,
                 config.dvs_table,
                 trace=config.trace,
-                monitor=monitor,
                 obs=self._log,
                 ledger=self._ledger,
+                monitor_interval_s=config.monitor_interval_s,
             )
 
         self.done: Event = self.sim.event()
@@ -532,6 +527,10 @@ class PipelineEngine:
         delivered = {
             name: node.battery.delivered_mah for name, node in self.nodes.items()
         }
+        remaining = {
+            name: node.battery.charge_fraction() * node.battery.capacity_mah
+            for name, node in self.nodes.items()
+        }
         link_transactions: dict[str, int] = {}
         link_bytes: dict[str, int] = {}
         for link in self.hub.all_links():
@@ -553,8 +552,8 @@ class PipelineEngine:
             end_reason=self._end_reason,
             death_times_s=death_times,
             delivered_mah=delivered,
+            remaining_mah=remaining,
             migrations=list(self.migrations),
-            monitors=dict(self.monitors),
             trace=cfg.trace,
             obs=cfg.obs,
             last_result_s=self._last_progress if self.results_count else None,

@@ -300,17 +300,6 @@ class FastForwardController:
             if node.is_dead:
                 continue
             node.warp(span)
-            monitor = node.monitor
-            if monitor is not None:
-                # Keep the per-mode accumulators exact across the gap
-                # (samples themselves are coalesced: none are stored
-                # for skipped epochs).
-                monitor._last_sample_time += span
-                charge = monitor.charge_by_mode_mas
-                time_by = monitor.time_by_mode_s
-                for cur, dt, mode, _bucket in cycles[name]:
-                    charge[mode] = charge.get(mode, 0.0) + cur * dt * n
-                    time_by[mode] = time_by.get(mode, 0.0) + dt * n
             ledger = node._ledger
             if ledger is not None:
                 # Advance the energy ledger with the same per-segment

@@ -5,7 +5,9 @@ The paper's Figs. 2, 3 and 9 are timing-vs-power diagrams. The
 sequence of :class:`Segment`\\ s — time interval, activity label (e.g.
 ``"recv"``, ``"proc"``, ``"send"``, ``"idle"``), operating frequency and
 battery current. The analysis layer renders these as Gantt charts and
-the tests use them to assert schedule invariants.
+the tests use them to assert schedule invariants. The recorder is the
+exact-mode timeline only: charge is accounted once, by the
+:class:`~repro.obs.energy.EnergyLedger`.
 """
 
 from __future__ import annotations
@@ -50,11 +52,6 @@ class Segment:
         """Segment length in seconds."""
         return self.end - self.start
 
-    @property
-    def charge_mas(self) -> float:
-        """Charge drawn over the segment, in mA*s."""
-        return self.current_ma * self.duration
-
     def as_dict(self) -> dict[str, t.Any]:
         """JSON-stable dict form; :meth:`from_dict` reloads it
         bit-identically (floats round-trip through ``repr``)."""
@@ -83,24 +80,13 @@ class Segment:
 
 
 class TraceRecorder:
-    """Collects :class:`Segment` objects per actor.
+    """Collects :class:`Segment` objects per actor."""
 
-    A recorder can be disabled (``enabled=False``) to make long
-    discharge runs allocation-free; recording calls become no-ops.
-    """
-
-    def __init__(self, enabled: bool = True, horizon: float | None = None):
-        self.enabled = enabled
-        #: Only segments starting before ``horizon`` are kept (None = all).
-        self.horizon = horizon
+    def __init__(self) -> None:
         self._segments: dict[str, list[Segment]] = {}
 
     def record(self, segment: Segment) -> None:
-        """Store one segment (no-op when disabled or past the horizon)."""
-        if not self.enabled:
-            return
-        if self.horizon is not None and segment.start >= self.horizon:
-            return
+        """Store one segment."""
         self._segments.setdefault(segment.actor, []).append(segment)
 
     def add(
@@ -115,8 +101,6 @@ class TraceRecorder:
         detail: str = "",
     ) -> None:
         """Convenience wrapper building and recording a :class:`Segment`."""
-        if not self.enabled:
-            return
         self.record(
             Segment(
                 actor=actor,
@@ -146,29 +130,14 @@ class TraceRecorder:
             out.extend(self._segments[actor])
         return out
 
-    def total_charge_mas(self, actor: str) -> float:
-        """Total charge drawn by ``actor`` across its recorded segments."""
-        return sum(s.charge_mas for s in self._segments.get(actor, []))
-
-    def busy_time(self, actor: str, activities: t.Collection[str]) -> float:
-        """Total time ``actor`` spent in any of the given activities."""
-        wanted = set(activities)
-        return sum(
-            s.duration for s in self._segments.get(actor, []) if s.activity in wanted
-        )
-
     def clear(self) -> None:
         """Drop all recorded segments."""
         self._segments.clear()
 
     # -- serialization -----------------------------------------------------
     def as_dict(self) -> dict[str, t.Any]:
-        """JSON payload (config + segments) for caches and workers."""
-        return {
-            "enabled": self.enabled,
-            "horizon": self.horizon,
-            "segments": [s.as_dict() for s in self.all_segments()],
-        }
+        """JSON payload (the segments) for caches and workers."""
+        return {"segments": [s.as_dict() for s in self.all_segments()]}
 
     @classmethod
     def from_dict(cls, payload: t.Mapping[str, t.Any]) -> "TraceRecorder":
@@ -177,9 +146,7 @@ class TraceRecorder:
         The reload is bit-identical: segment order (actor-first-seen,
         then time) and every float survive the JSON round trip.
         """
-        recorder = cls(
-            enabled=payload.get("enabled", True), horizon=payload.get("horizon")
-        )
+        recorder = cls()
         for segment_payload in payload.get("segments", []):
             segment = Segment.from_dict(segment_payload)
             recorder._segments.setdefault(segment.actor, []).append(segment)

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.analysis.energy import energy_breakdown_rows, render_energy_breakdown
-from repro.core.experiments import PAPER_EXPERIMENTS, run_experiment
+from repro.core.experiments import PAPER_EXPERIMENTS, run_experiment, run_paper_suite
 from repro.errors import ConfigurationError
+from repro.exec import ResultCache
 from tests.conftest import tiny_battery_factory
 
 
@@ -13,7 +14,7 @@ def partitioned_result():
     run = run_experiment(
         PAPER_EXPERIMENTS["2"],
         battery_factory=tiny_battery_factory,
-        monitor_interval_s=30.0,
+        telemetry=True,
     )
     return run.pipeline
 
@@ -55,8 +56,28 @@ class TestRows:
             battery_factory=tiny_battery_factory,
             max_frames=3,
         )
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="telemetry=True"):
             energy_breakdown_rows(run.pipeline)
+
+    def test_stranded_is_remaining_charge(self, partitioned_result):
+        for row in energy_breakdown_rows(partitioned_result):
+            assert row["stranded_mAh"] == partitioned_result.remaining_mah[row["node"]]
+
+    def test_cache_replay_matches_cold_run(self, tmp_path):
+        """A replayed run has no live battery; its breakdown must not
+        need one."""
+        kwargs = dict(
+            battery_factory=tiny_battery_factory,
+            telemetry=True,
+            monitor_interval_s=300.0,
+            cache=ResultCache(tmp_path),
+        )
+        cold = run_paper_suite(["2"], **kwargs)["2"]
+        warm = run_paper_suite(["2"], **kwargs)["2"]
+        assert kwargs["cache"].hits == 1
+        assert energy_breakdown_rows(warm.pipeline) == energy_breakdown_rows(
+            cold.pipeline
+        )
 
 
 class TestRender:

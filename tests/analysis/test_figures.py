@@ -70,6 +70,7 @@ class TestDischargeCurves:
         run = run_experiment(
             PAPER_EXPERIMENTS["2"],
             battery_factory=tiny_battery_factory,
+            telemetry=True,
             monitor_interval_s=30.0,
         )
         fig = figure_discharge_curves(run)

@@ -12,6 +12,7 @@ def report_text():
     runs = run_paper_suite(
         ["1", "2", "2C"],
         battery_factory=tiny_battery_factory,
+        telemetry=True,
         monitor_interval_s=60.0,
     )
     return build_report(runs, battery_factory=tiny_battery_factory)
@@ -28,6 +29,10 @@ class TestBuildReport:
         assert "Energy breakdown — experiment (2)" in report_text
         assert "Energy breakdown — experiment (2C)" in report_text
 
+    def test_discharge_curves_for_pipeline_runs(self, report_text):
+        assert "Discharge curves — experiment (2)" in report_text
+        assert "Discharge curves — experiment (2C)" in report_text
+
     def test_raw_metrics_table(self, report_text):
         assert "## Raw metrics" in report_text
         assert "| 2C |" in report_text
@@ -37,7 +42,8 @@ class TestBuildReport:
 
     def test_write_report(self, tmp_path, report_text):
         runs = run_paper_suite(
-            ["1"], battery_factory=tiny_battery_factory, monitor_interval_s=60.0
+            ["1"], battery_factory=tiny_battery_factory, telemetry=True,
+            monitor_interval_s=60.0,
         )
         path = write_report(
             tmp_path / "r.md", runs=runs, battery_factory=tiny_battery_factory

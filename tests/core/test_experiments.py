@@ -87,6 +87,25 @@ class TestRunner:
         with pytest.raises(ConfigurationError):
             run_paper_suite(["7Z"])
 
+    def test_monitor_interval_without_telemetry_rejected(self):
+        """battery.draw samples go to the telemetry bus: without one the
+        setting would record nothing."""
+        with pytest.raises(ConfigurationError, match="telemetry=True"):
+            run_experiment(
+                PAPER_EXPERIMENTS["1"],
+                battery_factory=tiny_battery_factory,
+                max_frames=3,
+                monitor_interval_s=60.0,
+            )
+        run = run_experiment(
+            PAPER_EXPERIMENTS["1"],
+            battery_factory=tiny_battery_factory,
+            max_frames=3,
+            monitor_interval_s=60.0,
+            telemetry=True,
+        )
+        assert run.obs.events.of_kind("battery.draw")
+
 
 class TestSharedRecorderDeprecation:
     """The removed shared-instance recorder path.

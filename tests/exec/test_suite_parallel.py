@@ -65,18 +65,19 @@ def test_explicit_default_seed_hits_cache(tmp_path):
 
 
 def test_monitored_runs_are_cached(tmp_path):
-    """Monitors round-trip through the payload, so monitored runs cache."""
+    """battery.draw samples and end-of-run charge round-trip through the
+    payload, so monitored runs cache."""
     cache = ResultCache(root=tmp_path, salt="s")
     kwargs = dict(battery_factory=tiny_battery_factory, cache=cache,
-                  max_frames=5, monitor_interval_s=60.0)
+                  max_frames=5, telemetry=True, monitor_interval_s=60.0)
     first = run_paper_suite(["1"], **kwargs)
     second = run_paper_suite(["1"], **kwargs)
     assert cache.misses == 1 and cache.hits == 1
-    mon1 = first["1"].pipeline.monitors["node1"]
-    mon2 = second["1"].pipeline.monitors["node1"]
-    assert mon1.as_dict() == mon2.as_dict()
-    # The decoded monitor carries no live battery; its telemetry does.
-    assert mon2.battery is None and mon2.samples
+    draws1 = first["1"].obs.events.of_kind("battery.draw")
+    draws2 = second["1"].obs.events.of_kind("battery.draw")
+    assert draws2 and draws1 == draws2
+    # A decoded run has no live battery; what it left is on record.
+    assert second["1"].pipeline.remaining_mah == first["1"].pipeline.remaining_mah
 
 
 def test_traced_runs_are_cached_and_parallel(tmp_path):

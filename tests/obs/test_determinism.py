@@ -37,10 +37,8 @@ def _fingerprint(runs):
                 "events": obs.events.as_dict(),
                 "metrics": obs.metrics.as_dict(),
                 "trace": run.trace.as_dict(),
-                "monitors": {
-                    name: mon.as_dict()
-                    for name, mon in sorted(run.pipeline.monitors.items())
-                }
+                "energy": obs.energy.as_dict(),
+                "remaining_mah": run.pipeline.remaining_mah
                 if run.pipeline is not None
                 else None,
             },
@@ -50,7 +48,9 @@ def _fingerprint(runs):
 
 
 def test_event_logs_identical_serial_vs_parallel():
-    serial = _fingerprint(run_paper_suite(_LABELS, jobs=1, **_KW))
+    runs = run_paper_suite(_LABELS, jobs=1, **_KW)
+    assert all(run.obs.events.of_kind("battery.draw") for run in runs.values())
+    serial = _fingerprint(runs)
     parallel = _fingerprint(run_paper_suite(_LABELS, jobs=4, **_KW))
     assert serial == parallel
 

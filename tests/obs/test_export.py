@@ -7,10 +7,9 @@ import math
 
 import pytest
 
-from repro.hw.battery import KiBaM
-from repro.hw.battery.monitor import BatteryMonitor, BatterySample
 from repro.obs import EventLog, MetricsRegistry, SpanRecord
 from repro.obs.energy import EnergyLedger
+from repro.obs.events import discharge_curves
 from repro.obs.export import (
     EVENT_COLUMNS,
     LEDGER_COLUMNS,
@@ -27,7 +26,6 @@ from repro.obs.export import (
 )
 from repro.sim.trace import Segment, TraceRecorder
 
-from tests.conftest import TINY_KIBAM
 from tests.obs.chrome_schema import expect_tracks, validate_chrome_trace
 
 
@@ -43,11 +41,14 @@ def _make_trace() -> TraceRecorder:
     return trace
 
 
-def _make_monitor() -> BatteryMonitor:
-    mon = BatteryMonitor(KiBaM(TINY_KIBAM), 60.0, name="node1")
-    mon.samples.append(BatterySample(0.0, 1.0, 32.7185, "io"))
-    mon.samples.append(BatterySample(60.0, 0.9913 / 3.0, 60.93, "comp"))
-    return mon
+def _make_draws() -> EventLog:
+    """Two node1 state-of-charge samples, as the node emits them."""
+    log = EventLog()
+    log.emit("battery.draw", 0.0, "node1",
+             charge_fraction=1.0, current_ma=32.7185, mode="communication")
+    log.emit("battery.draw", 60.0, "node1",
+             charge_fraction=0.9913 / 3.0, current_ma=60.93, mode="computation")
+    return log
 
 
 class TestJsonlRoundTrip:
@@ -63,16 +64,17 @@ class TestJsonlRoundTrip:
             assert math.copysign(1.0, a.start) == math.copysign(1.0, b.start)
 
     def test_battery_samples_reload_bit_identical(self, tmp_path):
-        mon = _make_monitor()
-        path = write_jsonl(tmp_path / "b.jsonl", monitors={"node1": mon})
+        draws = _make_draws()
+        path = write_jsonl(tmp_path / "b.jsonl", events=draws)
         bundle = read_jsonl(path)
-        assert bundle.samples == {"node1": list(mon.samples)}
-        reloaded = bundle.samples["node1"][1]
-        assert reloaded.charge_fraction == 0.9913 / 3.0  # exact
+        assert bundle.events == draws.records
+        curve = discharge_curves(bundle.events)["node1"]
+        assert curve == [(0.0, 1.0), (60.0, 0.9913 / 3.0)]  # exact
+        assert "battery_sample" not in path.read_text()
 
     def test_full_bundle_round_trip(self, tmp_path):
         trace = _make_trace()
-        events = EventLog()
+        events = _make_draws()
         events.emit("frame.emit", 0.0, "host", frame=0)
         events.emit("dvs.switch", 1.1, "node1", from_mhz=59.0, to_mhz=103.2)
         spans = [SpanRecord("fft", 10.0, 10.25, {"frame": 0})]
@@ -82,7 +84,6 @@ class TestJsonlRoundTrip:
         path = write_jsonl(
             tmp_path / "all.jsonl",
             trace=trace,
-            monitors={"node1": _make_monitor()},
             events=events,
             spans=spans,
             metrics=metrics,
@@ -98,15 +99,14 @@ class TestJsonlRoundTrip:
         """JSONL written from reloaded objects equals the original file."""
         trace = _make_trace()
         p1 = write_jsonl(tmp_path / "a.jsonl", trace=trace,
-                         monitors={"node1": _make_monitor()})
+                         events=_make_draws())
         bundle = read_jsonl(p1)
         clone = TraceRecorder()
         for seg in bundle.segments:
             clone._segments.setdefault(seg.actor, []).append(seg)
-        mon2 = BatteryMonitor(None, 60.0, name="node1")
-        mon2.samples.extend(bundle.samples["node1"])
-        p2 = write_jsonl(tmp_path / "b.jsonl", trace=clone,
-                         monitors={"node1": mon2})
+        events = EventLog()
+        events.records = bundle.events
+        p2 = write_jsonl(tmp_path / "b.jsonl", trace=clone, events=events)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_energy_ledger_round_trips(self, tmp_path):
@@ -190,17 +190,17 @@ class TestCollapsedStacks:
 class TestChromeTrace:
     def test_schema_valid_with_per_actor_tracks(self, tmp_path):
         trace = _make_trace()
-        events = EventLog()
+        events = _make_draws()
         events.emit("frame.emit", 0.0, "host", frame=0)
         spans = [SpanRecord("fft", 5.0, 5.5, {})]
-        payload = chrome_trace(
-            trace=trace,
-            events=events,
-            spans=spans,
-            monitors={"node1": _make_monitor()},
-        )
+        payload = chrome_trace(trace=trace, events=events, spans=spans)
         assert validate_chrome_trace(payload) == []
         assert expect_tracks(payload, ["node1", "node2", "host"]) == []
+        counters = [e for e in payload["traceEvents"] if e["ph"] == "C"]
+        assert [(e["name"], e["ts"], e["args"]["fraction"]) for e in counters] == [
+            ("charge node1", 0.0, 1.0),
+            ("charge node1", 60.0e6, 0.9913 / 3.0),
+        ]
 
     def test_written_file_parses_and_validates(self, tmp_path):
         path = write_chrome_trace(tmp_path / "t.json", trace=_make_trace())

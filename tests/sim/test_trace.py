@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.hw import SA1100_TABLE, ItsyNode
+from repro.hw.battery import LinearBattery
+from repro.hw.power import PAPER_POWER_MODEL, PowerMode
+from repro.obs import EnergyLedger
 from repro.sim import Segment, TraceRecorder
 
 
@@ -19,10 +23,6 @@ class TestSegment:
         seg = Segment("a", 1.0, 3.5, "proc")
         assert seg.duration == 2.5
 
-    def test_charge(self):
-        seg = Segment("a", 0.0, 2.0, "proc", current_ma=100.0)
-        assert seg.charge_mas == 200.0
-
 
 class TestRecorder:
     def test_actors_in_first_seen_order(self, trace):
@@ -35,23 +35,27 @@ class TestRecorder:
     def test_unknown_actor_empty(self, trace):
         assert trace.segments("nope") == []
 
-    def test_total_charge(self, trace):
-        assert trace.total_charge_mas("n1") == pytest.approx(30.0 + 130.0)
-
-    def test_busy_time_filters_activities(self, trace):
-        assert trace.busy_time("n1", {"proc"}) == 1.0
-        assert trace.busy_time("n1", {"recv", "proc"}) == 2.0
-
-    def test_disabled_recorder_ignores(self):
-        t = TraceRecorder(enabled=False)
-        t.add("a", 0.0, 1.0, "proc")
-        assert t.actors == []
-
-    def test_horizon_truncates(self):
-        t = TraceRecorder(horizon=10.0)
-        t.add("a", 5.0, 6.0, "proc")
-        t.add("a", 11.0, 12.0, "proc")  # past horizon, dropped
-        assert len(t.segments("a")) == 1
+    def test_total_charge(self, sim):
+        """The timeline carries no charge account of its own: the charge
+        under a node's recorded segments is what its ledger booked."""
+        trace, ledger = TraceRecorder(), EnergyLedger()
+        node = ItsyNode(
+            sim, "n1", LinearBattery(100.0), PAPER_POWER_MODEL, SA1100_TABLE,
+            trace=trace, ledger=ledger,
+        )
+        for mode, level, seconds in (
+            (PowerMode.COMMUNICATION, SA1100_TABLE.min, 1.0),
+            (PowerMode.COMPUTATION, SA1100_TABLE.max, 2.0),
+            (PowerMode.IDLE, SA1100_TABLE.min, 0.5),
+        ):
+            node.set_state(mode, level)
+            sim.run(until=sim.now + seconds)
+        node.set_state(PowerMode.IDLE, SA1100_TABLE.min)
+        timeline_mah = sum(
+            s.current_ma * s.duration for s in trace.segments("n1")
+        ) / 3600.0
+        assert len(trace.segments("n1")) == 3
+        assert ledger.node_totals_mah()["n1"] == pytest.approx(timeline_mah)
 
     def test_clear(self, trace):
         trace.clear()

@@ -1,22 +1,23 @@
 """Ablation — sensitivity of the headline result to the calibration.
 
-Perturbs each fitted model parameter by +-10% and recomputes (with the
-analytical predictor) the normalized lifetimes behind Fig. 10's story:
-baseline (1), partitioning (2A-like), and rotation (2C-like). The
-reproduction's claim is only as strong as this table: the ordering
-baseline < partitioned < rotating must not be an artefact of one lucky
-fit point.
+Perturbs each fitted model parameter by +-10% (the one-at-a-time
+``batch_sweep``) and recomputes the normalized lifetimes behind
+Fig. 10's story: baseline (1), partitioning (2A-like), and rotation
+(2C-like). The reproduction's claim is only as strong as this table:
+the ordering baseline < partitioned < rotating must not be an artefact
+of one lucky fit point.
 """
 
-import pytest
-
 from benchmarks.conftest import print_block
-from repro.analysis.sensitivity import sensitivity_sweep
 from repro.analysis.tables import format_table
+from repro.batch.sweep import BatchSweepSpec, batch_sweep
 
 
 def test_calibration_sensitivity(benchmark):
-    outcomes = benchmark.pedantic(sensitivity_sweep, rounds=1, iterations=1)
+    spec = BatchSweepSpec(grid=3, mode="one_at_a_time")
+    outcomes = benchmark.pedantic(
+        lambda: batch_sweep(spec).outcomes, rounds=1, iterations=1
+    )
     rows = [
         {
             "scenario": o.label,

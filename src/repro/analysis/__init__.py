@@ -11,6 +11,8 @@ assert on the structured data behind them.
 - :mod:`repro.analysis.figures` — one generator per paper artifact
   (Fig. 6, 7, 8, 10), returning structured rows plus rendered text.
 - :mod:`repro.analysis.export` — CSV/JSON writers.
+
+The calibration-sensitivity sweep is :func:`repro.batch.sweep.batch_sweep`.
 """
 
 from repro.analysis.charts import bar_chart, line_plot
@@ -18,7 +20,6 @@ from repro.analysis.energy import energy_breakdown_rows, render_energy_breakdown
 from repro.analysis.export import rows_to_csv, rows_to_json
 from repro.analysis.gantt import render_gantt
 from repro.analysis.report import build_report, write_report
-from repro.analysis.sensitivity import ScenarioOutcome, evaluate_scenario, sensitivity_sweep
 from repro.analysis.tables import format_table
 from repro.analysis.figures import (
     figure6_performance_profile,
@@ -35,9 +36,6 @@ __all__ = [
     "render_gantt",
     "build_report",
     "write_report",
-    "ScenarioOutcome",
-    "evaluate_scenario",
-    "sensitivity_sweep",
     "rows_to_csv",
     "energy_breakdown_rows",
     "render_energy_breakdown",

@@ -13,10 +13,12 @@ sweep in one numpy pass per epoch instead:
 - :mod:`repro.batch.chemistries` — vector step kernels for the
   non-KiBaM chemistries (linear / Peukert / Rakhmatov), oracle-tested
   against the scalar models for future vectorization;
-- :mod:`repro.batch.sweep` — :func:`batch_sweep` and friends: the
+- :mod:`repro.batch.sweep` — :func:`batch_sweep`, the reproduction's
+  only sensitivity sweep (one-at-a-time or full grid): the
   sensitivity-scenario cohort builder, chunked execution through
   :class:`repro.exec.SweepExecutor` (so batching composes with process
-  parallelism and the result cache), and the scalar spot-check twin.
+  parallelism and the result cache), and :func:`task_reference_scalar`,
+  the scalar reference that :func:`verify_sample` spot-checks against.
 """
 
 from repro.batch.kibam import CohortCell, KiBaMCohort
@@ -25,11 +27,12 @@ from repro.batch.sweep import (
     BatchScenarioResult,
     BatchSweepResult,
     BatchSweepSpec,
+    ScenarioOutcome,
     SweepPoint,
     batch_sweep,
-    evaluate_points_batch,
     evaluate_tasks_batch,
-    point_reference_scalar,
+    task_reference_scalar,
+    verify_sample,
 )
 
 __all__ = [
@@ -40,9 +43,10 @@ __all__ = [
     "BatchScenarioResult",
     "BatchSweepResult",
     "BatchSweepSpec",
+    "ScenarioOutcome",
     "SweepPoint",
     "batch_sweep",
-    "evaluate_points_batch",
     "evaluate_tasks_batch",
-    "point_reference_scalar",
+    "task_reference_scalar",
+    "verify_sample",
 ]

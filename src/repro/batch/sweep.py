@@ -1,4 +1,11 @@
-"""Batched sensitivity sweeps: 10k configs through one cohort.
+"""Sensitivity sweeps: 10k configs through one cohort.
+
+The reproduction's conclusions rest on four fitted constants. This
+module perturbs them — one at a time around the calibrated point, or
+over a full grid — and recomputes the key comparison (the normalized
+lifetimes of the baseline, the partitioned pipeline, and the rotating
+pipeline), answering: *is the paper's ordering an artefact of the fit,
+or a robust property of the model family?*
 
 A sweep *point* perturbs the calibrated constants (KiBaM capacity /
 ``c`` / ``k'``, the power model's ``io_activity``) by per-axis factors;
@@ -14,7 +21,8 @@ config-independent, only currents and battery constants vary across the
 cohort: per-point currents follow the same affine
 ``idle + w * (peak - idle)`` expression the scalar
 :meth:`~repro.hw.power.PowerModel.current_ma` evaluates, so batch and
-scalar sweeps agree bit for bit (see ``tests/batch/``).
+the scalar reference :func:`task_reference_scalar` agree bit for bit
+(see ``tests/batch/``).
 
 :func:`batch_sweep` chunks the point list through
 :class:`~repro.exec.SweepExecutor`, so cohort batching composes with
@@ -34,8 +42,7 @@ import typing as t
 
 import numpy as np
 
-from repro.analysis.sensitivity import PARAMETERS, ScenarioOutcome
-from repro.apps.atr.profile import PAPER_PROFILE, TaskProfile
+from repro.apps.atr.profile import PAPER_PROFILE
 from repro.batch.kibam import CohortCell, KiBaMCohort
 from repro.batch.stepper import CohortStepper
 from repro.core.policies import BaselinePolicy, DVSDuringIOPolicy, SlowestFeasiblePolicy
@@ -50,7 +57,7 @@ from repro.hw.battery.kibam import (
     lifetime_seconds,
 )
 from repro.hw.dvs import SA1100_TABLE
-from repro.hw.link import PAPER_LINK_TIMING, TransactionTiming
+from repro.hw.link import PAPER_LINK_TIMING
 from repro.hw.power import PAPER_POWER_MODEL, PowerModel
 from repro.obs import Telemetry
 from repro.pipeline.schedule import plan_node
@@ -58,7 +65,9 @@ from repro.pipeline.tasks import Partition
 from repro.units import SECONDS_PER_HOUR
 
 __all__ = [
+    "PARAMETERS",
     "SCENARIO_KINDS",
+    "ScenarioOutcome",
     "SweepPoint",
     "BatchSweepSpec",
     "BatchScenarioResult",
@@ -68,23 +77,60 @@ __all__ = [
     "scenario_segments",
     "evaluate_cycles_batch",
     "evaluate_tasks_batch",
-    "evaluate_points_batch",
     "task_reference_scalar",
-    "point_reference_scalar",
     "batch_sweep",
     "verify_sample",
 ]
+
+#: The calibrated parameters a sweep perturbs, in factor order.
+PARAMETERS = ("capacity", "c", "k_prime", "io_activity")
 
 #: The four cells a sensitivity scenario discharges, in cohort order.
 SCENARIO_KINDS = ("baseline", "stage0", "stage1", "rotation")
 
 #: Short axis names used in generated grid labels, aligned with
-#: :data:`repro.analysis.sensitivity.PARAMETERS`.
+#: :data:`PARAMETERS`.
 _SHORT = {"capacity": "cap", "c": "c", "k_prime": "kp", "io_activity": "io"}
 
-#: One scenario task: (label, battery parameters, power model) — the
-#: same triple :func:`repro.analysis.sensitivity.evaluate_scenario` takes.
+#: One scenario task: (label, battery parameters, power model).
 Task = tuple[str, KiBaMParameters, PowerModel]
+
+
+@dataclasses.dataclass(frozen=True)
+class ScenarioOutcome:
+    """Key normalized lifetimes under one parameterization.
+
+    Attributes
+    ----------
+    label:
+        Which parameters were perturbed, and by how much.
+    baseline_h:
+        T(1): single node with I/O at full speed (experiment 1).
+    partitioned_norm_h:
+        Tnorm of the 2-node scheme-1 pipeline (first death / 2).
+    rotating_norm_h:
+        Tnorm with ideal rotation (balanced death / 2).
+    """
+
+    label: str
+    baseline_h: float
+    partitioned_norm_h: float
+    rotating_norm_h: float
+
+    @property
+    def partitioning_rnorm(self) -> float:
+        """Rnorm of partitioning alone vs the baseline."""
+        return self.partitioned_norm_h / self.baseline_h
+
+    @property
+    def rotation_rnorm(self) -> float:
+        """Rnorm of partitioning + rotation vs the baseline."""
+        return self.rotating_norm_h / self.baseline_h
+
+    @property
+    def ordering_holds(self) -> bool:
+        """The paper's headline: baseline < partitioned < rotating."""
+        return self.baseline_h < self.partitioned_norm_h < self.rotating_norm_h
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +141,7 @@ Task = tuple[str, KiBaMParameters, PowerModel]
 class SweepPoint:
     """One sweep config: per-axis perturbation factors.
 
-    ``factors`` aligns with :data:`~repro.analysis.sensitivity.PARAMETERS`
+    ``factors`` aligns with :data:`PARAMETERS`
     (capacity, c, k_prime, io_activity); a factor of 1.0 leaves that
     axis at its calibrated value.
     """
@@ -106,10 +152,8 @@ class SweepPoint:
     def task(self) -> Task:
         """Resolve to the calibrated constants with factors applied.
 
-        Mirrors :func:`repro.analysis.sensitivity._perturbed` expression
-        for expression (including the ``c``/``io_activity`` clamps), so
-        a single-axis point resolves to exactly what the one-at-a-time
-        scalar sweep evaluates.
+        ``c`` is clamped to 0.95 and ``io_activity`` to 1.0, so large
+        factors stay physical.
         """
         battery = PAPER_KIBAM_PARAMETERS
         power = PAPER_POWER_MODEL
@@ -131,7 +175,7 @@ class BatchSweepSpec:
     ``mode="grid"`` takes the full cross product (``grid ** len(parameters)``
     configs — ``grid=10`` over all four axes is the 10k-config sweep);
     ``mode="one_at_a_time"`` perturbs each axis separately around the
-    nominal point, like the classic sensitivity sweep.
+    nominal point (``grid=3`` gives the classic nine-row table).
     """
 
     grid: int = 3
@@ -197,27 +241,26 @@ class BatchSweepSpec:
 # scenario structure (config-independent)
 # ---------------------------------------------------------------------------
 
-def scenario_segments(
-    profile: TaskProfile = PAPER_PROFILE,
-    timing: TransactionTiming = PAPER_LINK_TIMING,
-    deadline_s: float = 2.3,
-) -> tuple[tuple, ...]:
+def scenario_segments(deadline_s: float = 2.3) -> tuple[tuple, ...]:
     """The four duty-cycle segment tuples a scenario discharges.
 
     Hoists the role structure out of the per-config loop: partitioning,
-    plans, and DVS policy depend only on the profile / timing /
-    deadline, never on the battery or ``io_activity``, so all configs
-    share these segments and differ only in currents. Mirrors
-    :func:`repro.analysis.sensitivity.evaluate_scenario` exactly —
-    baseline from the single-node :class:`BaselinePolicy` role, the
-    scheme-1 pair under DVS-during-I/O, and rotation as the pair's
-    concatenated cycles (:func:`predict_rotation_lifetime_hours`).
+    plans, and DVS policy depend only on the paper's profile, link
+    timing and the deadline, never on the battery or ``io_activity``,
+    so all configs share these segments and differ only in currents.
+    The cells are what the analytical predictor discharges — baseline
+    from the single-node :class:`BaselinePolicy` role (experiment 1),
+    the scheme-1 pair under DVS-during-I/O
+    (:func:`~repro.core.prediction.predict_first_death`), and rotation
+    as the pair's concatenated cycles
+    (:func:`~repro.core.optimizer.predict_rotation_lifetime_hours`).
     """
     table = SA1100_TABLE
-    single = Partition(profile)
+    timing = PAPER_LINK_TIMING
+    single = Partition(PAPER_PROFILE)
     single_plans = [plan_node(single.stage(0), timing, deadline_s, table)]
     single_roles = BaselinePolicy().role_configs(single_plans, table)
-    pair = Partition(profile, (1,))
+    pair = Partition(PAPER_PROFILE, (1,))
     pair_plans = [plan_node(a, timing, deadline_s, table) for a in pair.assignments]
     pair_roles = DVSDuringIOPolicy(SlowestFeasiblePolicy()).role_configs(
         pair_plans, table
@@ -311,21 +354,18 @@ def evaluate_cycles_batch(
 
 def evaluate_tasks_batch(
     tasks: t.Sequence[Task],
-    profile: TaskProfile = PAPER_PROFILE,
-    timing: TransactionTiming = PAPER_LINK_TIMING,
     deadline_s: float = 2.3,
     max_hours: float = 400.0,
     obs: t.Any = None,
 ) -> BatchScenarioResult:
     """Evaluate many sensitivity scenarios in one cohort pass.
 
-    The batch twin of mapping
-    :func:`~repro.analysis.sensitivity.evaluate_scenario` over
+    The batch twin of mapping :func:`task_reference_scalar` over
     ``tasks`` — same outcomes, bit for bit, at cohort speed.
     """
     if not tasks:
         return BatchScenarioResult((), (), 0, 0)
-    segments4 = scenario_segments(profile, timing, deadline_s)
+    segments4 = scenario_segments(deadline_s)
     memo: dict[t.Any, tuple] = {}
     cells: list[CohortCell] = []
     for task in tasks:
@@ -362,33 +402,12 @@ def evaluate_tasks_batch(
     )
 
 
-def evaluate_points_batch(
-    points: t.Sequence[SweepPoint],
-    profile: TaskProfile = PAPER_PROFILE,
-    timing: TransactionTiming = PAPER_LINK_TIMING,
-    deadline_s: float = 2.3,
-    max_hours: float = 400.0,
-    obs: t.Any = None,
-) -> BatchScenarioResult:
-    """:func:`evaluate_tasks_batch` over resolved sweep points."""
-    return evaluate_tasks_batch(
-        [point.task() for point in points],
-        profile=profile,
-        timing=timing,
-        deadline_s=deadline_s,
-        max_hours=max_hours,
-        obs=obs,
-    )
-
-
 # ---------------------------------------------------------------------------
 # scalar reference twin
 # ---------------------------------------------------------------------------
 
 def task_reference_scalar(
     task: Task,
-    profile: TaskProfile = PAPER_PROFILE,
-    timing: TransactionTiming = PAPER_LINK_TIMING,
     deadline_s: float = 2.3,
     max_hours: float = 400.0,
 ) -> tuple[ScenarioOutcome, tuple[int, int, int, int]]:
@@ -398,11 +417,13 @@ def task_reference_scalar(
     (:func:`repro.hw.battery.kibam.lifetime_seconds`) over the same
     four cycles the cohort packs, so spot checks can assert both
     lifetime equality and frame-count identity. The outcome also equals
-    :func:`~repro.analysis.sensitivity.evaluate_scenario` bit for bit
-    (the production path; asserted in tests).
+    the analytical predictor's
+    (:func:`~repro.core.prediction.predict_first_death` and
+    :func:`~repro.core.optimizer.predict_rotation_lifetime_hours`) bit
+    for bit (asserted in tests).
     """
     label, battery, _ = task
-    segments4 = scenario_segments(profile, timing, deadline_s)
+    segments4 = scenario_segments(deadline_s)
     cycles4 = _task_cycles(task, segments4, {})
     deaths = []
     counts = []
@@ -424,23 +445,6 @@ def task_reference_scalar(
         rotating_norm_h=deaths[3] / 2.0,
     )
     return outcome, (counts[0], counts[1], counts[2], counts[3])
-
-
-def point_reference_scalar(
-    point: SweepPoint,
-    profile: TaskProfile = PAPER_PROFILE,
-    timing: TransactionTiming = PAPER_LINK_TIMING,
-    deadline_s: float = 2.3,
-    max_hours: float = 400.0,
-) -> tuple[ScenarioOutcome, tuple[int, int, int, int]]:
-    """:func:`task_reference_scalar` for a resolved sweep point."""
-    return task_reference_scalar(
-        point.task(),
-        profile=profile,
-        timing=timing,
-        deadline_s=deadline_s,
-        max_hours=max_hours,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -495,12 +499,10 @@ class BatchSweepResult:
 
 def _chunk_job(item: tuple) -> dict[str, t.Any]:
     """Worker entry point: evaluate one chunk of points (picklable)."""
-    points, profile, timing, deadline_s, max_hours, events = item
+    points, deadline_s, max_hours, events = item
     obs = Telemetry(events=events)
-    result = evaluate_points_batch(
-        points,
-        profile=profile if profile is not None else PAPER_PROFILE,
-        timing=timing if timing is not None else PAPER_LINK_TIMING,
+    result = evaluate_tasks_batch(
+        [point.task() for point in points],
         deadline_s=deadline_s,
         max_hours=max_hours,
         obs=obs,
@@ -527,8 +529,6 @@ def batch_sweep(
     chunk_size: int = 2048,
     obs: t.Any = None,
     events: bool = False,
-    profile: TaskProfile | None = None,
-    timing: TransactionTiming | None = None,
     flight: t.Any = None,
 ) -> BatchSweepResult:
     """Run a whole sweep spec through chunked cohorts.
@@ -548,19 +548,12 @@ def batch_sweep(
     points = spec.points()
     started = time.perf_counter()
     items = [
-        (
-            points[i : i + chunk_size],
-            profile,
-            timing,
-            spec.deadline_s,
-            spec.max_hours,
-            events,
-        )
+        (points[i : i + chunk_size], spec.deadline_s, spec.max_hours, events)
         for i in range(0, len(points), chunk_size)
     ]
     keys = None
     if cache is not None:
-        keys = [cache.key_for("batch_sweep", "v2", item) for item in items]
+        keys = [cache.key_for("batch_sweep", "v3", item) for item in items]
     if flight is not None:
         flight.phase("batch", total=len(items))
     executor = SweepExecutor(jobs=jobs, cache=cache, obs=obs, flight=flight)
@@ -627,12 +620,7 @@ class VerifyReport:
         return self.frames_identical and self.max_rel_err <= 1e-9
 
 
-def verify_sample(
-    result: BatchSweepResult,
-    sample: int = 8,
-    profile: TaskProfile | None = None,
-    timing: TransactionTiming | None = None,
-) -> VerifyReport:
+def verify_sample(result: BatchSweepResult, sample: int = 8) -> VerifyReport:
     """Re-run a deterministic sample of configs through the scalar path.
 
     Asserts the acceptance contract: per-cell completed-cycle counts
@@ -647,10 +635,8 @@ def verify_sample(
     mismatches: list[str] = []
     for i in indices:
         point = result.points[i]
-        outcome, counts = point_reference_scalar(
-            point,
-            profile=profile if profile is not None else PAPER_PROFILE,
-            timing=timing if timing is not None else PAPER_LINK_TIMING,
+        outcome, counts = task_reference_scalar(
+            point.task(),
             deadline_s=result.spec.deadline_s,
             max_hours=result.spec.max_hours,
         )

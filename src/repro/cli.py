@@ -8,7 +8,7 @@ Exposes the reproduction as a set of subcommands::
     python -m repro partition          # partitioning analysis (Fig. 8)
     python -m repro optimize           # rank the whole design space
     python -m repro explore            # 100k-config halving -> frontier
-    python -m repro sweep --batch --grid 10   # 10k-config batched sweep
+    python -m repro sweep --grid 10    # 10k-config sensitivity sweep
     python -m repro trace 2 --frames 6 # timing diagram (Figs. 2/3/9)
     python -m repro trace 2 --export chrome -o out.json  # Perfetto trace
     python -m repro metrics 1A 2A      # telemetry metrics per experiment
@@ -41,7 +41,7 @@ registry (``.repro-runs.sqlite``; override with ``--db`` or the
 ``--no-registry``); ``repro runs`` queries it and ``repro runs reset``
 clears it.
 
-``run``, ``suite``, ``sweep --batch`` and ``explore`` take
+``run``, ``suite``, ``sweep`` and ``explore`` take
 ``--progress`` (live in-place fleet dashboard) and ``--journal PATH``
 (canonical item-level execution journal, byte-identical across serial,
 ``--jobs N`` and cache replay); ``repro top`` attaches to the progress
@@ -104,16 +104,20 @@ def _mode(args: argparse.Namespace) -> str:
     return "exact" if getattr(args, "exact", False) else "fast"
 
 
+def _cache(args: argparse.Namespace) -> t.Any:
+    """The default result cache, or ``None`` under ``--no-cache``."""
+    if getattr(args, "no_cache", False):
+        return None
+    from repro.exec import ResultCache
+
+    return ResultCache()
+
+
 def _sweep_kwargs(args: argparse.Namespace) -> dict[str, t.Any]:
     """jobs/cache/registry settings for run_paper_suite from CLI flags."""
-    cache: t.Any = None
-    if not getattr(args, "no_cache", False):
-        from repro.exec import ResultCache
-
-        cache = ResultCache()
     return {
         "jobs": getattr(args, "jobs", 1),
-        "cache": cache,
+        "cache": _cache(args),
         "registry": _registry(args),
     }
 
@@ -431,11 +435,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         chemistries=tuple(args.chemistries),
         deadlines=tuple(args.deadlines),
     )
-    cache: t.Any = None
-    if not args.no_cache:
-        from repro.exec import ResultCache
-
-        cache = ResultCache()
+    cache = _cache(args)
     registry = None if args.no_registry else _registry(args)
     resume_cursor = None
     if args.resume is not None:
@@ -868,45 +868,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.analysis.sensitivity import sensitivity_sweep
     from repro.batch.sweep import BatchSweepSpec, batch_sweep, verify_sample
 
-    if not args.batch:
-        # Classic scalar path: one-at-a-time around the calibrated point.
-        outcomes = sensitivity_sweep(jobs=args.jobs)
-        rows = [
-            {
-                "label": o.label,
-                "T1_h": o.baseline_h,
-                "Tnorm_part_h": o.partitioned_norm_h,
-                "Tnorm_rot_h": o.rotating_norm_h,
-                "Rnorm_part": o.partitioning_rnorm,
-                "Rnorm_rot": o.rotation_rnorm,
-                "ordering": "ok" if o.ordering_holds else "VIOLATED",
-            }
-            for o in outcomes
-        ]
-        print(format_table(rows, float_fmt=".3f",
-                           title="sensitivity sweep (scalar, one-at-a-time)"))
-        if args.export:
-            print(f"\nwrote {write_rows(rows, args.export)}")
-        return 0
-
     spec = BatchSweepSpec(grid=args.grid, rel_span=args.span, mode=args.mode)
-    cache: t.Any = None
-    if not args.no_cache:
-        from repro.exec import ResultCache
-
-        cache = ResultCache()
     flight, renderer = _flight(args, "sweep")
     result = batch_sweep(
-        spec, jobs=args.jobs, cache=cache, chunk_size=args.chunk,
+        spec, jobs=args.jobs, cache=_cache(args), chunk_size=args.chunk,
         flight=flight,
     )
     _finish_flight(flight, renderer, args)
     stats = result.stats
     summary = result.summary()
-    print(f"batched sweep: {stats.configs} configs ({stats.cells} cells) "
+    print(f"sensitivity sweep: {stats.configs} configs ({stats.cells} cells) "
           f"in {stats.wall_s:.2f} s — {stats.configs_per_sec:,.0f} configs/s")
     print(f"  chunks {stats.chunks} (executed {stats.executed}, "
           f"cache hits {stats.cache_hits}), epochs {stats.epochs}, "
@@ -917,32 +890,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
           f"{summary['partitioning_rnorm_max']:.3f}], Rnorm(rotation) in "
           f"[{summary['rotation_rnorm_min']:.3f}, "
           f"{summary['rotation_rnorm_max']:.3f}]")
-    if len(result.outcomes) <= 32:
-        rows = [
-            {
-                "label": o.label,
-                "T1_h": o.baseline_h,
-                "Tnorm_part_h": o.partitioned_norm_h,
-                "Tnorm_rot_h": o.rotating_norm_h,
-                "Rnorm_rot": o.rotation_rnorm,
-            }
-            for o in result.outcomes
-        ]
+    rows = [
+        {
+            "label": o.label,
+            "T1_h": o.baseline_h,
+            "Tnorm_part_h": o.partitioned_norm_h,
+            "Tnorm_rot_h": o.rotating_norm_h,
+            "Rnorm_part": o.partitioning_rnorm,
+            "Rnorm_rot": o.rotation_rnorm,
+            "ordering": "ok" if o.ordering_holds else "VIOLATED",
+            "frames": sum(cycles),
+        }
+        for o, cycles in zip(result.outcomes, result.cycles)
+    ]
+    if len(rows) <= 32:
         print()
         print(format_table(rows, float_fmt=".3f", title="outcomes"))
     if args.export:
-        rows = [
-            {
-                "label": o.label,
-                "T1_h": o.baseline_h,
-                "Tnorm_part_h": o.partitioned_norm_h,
-                "Tnorm_rot_h": o.rotating_norm_h,
-                "Rnorm_part": o.partitioning_rnorm,
-                "Rnorm_rot": o.rotation_rnorm,
-                "frames": sum(result.cycles[i]),
-            }
-            for i, o in enumerate(result.outcomes)
-        ]
         print(f"\nwrote {write_rows(rows, args.export)}")
     if args.verify:
         report = verify_sample(result, sample=args.verify)
@@ -1497,21 +1461,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser(
         "sweep",
-        help="parameter-sensitivity sweeps (--batch: vectorized cohorts)",
+        help="parameter-sensitivity sweeps (vectorized cohorts)",
     )
-    p_sweep.add_argument("--batch", action="store_true",
-                         help="advance all configs at once through the "
-                              "structure-of-arrays cohort stepper "
-                              "(bit-identical to the scalar path)")
     p_sweep.add_argument("--grid", type=int, default=3, metavar="N",
-                         help="points per axis for --batch (default 3; "
-                              "grid mode evaluates N^4 configs)")
+                         help="points per axis (default 3; grid mode "
+                              "evaluates N^4 configs)")
     p_sweep.add_argument("--span", type=float, default=0.10, metavar="REL",
                          help="relative half-width of each axis "
                               "(default 0.10 = +/-10%%)")
     p_sweep.add_argument("--mode", choices=["grid", "one_at_a_time"],
                          default="grid",
-                         help="--batch sweep shape (default grid)")
+                         help="sweep shape (default grid; one_at_a_time "
+                              "is the classic table)")
     p_sweep.add_argument("--verify", type=int, default=0, metavar="K",
                          help="re-run K sampled configs on the scalar path "
                               "and assert frame-count identity (exit 1 on "

@@ -213,11 +213,20 @@ class _NullJournal:
     self_beat = heartbeat_queue = staticmethod(_ignore)
 
     @staticmethod
-    def drain_heartbeats(ctx: t.Any, beats: t.Any) -> set[int]:
-        return set()
+    def drain_heartbeats(ctx: t.Any, beats: t.Any) -> dict[int, str]:
+        return {}
 
 
 _NULL_JOURNAL = _NullJournal()
+
+
+def _crashed(beats: dict[int, str], unresolved: t.Iterable[int]) -> set[int]:
+    """The unresolved items a broken pool charges: started, never done.
+
+    ``beats`` maps an item to the last lifecycle beat its worker sent
+    (:meth:`~repro.obs.flight.FlightRecorder.drain_heartbeats`).
+    """
+    return {i for i in unresolved if beats.get(i) == "start"}
 
 
 class SweepExecutor:
@@ -466,19 +475,25 @@ class SweepExecutor:
             workers = min(self.jobs, len(unresolved))
             pool = ProcessPoolExecutor(max_workers=workers, **heartbeat)
             broken = False
-            round_started: set[int] = set()
+            round_beats: dict[int, str] = {}
             try:
                 futures: dict[t.Any, int] = {}
                 for i in sorted(unresolved):
+                    try:
+                        fut = pool.submit(_worker_run, fn, items[i], i)
+                    except BrokenProcessPool:
+                        # a worker died before the rest were dispatched
+                        broken = True
+                        break
                     attempts[i] += 1
                     journal.item_dispatched(ctx, i, attempts[i])
-                    futures[pool.submit(_worker_run, fn, items[i], i)] = i
+                    futures[fut] = i
                 not_done = set(futures)
                 while not_done:
                     done, not_done = wait(
                         not_done, timeout=interval, return_when=FIRST_COMPLETED
                     )
-                    round_started |= journal.drain_heartbeats(ctx, beats)
+                    round_beats.update(journal.drain_heartbeats(ctx, beats))
                     for fut in done:
                         i = futures[fut]
                         exc = fut.exception()
@@ -487,7 +502,6 @@ class SweepExecutor:
                             # future is poisoned — rebuild and retry
                             broken = True
                             continue
-                        round_started.add(i)  # a resolved future ran
                         if exc is not None:
                             err = f"{type(exc).__name__}: {exc}"
                             journal.item_failed(
@@ -521,19 +535,23 @@ class SweepExecutor:
                 pool.shutdown(wait=False, cancel_futures=True)
             if not broken:
                 break
-            round_started |= journal.drain_heartbeats(ctx, beats)
-            # Items that only sat queued on the broken pool never ran:
-            # refund their dispatch so collateral from someone else's
+            round_beats.update(journal.drain_heartbeats(ctx, beats))
+            # Only items that started and never finished are charged:
+            # items that sat queued on the broken pool never ran, and
+            # items that finished on a healthy worker (their ``done``
+            # beat arrived) only lost their result to the poisoned
+            # future. Refund both, so collateral from someone else's
             # crash cannot exhaust their retry budget. The crashing
             # item always sent its start beat (the Manager holds it
             # even after the worker dies), so its attempts still rise
             # every round and the loop terminates. Without heartbeats
-            # nothing tells the two apart, so every unresolved item is
-            # charged and the loop ends after ``max_attempts`` crashes.
+            # nothing tells them apart, so every dispatched, unresolved
+            # item is charged and the loop ends after ``max_attempts``
+            # crashes.
             if beats is not None:
-                for i in sorted(unresolved):
-                    if i not in round_started:
-                        attempts[i] -= 1
+                charged = _crashed(round_beats, unresolved)
+                for i in unresolved.intersection(futures.values()) - charged:
+                    attempts[i] -= 1
             retryable: set[int] = set()
             for i in sorted(unresolved):
                 if attempts[i] >= max_attempts:

@@ -525,16 +525,17 @@ class FlightRecorder:
             self._manager = multiprocessing.Manager()
         return self._manager.Queue()
 
-    def drain_heartbeats(self, ctx: _MapContext, beats: t.Any) -> set[int]:
+    def drain_heartbeats(self, ctx: _MapContext, beats: t.Any) -> dict[int, str]:
         """Fold any queued worker beats into the lane states.
 
-        Returns the indices whose ``start`` beats were observed, so the
-        executor can tell items that actually began running from items
-        that only sat queued on a pool that later broke.
+        Returns the last lifecycle beat (``"start"`` or ``"done"``)
+        observed per item index, so the executor can tell the item a
+        broken pool died on (started, never done) from items that only
+        sat queued or finished before the pool broke.
         """
-        started: set[int] = set()
+        phases: dict[int, str] = {}
         if beats is None:
-            return started
+            return phases
         now = self._now()
         while True:
             try:
@@ -547,12 +548,14 @@ class FlightRecorder:
             index = msg.get("index")
             phase_tag = msg.get("phase")
             if phase_tag == "start" and index is not None:
-                started.add(int(index))
+                phases[int(index)] = "start"
                 ctx.started_at.setdefault(int(index), now)
                 ctx.worker_of[int(index)] = worker
                 lane.current_index = int(index)
                 lane.current_since = now
             elif phase_tag == "done":
+                if index is not None:
+                    phases[int(index)] = "done"
                 if lane.current_index == index:
                     lane.current_index = None
                     lane.current_since = None
@@ -560,7 +563,7 @@ class FlightRecorder:
                 lane.current_index = int(index)
                 lane.current_since = now
         self._emit()
-        return started
+        return phases
 
     def self_beat(self, worker: str = "serial",
                   index: int | None = None) -> None:

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.analysis.sensitivity import PARAMETERS, sensitivity_sweep
 from repro.batch.sweep import (
+    PARAMETERS,
     BatchSweepSpec,
     SweepPoint,
     batch_sweep,
-    evaluate_points_batch,
-    point_reference_scalar,
+    evaluate_tasks_batch,
+    task_reference_scalar,
     verify_sample,
 )
 from repro.errors import ConfigurationError
@@ -62,22 +62,25 @@ class TestBatchSweepSpec:
 
 
 class TestScalarEquivalence:
-    def test_one_at_a_time_matches_sensitivity_sweep_bitwise(self):
+    def test_one_at_a_time_matches_task_reference_scalar(self):
+        """The classic nine-row table: labels and outcomes equal the
+        scalar reference per point, bit for bit."""
         spec = BatchSweepSpec(grid=3, rel_span=0.10, mode="one_at_a_time")
-        batch = evaluate_points_batch(spec.points())
-        scalar = sensitivity_sweep()
-        assert list(batch.outcomes) == scalar
-
-    def test_sensitivity_sweep_batch_flag(self):
-        assert sensitivity_sweep(batch=True) == sensitivity_sweep()
+        result = batch_sweep(spec)
+        assert [o.label for o in result.outcomes] == [
+            "nominal",
+            *(f"{p} {c}" for p in PARAMETERS for c in ("-10%", "+10%")),
+        ]
+        for point, outcome in zip(result.points, result.outcomes):
+            assert outcome == task_reference_scalar(point.task())[0], point.label
 
     def test_grid_matches_point_reference_scalar(self):
         """Every config of a 16-point grid: outcome and frame identity."""
         spec = BatchSweepSpec(grid=2, rel_span=0.10)
         points = spec.points()
-        batch = evaluate_points_batch(points)
+        batch = evaluate_tasks_batch([point.task() for point in points])
         for i, point in enumerate(points):
-            outcome, cycles = point_reference_scalar(point)
+            outcome, cycles = task_reference_scalar(point.task())
             assert batch.outcomes[i] == outcome, point.label
             assert batch.cycles[i] == cycles, point.label
 

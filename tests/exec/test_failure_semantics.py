@@ -18,7 +18,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.exec import ResultCache, SweepExecutor
-from repro.exec.executor import SweepItemError
+from repro.exec.executor import SweepItemError, _crashed
 from repro.obs.flight import FlightRecorder, journal_verdicts
 
 
@@ -177,6 +177,51 @@ def test_sigkill_raise_mode_raises_sweep_item_error():
             # still unresolved in the crashed round is charged, and the
             # lowest-index one of those is reported.
             assert excinfo.value.index <= 3
+
+
+def test_broken_pool_charges_only_items_without_done_beat():
+    """Item 2 finished on a healthy worker (its result lost to the
+    poisoned future); item 3 is the one the pool died on. Only 3 pays."""
+    import queue
+
+    beats = queue.Queue()
+    for worker, index, phase in (
+        ("w1", 2, "start"), ("w2", 3, "start"), ("w1", 2, "done"),
+    ):
+        beats.put({"worker": worker, "index": index, "phase": phase})
+    flight = FlightRecorder(label="t")
+    ctx = flight.begin_map(lethal, 6, None, jobs=2)
+    phases = flight.drain_heartbeats(ctx, beats)
+    assert phases == {2: "done", 3: "start"}
+    assert _crashed(phases, {2, 3, 4, 5}) == {3}
+
+
+@pytest.mark.parametrize("flight_on", [False, True])
+def test_pool_broken_mid_submission_retries_the_rest(monkeypatch, flight_on):
+    """A worker dying before every item was submitted makes ``submit``
+    raise; the round is a crash like any other, not a raw
+    BrokenProcessPool, and the items never submitted are not charged."""
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    real_submit = ProcessPoolExecutor.submit
+    calls = []
+
+    def submit(self, fn, *args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise BrokenProcessPool("a child process terminated abruptly")
+        return real_submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+    flight = FlightRecorder(label="t") if flight_on else None
+    items = [0, 1, 2, 4, 5, 6]
+    with _deadline(60):
+        out = SweepExecutor(jobs=2, flight=flight, retries=1).map(lethal, items)
+    assert out == [x * 10 for x in items]
+    if flight is not None:
+        attempts = {r.index: r.attempts for r in flight.records}
+        assert [attempts[i] for i in range(2, 6)] == [1, 1, 1, 1]
 
 
 def test_sigkill_no_recorder_honours_retries():

@@ -110,11 +110,3 @@ def test_full_suite_parallel_bit_identical_on_paper_battery():
     assert list(serial) == list(parallel)
     for label in serial:
         assert _fingerprint(serial[label]) == _fingerprint(parallel[label])
-
-
-def test_sensitivity_sweep_parallel_matches_serial():
-    from repro.analysis.sensitivity import sensitivity_sweep
-
-    serial = sensitivity_sweep(rel_changes=(-0.1,))
-    parallel = sensitivity_sweep(rel_changes=(-0.1,), jobs=2)
-    assert serial == parallel

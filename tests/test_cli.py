@@ -370,17 +370,20 @@ class TestCheck:
 
 
 class TestSweep:
-    """`repro sweep`: scalar one-at-a-time and batched cohort paths."""
+    """`repro sweep`: grid and one-at-a-time cohort sweeps."""
 
     def test_scalar_sweep_prints_table(self, capsys):
-        assert main(["sweep"]) == 0
+        assert main(["sweep", "--mode", "one_at_a_time", "--no-cache"]) == 0
         out = capsys.readouterr().out
-        assert "sensitivity sweep (scalar, one-at-a-time)" in out
-        assert "nominal" in out
+        for label in ("nominal", "capacity -10%", "capacity +10%", "c -10%",
+                      "c +10%", "k_prime -10%", "k_prime +10%",
+                      "io_activity -10%", "io_activity +10%"):
+            assert label in out
+        assert "ordering holds for 9/9" in out
         assert "VIOLATED" not in out
 
     def test_batch_sweep_with_verify(self, capsys):
-        code = main(["sweep", "--batch", "--grid", "2", "--verify", "4",
+        code = main(["sweep", "--grid", "2", "--verify", "4",
                      "--no-cache"])
         assert code == 0
         out = capsys.readouterr().out
@@ -391,23 +394,30 @@ class TestSweep:
 
     def test_batch_sweep_export(self, tmp_path, capsys):
         target = tmp_path / "sweep.csv"
-        code = main(["sweep", "--batch", "--grid", "2", "--no-cache",
+        code = main(["sweep", "--grid", "2", "--no-cache",
                      "--export", str(target)])
         assert code == 0
         text = target.read_text()
         assert "Rnorm_rot" in text
         assert len(text.splitlines()) == 17  # header + 16 configs
 
-    def test_batch_one_at_a_time_mode(self, capsys):
-        code = main(["sweep", "--batch", "--mode", "one_at_a_time",
-                     "--no-cache"])
+    def test_batch_one_at_a_time_mode(self, tmp_path, capsys):
+        """The printed table and the export share one row shape."""
+        target = tmp_path / "sweep.csv"
+        code = main(["sweep", "--mode", "one_at_a_time", "--no-cache",
+                     "--export", str(target)])
         assert code == 0
         assert "nominal" in capsys.readouterr().out
+        lines = target.read_text().splitlines()
+        assert lines[0] == ("label,T1_h,Tnorm_part_h,Tnorm_rot_h,Rnorm_part,"
+                            "Rnorm_rot,ordering,frames")
+        assert len(lines) == 10  # header + 9 configs
+        assert lines[1].startswith("nominal,")
 
     def test_paper_check_still_passes_after_batch_sweep(self, tmp_path, capsys):
         """Fast runs and batched sweeps coexist: the folded monitors
         still verify the Fig. 10 ordering."""
-        assert main(["sweep", "--batch", "--grid", "2", "--no-cache"]) == 0
+        assert main(["sweep", "--grid", "2", "--no-cache"]) == 0
         capsys.readouterr()
         db = str(tmp_path / "runs.sqlite")
         assert main(["check", "--paper", "--fast", "--no-cache",

@@ -254,16 +254,14 @@ class KiBaMCohort:
         self.y2[rows] = R21 * y1 + R22 * y2 + C2
         self.delivered_mas[rows] += n * self.drain[rows]
 
-    def step_segment(self, rows: np.ndarray, s: int) -> None:
-        """One closed-form constant-current step of segment ``s``.
+    def preview(self, rows: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(y1, y2)`` state of ``rows`` after segment ``s``, unapplied.
 
-        The exact vector transcription of ``KiBaM._step`` plus the
-        death latch from ``KiBaM._advance``; callers must have ruled
-        out mid-segment death first (via the lower bound and, when it
-        triggers, the exact scalar root solve — see the stepper).
+        The exact vector transcription of ``KiBaM._step`` (the scalar
+        ``KiBaM.preview``), so each row's values equal the scalar
+        preview bit for bit; the stepper's end-of-segment death test
+        reads ``y1`` from here.
         """
-        if rows.size == 0:
-            return
         kp = self.kp[rows]
         c = self.c[rows]
         y1 = self.y1[rows]
@@ -275,6 +273,20 @@ class KiBaMCohort:
         y0 = y1 + y2
         ny1 = y1 * ex + (y0 * kp * c - current) * om / kp - current * c * r
         ny2 = y2 * ex + y0 * (1.0 - c) * om - current * (1.0 - c) * r
+        return ny1, ny2
+
+    def step_segment(self, rows: np.ndarray, s: int) -> None:
+        """One closed-form constant-current step of segment ``s``.
+
+        :meth:`preview` applied, plus the death latch from
+        ``KiBaM._advance``; callers must have ruled out mid-segment
+        death first (via the lower bound, the end-of-segment sign test
+        and, for an empty or dying row, the exact scalar root solve —
+        see the stepper).
+        """
+        if rows.size == 0:
+            return
+        ny1, ny2 = self.preview(rows, s)
         if (ny1 < -1e-6).any():
             raise BatteryError(
                 "available charge went negative; stepper failed to "
@@ -284,18 +296,21 @@ class KiBaMCohort:
         self.y1[rows] = np.where(latch, np.maximum(ny1, 0.0), ny1)
         self.y2[rows] = ny2
         self.latched[rows] |= latch
-        self.delivered_mas[rows] += current * self.dt[rows, s]
+        self.delivered_mas[rows] += self.cur[rows, s] * self.dt[rows, s]
 
     # -- scalar escape hatch --------------------------------------------
     def scalar_cell(self, i: int) -> KiBaM:
         """A scalar :class:`KiBaM` clone of row ``i``'s exact state.
 
-        Used for the near-death root solve: ``time_to_death`` runs the
-        same bracket expansion and Brent iteration the scalar reference
-        path runs, from bitwise-equal state, so the death instant is
-        bitwise-equal too. (State injection reaches into KiBaM's
-        private fields deliberately — the cohort is the model's batch
-        twin, maintained alongside it.)
+        Used for the root solve on the one segment where a row dies:
+        the stepper calls it only after the end-of-segment sign test
+        (:meth:`preview` ``y1 <= 0``) has shown the available well
+        empties within the segment, exactly when the scalar reference
+        solves. ``time_to_death`` then runs the same bracket expansion
+        and Brent iteration the scalar path runs, from bitwise-equal
+        state, so the death instant is bitwise-equal too. (State
+        injection reaches into KiBaM's private fields deliberately — the
+        cohort is the model's batch twin, maintained alongside it.)
         """
         cell = KiBaM(self.cells[i].params)
         cell._y1 = float(self.y1[i])

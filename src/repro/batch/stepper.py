@@ -10,17 +10,21 @@ jump/walk sequence of the scalar reference loop
   its affine cycle map (the same safe-margin policy PR 5's fast-forward
   uses for its steady-state epochs);
 - **death-mask walk**: rows whose safety margin is exhausted walk one
-  cycle segment by segment, vectorized, with the cheap ``y1/I`` lower
-  bound deciding — per row, per segment — whether the exact scalar
-  root solve (:meth:`KiBaM.time_to_death`, Brent's method) must run.
-  Only those few rows ever leave vector land, and only for the solve
-  itself.
+  cycle segment by segment, vectorized. Per row and segment, the cheap
+  ``y1/I`` lower bound clears most segments; where it does not, the
+  closed-form end value ``y1(dt)`` decides. Under a constant ``I > 0``,
+  ``y1(t) = A e^{-k't} + B - I c t`` is convex and strictly decreasing,
+  or concave with ``y1(0) > 0``, so it crosses zero at most once and
+  ``y1(dt) > 0`` proves the row outlives the segment. Only an empty row
+  or one whose end value is ``<= 0`` leaves vector land, for the exact
+  scalar root solve (:meth:`KiBaM.time_to_death`, Brent's method) — one
+  solve per death, not per near-death segment.
 
 Because each row sees the same jump counts, the same closed-form
-arithmetic (in the same expression order) and the same Brent solves
-from bitwise-equal state, the resulting death times and cycle counts
-are **bit-identical** to the scalar path — asserted by the equivalence
-tests in ``tests/batch/``.
+arithmetic (in the same expression order), the same sign test and the
+same Brent solves from bitwise-equal state, the resulting death times
+and cycle counts are **bit-identical** to the scalar path — asserted by
+the equivalence tests in ``tests/batch/``.
 
 Each epoch emits one coalesced ``batch.epoch`` telemetry event
 (mirroring PR 5's ``ff.epoch``) so monitors can fold batched frames
@@ -198,13 +202,19 @@ class CohortStepper:
     ) -> tuple[int, int]:
         """Walk one duty cycle for rows too close to death to jump.
 
-        Per segment: the cheap lower bound (``y1/I``, exactly the
-        scalar ``time_to_death_lower_bound``) selects the rows that
-        *might* die this segment; each runs the exact scalar root
-        solve from injected state, and dies at ``t + ttd`` if the root
-        lands inside the segment. Everyone else takes the vectorized
-        closed-form step (with the scalar death latch). Rows that
-        finish the whole cycle alive count one completed frame period.
+        Per segment, the same three tiers as the scalar
+        ``lifetime_seconds`` walk: the cheap lower bound (``y1/I``,
+        exactly the scalar ``time_to_death_lower_bound``) selects the
+        rows that *might* die this segment; of those, the vectorized
+        end value (:meth:`KiBaMCohort.preview`, bitwise the scalar
+        ``preview``) clears every row with ``y1(dt) > 0`` — ``y1``
+        crosses zero at most once per constant-current segment, so a
+        positive end value proves survival. Only empty rows and rows
+        ending at ``y1(dt) <= 0`` run the exact scalar root solve from
+        injected state, dying at ``t + ttd`` if the root lands inside
+        the segment. Everyone else takes the vectorized closed-form
+        step (with the scalar death latch). Rows that finish the whole
+        cycle alive count one completed frame period.
 
         Returns ``(root_solves, completed_cycles)``.
         """
@@ -227,19 +237,22 @@ class CohortStepper:
             empty = cohort.latched[act] | (y1 <= eps)
             with np.errstate(divide="ignore"):
                 lb = np.where(cur > 0.0, y1 / np.where(cur > 0.0, cur, 1.0), np.inf)
-            trigger = notpad & (empty | (lb <= dt))
-            if trigger.any():
-                for j in np.flatnonzero(trigger):
-                    i = int(act[j])
-                    if empty[j]:
-                        ttd = 0.0
-                    else:
-                        solves += 1
-                        ttd = cohort.scalar_cell(i).time_to_death(float(cur[j]))
-                    if ttd <= float(dt[j]):
-                        death[i] = t_now[i] + ttd
-                        alive[i] = False
-                        walking[act_pos[j]] = False
+            solve = notpad & empty
+            near = notpad & ~empty & (lb <= dt)
+            if near.any():
+                npos = np.flatnonzero(near)
+                solve[npos] = cohort.preview(act[npos], s)[0] <= 0.0
+            for j in np.flatnonzero(solve):
+                i = int(act[j])
+                if empty[j]:
+                    ttd = 0.0
+                else:
+                    solves += 1
+                    ttd = cohort.scalar_cell(i).time_to_death(float(cur[j]))
+                if ttd <= float(dt[j]):
+                    death[i] = t_now[i] + ttd
+                    alive[i] = False
+                    walking[act_pos[j]] = False
             survivors = wrows[walking]
             cohort.step_segment(survivors, s)
             t_now[survivors] += cohort.dt[survivors, s]

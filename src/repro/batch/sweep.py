@@ -553,7 +553,7 @@ def batch_sweep(
     ]
     keys = None
     if cache is not None:
-        keys = [cache.key_for("batch_sweep", "v3", item) for item in items]
+        keys = [cache.key_for("batch_sweep", "v4", item) for item in items]
     if flight is not None:
         flight.phase("batch", total=len(items))
     executor = SweepExecutor(jobs=jobs, cache=cache, obs=obs, flight=flight)

@@ -645,7 +645,7 @@ def _cohort_rung(
     ]
     keys = None
     if cache is not None:
-        keys = [cache.key_for("explore_cohort", "v1", item) for item in items]
+        keys = [cache.key_for("explore_cohort", "v2", item) for item in items]
     payloads = executor.map(
         _cohort_job,
         items,

@@ -406,6 +406,17 @@ class KiBaM(Battery):
         self._y2 = r21 * y1 + r22 * y2 + c2
         self._delivered_mas += n_cycles * drain
 
+    def _draw_survivor(self, current_ma: float, dt_s: float) -> None:
+        """:meth:`draw` minus its death check, for a proven-survivable segment.
+
+        :func:`lifetime_seconds` calls this after the end-of-segment sign
+        test has shown the cell outlives the step; re-running the check
+        would repeat the root solve the test exists to avoid. The state
+        update is the one :meth:`draw` makes, bit for bit.
+        """
+        self._advance(current_ma, dt_s)
+        self._delivered_mas += current_ma * dt_s
+
     def _advance(self, current_ma: float, dt_s: float) -> None:
         self._y1, self._y2 = self._step(self._y1, self._y2, current_ma, dt_s)
         if self._y1 < -1e-6:
@@ -498,6 +509,19 @@ def lifetime_seconds(
     map (:meth:`KiBaM.advance_cycles`, O(log n) per jump) while the
     safety margin allows; the final approach to death walks segment by
     segment and solves the last partial segment exactly.
+
+    The walk decides each segment in three tiers. The cheap bound
+    ``y1/I > dt`` clears most of them. Past it, the closed-form end
+    value ``y1(dt)`` decides: under a constant ``I > 0``,
+    ``y1(t) = A e^{-k't} + B - I c t`` is convex and strictly
+    decreasing, or concave with ``y1(0) > 0``, so it crosses zero at
+    most once and ``y1(dt) > 0`` proves the cell outlives the segment.
+    Only an empty cell or one whose end value is ``<= 0`` calls
+    :meth:`KiBaM.time_to_death` — one Brent solve per death, not per
+    near-death segment. The decisions equal solving every near-death
+    segment except where a root lies within Brent's ``xtol`` (1e-9 s)
+    of a segment end.
+
     :func:`repro.core.calibration.predicted_lifetime_hours` delegates
     here, and the vectorized cohort stepper in :mod:`repro.batch`
     replays exactly this jump/walk sequence per config — which is what
@@ -544,12 +568,19 @@ def lifetime_seconds(
                 cycles += jump
                 continue
         for current, dt_s in cycle:
-            # Cheap-bound fast path; exact root solve only near death.
-            if cell.time_to_death_lower_bound(current) <= dt_s:
+            # Cheap bound first; near death, the end-of-segment sign test
+            # proves survival, so the root solve runs only on the segment
+            # that empties the cell (see the docstring).
+            lb = cell.time_to_death_lower_bound(current)
+            if lb > dt_s:
+                cell.draw(current, dt_s)
+            elif lb > 0.0 and cell.preview(current, dt_s)[0] > 0.0:
+                cell._draw_survivor(current, dt_s)
+            else:
                 ttd = cell.time_to_death(current)
                 if ttd <= dt_s:
                     return t + ttd, cycles
-            cell.draw(current, dt_s)
+                cell.draw(current, dt_s)
             t += dt_s
         cycles += 1
     return math.inf, cycles

@@ -40,12 +40,6 @@ from repro.obs.checks import (
     paper_monitors,
     replay,
 )
-from repro.obs.benchdiff import (
-    baseline_from_history,
-    bench_diff,
-    metric_direction,
-    render_diff,
-)
 from repro.obs.causal import (
     FrameTrace,
     FrameSpan,
@@ -130,10 +124,6 @@ __all__ = [
     "journal_verdicts",
     "read_journal",
     "write_journal",
-    "bench_diff",
-    "baseline_from_history",
-    "metric_direction",
-    "render_diff",
     "ProgressRenderer",
     "render_snapshot",
     "format_eta",
@@ -186,9 +176,9 @@ class Telemetry:
         self.spans: list[SpanRecord] = []
         #: Energy-attribution ledger (see :mod:`repro.obs.energy`);
         #: filled by the pipeline engine when the event bus is live.
-        #: The ``events=False`` null sink skips attribution too — per-
-        #: segment bucket work would break the near-free contract the
-        #: tier-1 overhead test enforces.
+        #: The ``events=False`` null sink skips attribution too: it
+        #: makes no per-segment ledger adds, which the tier-1 null-sink
+        #: test counts and holds at zero.
         self.energy = EnergyLedger()
 
     def emit(self, kind: str, ts: float, actor: str = "", **data: t.Any) -> None:

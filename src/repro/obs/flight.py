@@ -30,8 +30,8 @@ This module records what the fleet actually did, at item granularity:
   ``repro check --fleet`` can assert fleet health.
 
 With no recorder attached the executor runs the same dispatch loops
-against a null journal whose hooks do nothing — a few microseconds per
-item, inside the established <5% null-sink overhead budget.
+against a null journal whose hooks do nothing, and starts no heartbeat
+``Manager`` process (a tier-1 test pins that).
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from repro.batch.sweep import (
     verify_sample,
 )
 from repro.errors import ConfigurationError
+from repro.exec import executor
 from repro.exec.cache import ResultCache
 from repro.obs import Telemetry
 
@@ -104,9 +105,23 @@ class TestExecutorWiring:
         assert whole.outcomes == chunked.outcomes
         assert whole.cycles == chunked.cycles
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        # Fan-out is checked by counting, not timing: jobs=2 over four
+        # chunks must build a two-worker pool, so a regression that
+        # quietly runs jobs>1 serially fails here on any host.
+        pools = []
+        real_pool = executor.ProcessPoolExecutor
+
+        def spy_pool(*args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", spy_pool)
         serial = batch_sweep(self.SPEC, jobs=1, chunk_size=4)
+        assert pools == []
         parallel = batch_sweep(self.SPEC, jobs=2, chunk_size=4)
+        assert parallel.stats.chunks == 4
+        assert pools == [2]
         assert serial.outcomes == parallel.outcomes
         assert serial.cycles == parallel.cycles
 

@@ -1,65 +1,30 @@
-"""Null-sink overhead: disabled telemetry must be near-free.
+"""Null-sink contract: disabled telemetry does no recording work.
 
-The acceptance bar is <5% wall-time overhead on a short Fig. 10
-experiment. Timing comparisons on shared CI machines are noisy, so the
-test takes best-of-N for both variants (best-of is robust against
-one-sided scheduling noise) and asserts against a slightly looser bound
-than the headline number to keep the test deterministic in practice.
+With ``Telemetry(events=False)`` every emit site is one falsy branch,
+and the engine attaches no energy ledger to the nodes. The test below
+checks that contract by counting, not by timing: wall-time cost is
+measured by the end-to-end benchmark (``benchmarks/e2e/``), whose
+bounds come from measured noise.
 """
 
 from __future__ import annotations
 
-import time
-
 from repro.core.experiments import PAPER_EXPERIMENTS, run_experiment
 from repro.obs import Telemetry
+from repro.obs.energy import EnergyLedger
 
 from tests.conftest import tiny_battery_factory
 
-_FRAMES = 40
-_REPEATS = 3
 
+def test_null_sink_produces_no_events_but_live_metrics(monkeypatch):
+    adds = []
+    real_add = EnergyLedger.add
 
-def _best_of(fn, repeats=_REPEATS):
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+    def counting_add(self, *args):
+        adds.append(args)
+        real_add(self, *args)
 
-
-def test_null_sink_overhead_under_5_percent():
-    spec = PAPER_EXPERIMENTS["2A"]
-
-    def plain():
-        run_experiment(
-            spec, battery_factory=tiny_battery_factory, max_frames=_FRAMES
-        )
-
-    def null_sink():
-        # Telemetry wired through every emitter, but the event bus is a
-        # null sink: each emit site costs one falsy branch.
-        run_experiment(
-            spec,
-            battery_factory=tiny_battery_factory,
-            max_frames=_FRAMES,
-            telemetry=Telemetry(events=False),
-        )
-
-    _best_of(plain, 1)  # warm imports and code paths
-    base = _best_of(plain)
-    instrumented = _best_of(null_sink)
-    # <5% is the acceptance target on quiet machines; allow scheduling
-    # noise up to 15% before calling it a regression (the bus itself
-    # adds only branch checks, far below either bound).
-    assert instrumented <= base * 1.15, (
-        f"null-sink telemetry cost {instrumented / base - 1:.1%} "
-        f"(baseline {base * 1e3:.1f} ms, instrumented {instrumented * 1e3:.1f} ms)"
-    )
-
-
-def test_null_sink_produces_no_events_but_live_metrics():
+    monkeypatch.setattr(EnergyLedger, "add", counting_add)
     obs = Telemetry(events=False)
     run_experiment(
         PAPER_EXPERIMENTS["2A"],
@@ -67,5 +32,8 @@ def test_null_sink_produces_no_events_but_live_metrics():
         max_frames=5,
         telemetry=obs,
     )
+    assert adds == []
+    assert len(obs.energy) == 0
     assert len(obs.events) == 0
+    assert obs.events.dropped == 0
     assert obs.metrics.counter("frames.completed").value == 5

@@ -10,9 +10,6 @@ sweep in one numpy pass per epoch instead:
 - :mod:`repro.batch.stepper` — :class:`CohortStepper`, the epoch loop:
   analytic whole-cycle jumps for every row far from death, a masked
   segment walk with exact scalar root solves for the few near it;
-- :mod:`repro.batch.chemistries` — vector step kernels for the
-  non-KiBaM chemistries (linear / Peukert / Rakhmatov), oracle-tested
-  against the scalar models for future vectorization;
 - :mod:`repro.batch.sweep` — :func:`batch_sweep`, the reproduction's
   only sensitivity sweep (one-at-a-time or full grid): the
   sensitivity-scenario cohort builder, chunked execution through

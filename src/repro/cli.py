@@ -156,7 +156,6 @@ def _finish_flight(
         path = flight.export_journal(journal_path)
         print(f"wrote journal {path} ({len(flight.records)} record(s), "
               "canonical content rows)")
-    flight.close()
 
 
 def _print_pipeline_diagnostics(runs: dict[str, t.Any]) -> None:

@@ -19,9 +19,10 @@ A third, optional concern is *visibility*: attach a
 :class:`~repro.obs.flight.FlightRecorder` (``flight=``) and every work
 item additionally emits durable lifecycle records (queued → dispatched
 → started → finished | failed | cache_hit) with wall/CPU/peak-RSS
-telemetry, and workers publish heartbeats. With no recorder attached
-the same dispatch loops talk to a null journal whose hooks do nothing
-and which starts no heartbeat machinery — the pattern the EventLog
+telemetry, and parallel workers beat to the parent over one pipe per
+parallel map, handed to them through the pool initializer. With no
+recorder attached the same dispatch loops talk to a null journal whose
+hooks do nothing, and no pipe is opened — the pattern the EventLog
 null sink uses. Either way a parallel worker failure or pool crash
 becomes a :class:`SweepItemError` (after any ``retries``), never a
 lost sweep.
@@ -31,7 +32,10 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import multiprocessing
 import os
+import signal
+import threading
 import time
 import typing as t
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -94,7 +98,7 @@ class SweepStats:
 
 #: Per-worker heartbeat state, set by the pool initializer. Lives in
 #: the *worker* process; the parent never touches it.
-_HB_STATE: dict[str, t.Any] = {"queue": None, "worker": None, "index": None}
+_HB_STATE: dict[str, t.Any] = {"pipe": None, "worker": None, "index": None}
 
 
 def _rusage() -> t.Any:
@@ -119,50 +123,55 @@ def _measure_since(t0: float, r0: t.Any, worker: str) -> dict[str, t.Any]:
     return out
 
 
-def _flight_worker_init(beats: t.Any, interval_s: float) -> None:
-    """Pool initializer: start this worker's heartbeat thread.
+def _flight_worker_init(reader: t.Any, writer: t.Any, interval_s: float) -> None:
+    """Pool initializer: wire this worker to the parent's heartbeat pipe.
 
-    ``beats`` is a picklable Manager queue proxy. The daemon thread
-    publishes ``{worker, index, phase}`` every ``interval_s`` until the
-    process exits or the queue dies; a dead queue ends the thread
-    quietly (the parent has moved on).
+    ``reader``/``writer`` are the two ends of the pipe the parent opened
+    for this map. The worker closes its copy of the read end (under
+    fork it inherits one), so once the parent closes its own a beat
+    raises ``BrokenPipeError`` instead of blocking on a full pipe. Each
+    beat is one small message sent with a single ``write(2)``, which is
+    atomic, so a worker killed at any instant never leaves a torn
+    message and no lock is held on the beat path.
+
+    A SIGTERM handler sends an ``abort`` beat for the in-flight item
+    and exits: a pool that breaks terminates its healthy workers, and
+    the abort beat tells the parent their items were cut short, not
+    crashed. A daemon thread publishes ``{worker, index, phase}`` every
+    ``interval_s`` until the process exits or the pipe closes.
     """
-    import threading
-
-    _HB_STATE["queue"] = beats
+    reader.close()
+    _HB_STATE["pipe"] = writer
     _HB_STATE["worker"] = f"w{os.getpid()}"
     _HB_STATE["index"] = None
+
+    def _abort(signum: int, frame: t.Any) -> None:
+        _beat("abort", _HB_STATE["index"])
+        os._exit(128 + signum)
+
+    signal.signal(signal.SIGTERM, _abort)
 
     def _loop() -> None:
         while True:
             time.sleep(interval_s)
-            q = _HB_STATE["queue"]
-            if q is None:  # pragma: no cover - shutdown race
-                return
-            try:
-                q.put_nowait(
-                    {
-                        "worker": _HB_STATE["worker"],
-                        "index": _HB_STATE["index"],
-                        "phase": "beat",
-                    }
-                )
-            except Exception:  # pragma: no cover - parent gone
+            if not _beat("beat", _HB_STATE["index"]):
                 return
 
     threading.Thread(target=_loop, daemon=True).start()
 
 
-def _beat(phase: str, index: int | None) -> None:
-    q = _HB_STATE.get("queue")
-    if q is None:
-        return
+def _beat(phase: str, index: int | None) -> bool:
+    """Send one beat; False once there is no pipe or the parent closed it."""
+    pipe = _HB_STATE["pipe"]
+    if pipe is None:
+        return False
     try:
-        q.put_nowait(
-            {"worker": _HB_STATE.get("worker"), "index": index, "phase": phase}
+        pipe.send(
+            {"worker": _HB_STATE["worker"], "index": index, "phase": phase}
         )
-    except Exception:  # pragma: no cover - parent gone
-        pass
+    except OSError:  # BrokenPipeError: the parent has moved on
+        return False
+    return True
 
 
 def _worker_run(
@@ -201,16 +210,15 @@ class _NullJournal:
     """The journal :meth:`SweepExecutor.map` talks to with no recorder.
 
     Duck-types the :class:`~repro.obs.flight.FlightRecorder` hooks the
-    dispatch loops call, all as no-ops. It has no heartbeat queue, so a
-    parallel map starts no ``multiprocessing.Manager`` and installs no
-    worker initializer.
+    dispatch loops call, all as no-ops. A parallel map against it opens
+    no heartbeat pipe and installs no worker initializer.
     """
 
     heartbeat_interval_s = None
     begin_map = end_map = flush = staticmethod(_ignore)
     item_queued = item_cache_hit = item_dispatched = staticmethod(_ignore)
     item_started = item_finished = item_failed = staticmethod(_ignore)
-    self_beat = heartbeat_queue = staticmethod(_ignore)
+    self_beat = staticmethod(_ignore)
 
     @staticmethod
     def drain_heartbeats(ctx: t.Any, beats: t.Any) -> dict[int, str]:
@@ -224,9 +232,30 @@ def _crashed(beats: dict[int, str], unresolved: t.Iterable[int]) -> set[int]:
     """The unresolved items a broken pool charges: started, never done.
 
     ``beats`` maps an item to the last lifecycle beat its worker sent
-    (:meth:`~repro.obs.flight.FlightRecorder.drain_heartbeats`).
+    (:meth:`~repro.obs.flight.FlightRecorder.drain_heartbeats`); an
+    ``abort`` beat marks an item whose healthy worker the breaking pool
+    terminated, so it is not charged.
     """
     return {i for i in unresolved if beats.get(i) == "start"}
+
+
+def _join(pool: t.Any, journal: t.Any, ctx: t.Any, beats: t.Any,
+          round_beats: dict[int, str]) -> None:
+    """Shut ``pool`` down and reap its workers, draining ``beats`` meanwhile.
+
+    A worker blocked writing a beat to a full pipe (its abort beat, say)
+    exits only once the parent reads, so with a pipe open the join runs
+    on a helper thread while this one keeps draining into
+    ``round_beats``.
+    """
+    if beats is None:
+        pool.shutdown(wait=True)
+        return
+    joiner = threading.Thread(target=pool.shutdown, daemon=True)
+    joiner.start()
+    while joiner.is_alive():
+        round_beats.update(journal.drain_heartbeats(ctx, beats))
+        joiner.join(journal.heartbeat_interval_s)
 
 
 class SweepExecutor:
@@ -252,19 +281,22 @@ class SweepExecutor:
         Optional :class:`~repro.obs.flight.FlightRecorder`. When
         attached, ``map`` journals every item, collects worker
         heartbeats and feeds live progress. When ``None`` (default) the
-        same loops run against a null journal: no records, no
-        heartbeat queue, no ``multiprocessing.Manager``.
+        same loops run against a null journal: no records and no
+        heartbeat pipe.
     retries:
         Extra execution attempts per item after a worker process dies
         mid-item (pool breakage), with or without a recorder. With a
         recorder an attempt is charged only when the item actually
         began running (its worker sent a start beat or its future
-        resolved); items merely queued on a pool that broke are
-        re-dispatched for free, so collateral from another item's
-        crash cannot exhaust their retry budget (journal ``attempts``
-        reflects this). Without a recorder there are no start beats,
-        so every item still unresolved when a pool breaks is charged,
-        and a sweep gives up after ``1 + retries`` crashed rounds.
+        resolved); items merely queued on a pool that broke, and items
+        whose healthy worker the breaking pool terminated (it sends an
+        ``abort`` beat), are re-dispatched for free, so collateral from
+        another item's crash cannot exhaust their retry budget (journal
+        ``attempts`` reflects this). Without a recorder there are no
+        beats, so every item still unresolved when a pool breaks is
+        charged; with one, so is a round whose beats single out no
+        item (say, a worker SIGTERMed from outside the pool). Either
+        way a sweep gives up after ``1 + retries`` crashed rounds.
 
     Examples
     --------
@@ -459,113 +491,129 @@ class SweepExecutor:
     def _parallel(
         self, fn, items, pending, journal, ctx, results, settled, failures, store
     ) -> None:
-        beats = journal.heartbeat_queue()
         interval = journal.heartbeat_interval_s
-        heartbeat = (
-            {}
-            if beats is None
-            else {"initializer": _flight_worker_init,
-                  "initargs": (beats, interval)}
-        )
+        beats = writer = None
+        heartbeat: dict[str, t.Any] = {}
+        if self.flight is not None:
+            beats, writer = multiprocessing.Pipe(duplex=False)
+            heartbeat = {"initializer": _flight_worker_init,
+                         "initargs": (beats, writer, interval)}
         unresolved: set[int] = set(pending)
         attempts: dict[int, int] = {i: 0 for i in pending}
         max_attempts = 1 + self.retries
 
-        while unresolved:
-            workers = min(self.jobs, len(unresolved))
-            pool = ProcessPoolExecutor(max_workers=workers, **heartbeat)
-            broken = False
-            round_beats: dict[int, str] = {}
-            try:
-                futures: dict[t.Any, int] = {}
-                for i in sorted(unresolved):
-                    try:
-                        fut = pool.submit(_worker_run, fn, items[i], i)
-                    except BrokenProcessPool:
-                        # a worker died before the rest were dispatched
-                        broken = True
-                        break
-                    attempts[i] += 1
-                    journal.item_dispatched(ctx, i, attempts[i])
-                    futures[fut] = i
-                not_done = set(futures)
-                while not_done:
-                    done, not_done = wait(
-                        not_done, timeout=interval, return_when=FIRST_COMPLETED
-                    )
-                    round_beats.update(journal.drain_heartbeats(ctx, beats))
-                    for fut in done:
-                        i = futures[fut]
-                        exc = fut.exception()
-                        if isinstance(exc, BrokenProcessPool):
-                            # a worker died; every still-pending
-                            # future is poisoned — rebuild and retry
+        try:
+            while unresolved:
+                workers = min(self.jobs, len(unresolved))
+                pool = ProcessPoolExecutor(max_workers=workers, **heartbeat)
+                broken = False
+                round_beats: dict[int, str] = {}
+                try:
+                    futures: dict[t.Any, int] = {}
+                    for i in sorted(unresolved):
+                        try:
+                            fut = pool.submit(_worker_run, fn, items[i], i)
+                        except BrokenProcessPool:
+                            # a worker died before the rest were dispatched
                             broken = True
-                            continue
-                        if exc is not None:
-                            err = f"{type(exc).__name__}: {exc}"
-                            journal.item_failed(
-                                ctx, i, "worker", err, {"worker": "pool"}
-                            )
-                            unresolved.discard(i)
-                            if failures == "raise":
-                                journal.flush()
-                                raise SweepItemError(i, attempts[i], err)
-                            continue
-                        index, status, payload, measure = fut.result()
-                        unresolved.discard(index)
-                        if status == "ok":
-                            results[index] = payload
-                            settled[index] = True
-                            store(index)
-                            journal.item_finished(ctx, index, measure)
-                        else:
-                            err = f"{payload[0]}: {payload[1]}"
-                            journal.item_failed(
-                                ctx, index, "worker", err, measure
-                            )
-                            if failures == "raise":
-                                journal.flush()
-                                raise SweepItemError(
-                                    index, attempts[index], err
+                            break
+                        attempts[i] += 1
+                        journal.item_dispatched(ctx, i, attempts[i])
+                        futures[fut] = i
+                    not_done = set(futures)
+                    while not_done:
+                        done, not_done = wait(
+                            not_done, timeout=interval,
+                            return_when=FIRST_COMPLETED,
+                        )
+                        round_beats.update(
+                            journal.drain_heartbeats(ctx, beats)
+                        )
+                        for fut in done:
+                            i = futures[fut]
+                            exc = fut.exception()
+                            if isinstance(exc, BrokenProcessPool):
+                                # a worker died; every still-pending
+                                # future is poisoned — rebuild and retry
+                                broken = True
+                                continue
+                            if exc is not None:
+                                err = f"{type(exc).__name__}: {exc}"
+                                journal.item_failed(
+                                    ctx, i, "worker", err, {"worker": "pool"}
                                 )
-                    if broken:
-                        break
-            finally:
-                pool.shutdown(wait=False, cancel_futures=True)
-            if not broken:
-                break
-            round_beats.update(journal.drain_heartbeats(ctx, beats))
-            # Only items that started and never finished are charged:
-            # items that sat queued on the broken pool never ran, and
-            # items that finished on a healthy worker (their ``done``
-            # beat arrived) only lost their result to the poisoned
-            # future. Refund both, so collateral from someone else's
-            # crash cannot exhaust their retry budget. The crashing
-            # item always sent its start beat (the Manager holds it
-            # even after the worker dies), so its attempts still rise
-            # every round and the loop terminates. Without heartbeats
-            # nothing tells them apart, so every dispatched, unresolved
-            # item is charged and the loop ends after ``max_attempts``
-            # crashes.
+                                unresolved.discard(i)
+                                if failures == "raise":
+                                    journal.flush()
+                                    raise SweepItemError(i, attempts[i], err)
+                                continue
+                            index, status, payload, measure = fut.result()
+                            unresolved.discard(index)
+                            if status == "ok":
+                                results[index] = payload
+                                settled[index] = True
+                                store(index)
+                                journal.item_finished(ctx, index, measure)
+                            else:
+                                err = f"{payload[0]}: {payload[1]}"
+                                journal.item_failed(
+                                    ctx, index, "worker", err, measure
+                                )
+                                if failures == "raise":
+                                    journal.flush()
+                                    raise SweepItemError(
+                                        index, attempts[index], err
+                                    )
+                        if broken:
+                            break
+                except BaseException:
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    raise
+                # Joining reaps every worker, so a finished map leaves no
+                # process behind. A broken pool fails its futures *before*
+                # it terminates the surviving workers, so only after the
+                # join has the pipe every abort beat.
+                _join(pool, journal, ctx, beats, round_beats)
+                if not broken:
+                    break
+                round_beats.update(journal.drain_heartbeats(ctx, beats))
+                # Only items that started and never finished are charged:
+                # items that sat queued on the broken pool never ran,
+                # items that finished on a healthy worker (their ``done``
+                # beat arrived) only lost their result to the poisoned
+                # future, and items whose healthy worker the breaking pool
+                # terminated sent an ``abort`` beat. Refund all three, so
+                # collateral from someone else's crash cannot exhaust
+                # their retry budget. A broken round charges someone,
+                # though: if no item was caught mid-run (its worker was
+                # SIGTERMed from outside the pool and sent an abort beat,
+                # or died before its start beat), every dispatched,
+                # unresolved item is charged, as it always is without
+                # heartbeats. Either way attempts rise every broken round
+                # and the loop ends after ``max_attempts`` crashes.
+                if beats is not None:
+                    dispatched = unresolved.intersection(futures.values())
+                    charged = _crashed(round_beats, dispatched) or dispatched
+                    for i in dispatched - charged:
+                        attempts[i] -= 1
+                retryable: set[int] = set()
+                for i in sorted(unresolved):
+                    if attempts[i] >= max_attempts:
+                        err = (
+                            "WorkerCrashed: worker process died mid-item "
+                            f"(attempt {attempts[i]}/{max_attempts})"
+                        )
+                        journal.item_failed(
+                            ctx, i, "worker", err,
+                            {"worker": "pool", "wall_s": 0.0},
+                        )
+                        if failures == "raise":
+                            journal.flush()
+                            raise SweepItemError(i, attempts[i], err)
+                    else:
+                        retryable.add(i)
+                unresolved = retryable
+        finally:
             if beats is not None:
-                charged = _crashed(round_beats, unresolved)
-                for i in unresolved.intersection(futures.values()) - charged:
-                    attempts[i] -= 1
-            retryable: set[int] = set()
-            for i in sorted(unresolved):
-                if attempts[i] >= max_attempts:
-                    err = (
-                        "WorkerCrashed: worker process died mid-item "
-                        f"(attempt {attempts[i]}/{max_attempts})"
-                    )
-                    journal.item_failed(
-                        ctx, i, "worker", err,
-                        {"worker": "pool", "wall_s": 0.0},
-                    )
-                    if failures == "raise":
-                        journal.flush()
-                        raise SweepItemError(i, attempts[i], err)
-                else:
-                    retryable.add(i)
-            unresolved = retryable
+                beats.close()
+                writer.close()

@@ -15,23 +15,23 @@ This module records what the fleet actually did, at item granularity:
   (timings, worker, RSS — honest measurements that naturally differ
   per execution). Canonical journal exports and registry content dumps
   carry only the content half.
-- **Heartbeats** — parallel workers publish periodic beats over a
-  side channel the parent drains while waiting on results; the serial
-  path self-beats between items. From beats plus completions the
-  recorder maintains per-worker lanes (items done, busy seconds,
-  current item, beat age).
+- **Heartbeats** — parallel workers write periodic beats into a pipe
+  the executor opens per parallel map and drains while waiting on
+  results; the serial path self-beats between items. From beats plus
+  completions the recorder maintains per-worker lanes (items done,
+  busy seconds, current item, beat age).
 - **Online ETA** — a work-conserving estimate: mean completed-item
   cost times remaining items, divided by the active worker count,
   minus credit for elapsed in-flight work.
 - **Straggler / stall detection** — in-flight items running longer
-  than ``stall_factor`` x the p95 completed cost are flagged
-  stragglers; workers silent past ``stall_after_s`` are flagged
+  than :data:`STALL_FACTOR` x the p95 completed cost are flagged
+  stragglers; workers silent past :data:`STALL_AFTER_S` are flagged
   stalled. Both surface as :class:`~repro.obs.checks.Verdict` rows so
   ``repro check --fleet`` can assert fleet health.
 
 With no recorder attached the executor runs the same dispatch loops
-against a null journal whose hooks do nothing, and starts no heartbeat
-``Manager`` process (a tier-1 test pins that).
+against a null journal whose hooks do nothing, and opens no heartbeat
+pipe.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import dataclasses
 import hashlib
 import json
 import pathlib
-import queue as queue_mod
 import time
 import typing as t
 
@@ -57,6 +56,18 @@ __all__ = [
     "read_journal",
     "journal_verdicts",
 ]
+
+#: Worker beat period, and the parent's heartbeat-drain cadence, seconds.
+HEARTBEAT_INTERVAL_S = 0.5
+#: An item is a straggler once its elapsed (in flight) or wall (in the
+#: journal) time exceeds ``max(STALL_MIN_S, STALL_FACTOR * p95)`` of the
+#: completed item costs.
+STALL_FACTOR = 4.0
+STALL_MIN_S = 2.0
+#: A worker is stalled once its last beat is older than this, seconds.
+STALL_AFTER_S = 10.0
+#: Minimum spacing of throttled progress snapshots, seconds.
+PROGRESS_INTERVAL_S = 0.25
 
 #: Content columns of a journal record, in canonical order. Everything
 #: else on :class:`ItemRecord` is telemetry (wall clocks, worker ids,
@@ -303,34 +314,21 @@ class FlightRecorder:
     progress:
         Optional callback receiving a :class:`FleetSnapshot` on every
         (throttled) update — the live dashboard hook.
-    heartbeat_interval_s:
-        Worker beat period, and the parent's queue-drain cadence.
-    stall_factor / stall_min_s:
-        An in-flight item is a straggler once its elapsed time exceeds
-        ``max(stall_min_s, stall_factor * p95(completed costs))``.
-    stall_after_s:
-        A worker is stalled once its last beat is older than this.
     """
+
+    #: The executor reads the beat period here, so it imports nothing
+    #: from ``repro.obs``.
+    heartbeat_interval_s = HEARTBEAT_INTERVAL_S
 
     def __init__(
         self,
         label: str = "sweep",
         registry: t.Any = None,
         progress: t.Callable[[FleetSnapshot], None] | None = None,
-        heartbeat_interval_s: float = 0.5,
-        stall_factor: float = 4.0,
-        stall_min_s: float = 2.0,
-        stall_after_s: float = 10.0,
-        progress_interval_s: float = 0.25,
     ):
         self.label = label
         self.registry = registry
         self.progress = progress
-        self.heartbeat_interval_s = heartbeat_interval_s
-        self.stall_factor = stall_factor
-        self.stall_min_s = stall_min_s
-        self.stall_after_s = stall_after_s
-        self.progress_interval_s = progress_interval_s
         self.records: list[ItemRecord] = []
         self.phases: list[PhaseState] = []
         self.workers: dict[str, WorkerLane] = {}
@@ -340,7 +338,6 @@ class FlightRecorder:
         self._durations: list[float] = []
         self._flushed = 0
         self._last_emit = -1.0
-        self._manager: t.Any = None
         self._finished = False
 
     # -- clock ----------------------------------------------------------
@@ -505,43 +502,21 @@ class FlightRecorder:
         self.flush()
         self._emit(force=True)
 
-    def close(self) -> None:
-        """Flush and release the heartbeat transport."""
-        if not self._finished:
-            self.finish()
-        if self._manager is not None:
-            try:
-                self._manager.shutdown()
-            except Exception:  # pragma: no cover - teardown race
-                pass
-            self._manager = None
-
     # -- heartbeats ------------------------------------------------------
-    def heartbeat_queue(self) -> t.Any:
-        """A picklable queue parallel workers beat into (lazy Manager)."""
-        if self._manager is None:
-            import multiprocessing
-
-            self._manager = multiprocessing.Manager()
-        return self._manager.Queue()
-
     def drain_heartbeats(self, ctx: _MapContext, beats: t.Any) -> dict[int, str]:
-        """Fold any queued worker beats into the lane states.
+        """Fold the worker beats waiting on ``beats`` into the lane states.
 
-        Returns the last lifecycle beat (``"start"`` or ``"done"``)
-        observed per item index, so the executor can tell the item a
-        broken pool died on (started, never done) from items that only
-        sat queued or finished before the pool broke.
+        ``beats`` is the read end of the executor's heartbeat pipe.
+        Returns the last lifecycle beat (``"start"``, ``"done"`` or
+        ``"abort"``) observed per item index, so the executor can tell
+        the item a broken pool died on (started, never done) from items
+        that only sat queued, finished before the pool broke, or were
+        cut short when the breaking pool terminated their worker.
         """
         phases: dict[int, str] = {}
-        if beats is None:
-            return phases
         now = self._now()
-        while True:
-            try:
-                msg = beats.get_nowait()
-            except (queue_mod.Empty, EOFError, OSError):
-                break
+        while beats.poll():
+            msg = beats.recv()
             worker = str(msg.get("worker", "?"))
             lane = self._lane(worker)
             lane.last_beat = now
@@ -553,9 +528,9 @@ class FlightRecorder:
                 ctx.worker_of[int(index)] = worker
                 lane.current_index = int(index)
                 lane.current_since = now
-            elif phase_tag == "done":
+            elif phase_tag in ("done", "abort"):
                 if index is not None:
-                    phases[int(index)] = "done"
+                    phases[int(index)] = phase_tag
                 if lane.current_index == index:
                     lane.current_index = None
                     lane.current_since = None
@@ -624,7 +599,7 @@ class FlightRecorder:
         p95 = self._p95()
         if p95 is None:
             return []
-        bound = max(self.stall_min_s, self.stall_factor * p95)
+        bound = max(STALL_MIN_S, STALL_FACTOR * p95)
         now = self._now()
         return sorted(
             w.current_index
@@ -635,7 +610,7 @@ class FlightRecorder:
         )
 
     def stalled_workers(self) -> list[str]:
-        """Workers whose last beat is older than ``stall_after_s``."""
+        """Workers whose last beat is older than :data:`STALL_AFTER_S`."""
         if self._finished:  # idle-after-finish is not a stall
             return []
         now = self._now()
@@ -644,7 +619,7 @@ class FlightRecorder:
             for name, w in self.workers.items()
             if name != "cache"
             and w.last_beat is not None
-            and now - w.last_beat > self.stall_after_s
+            and now - w.last_beat > STALL_AFTER_S
         )
 
     # -- snapshots / persistence ----------------------------------------
@@ -692,7 +667,7 @@ class FlightRecorder:
 
     def _emit(self, force: bool = False) -> None:
         now = self._now()
-        if not force and now - self._last_emit < self.progress_interval_s:
+        if not force and now - self._last_emit < PROGRESS_INTERVAL_S:
             return
         self._last_emit = now
         if self.registry is not None and (
@@ -706,20 +681,18 @@ class FlightRecorder:
     def verdicts(self) -> list[Verdict]:
         """Fleet-health verdicts over the live recorder state."""
         rows = [r.as_dict() for r in self.records]
-        out = journal_verdicts(
-            rows, stall_factor=self.stall_factor, stall_min_s=self.stall_min_s
-        )
+        out = journal_verdicts(rows)
         stalled = self.stalled_workers()
         out.append(
             Verdict(
                 monitor="fleet-worker-stall",
                 ok=not stalled,
                 detail=(
-                    f"workers silent past {self.stall_after_s:g}s: "
+                    f"workers silent past {STALL_AFTER_S:g}s: "
                     + ", ".join(stalled)
                     if stalled
                     else f"all {len(self.workers)} lane(s) beating within "
-                    f"{self.stall_after_s:g}s"
+                    f"{STALL_AFTER_S:g}s"
                 ),
                 events_seen=len(self.workers),
                 violations=len(stalled),
@@ -794,18 +767,14 @@ def read_journal(path: str | pathlib.Path) -> list[dict[str, t.Any]]:
     return rows
 
 
-def journal_verdicts(
-    rows: t.Sequence[t.Mapping[str, t.Any]],
-    stall_factor: float = 4.0,
-    stall_min_s: float = 2.0,
-) -> list[Verdict]:
+def journal_verdicts(rows: t.Sequence[t.Mapping[str, t.Any]]) -> list[Verdict]:
     """Fleet-health verdicts over journal rows (live or registry-read).
 
     - ``fleet-failures`` — fails if any item's outcome is ``failed``.
     - ``fleet-retries`` — always ok; reports items that needed more
       than one attempt (a dying worker that recovered on retry).
     - ``fleet-stragglers`` — fails if any executed item's wall time
-      exceeds ``max(stall_min_s, stall_factor * p95)`` of the executed
+      exceeds ``max(STALL_MIN_S, STALL_FACTOR * p95)`` of the executed
       cost distribution (needs >= 8 samples to be meaningful; fewer
       yields a vacuous pass).
     """
@@ -846,7 +815,7 @@ def journal_verdicts(
     )
     if len(walls) >= 8:
         p95 = walls[min(len(walls) - 1, int(0.95 * len(walls)))]
-        bound = max(stall_min_s, stall_factor * p95)
+        bound = max(STALL_MIN_S, STALL_FACTOR * p95)
         slow = [
             r for r in rows
             if r.get("status") == "executed"
@@ -858,10 +827,10 @@ def journal_verdicts(
                 ok=not slow,
                 detail=(
                     f"{len(slow)} item(s) ran past {bound:.2f}s "
-                    f"({stall_factor:g} x p95 {p95:.2f}s)"
+                    f"({STALL_FACTOR:g} x p95 {p95:.2f}s)"
                     if slow
                     else f"no item past {bound:.2f}s "
-                    f"({stall_factor:g} x p95 {p95:.2f}s)"
+                    f"({STALL_FACTOR:g} x p95 {p95:.2f}s)"
                 ),
                 events_seen=len(walls),
                 violations=len(slow),

@@ -6,19 +6,23 @@ callback raising after results settled — and asserts the journal tells
 the truth about each (outcome, stage, attempt counts) while the
 surviving results stay deterministic. With no recorder the same
 dispatch loops run against a null journal, so each raise test runs with
-the recorder on and off and expects the same error either way.
+the recorder on and off and expects the same error either way. The
+heartbeat pipe the attempt counts rest on is covered too: no server
+process, no worker left behind, no writer blocked past the map.
 """
 
 import contextlib
 import multiprocessing
 import os
+import pathlib
 import signal
+import time
 
 import pytest
 
 from repro.errors import ReproError
 from repro.exec import ResultCache, SweepExecutor
-from repro.exec.executor import SweepItemError, _crashed
+from repro.exec.executor import SweepItemError, _beat, _crashed
 from repro.obs.flight import FlightRecorder, journal_verdicts
 
 
@@ -35,6 +39,56 @@ def lethal(x: int) -> int:
     if x == 3:
         os.kill(os.getpid(), signal.SIGKILL)
     return x * 10
+
+
+def sigterm_self(x: int) -> int:
+    """Module-level worker fn: item 0 SIGTERMs its own process, as a
+    ``kill <pid>`` or a memory watchdog would from outside the pool."""
+    if x == 0:
+        os.kill(os.getpid(), signal.SIGTERM)
+    return x * 10
+
+
+def sleep_or_kill(item: tuple[str, str]) -> str:
+    """Module-level worker fn for the abort-beat test, synced by flag files.
+
+    ``"sleep"`` marks itself running, then sleeps in Python on its first
+    attempt (a retry returns at once). ``"kill"`` waits for that mark,
+    then SIGKILLs its own process on its first attempt, so the breaking
+    pool terminates the sleeper mid-item.
+    """
+    role, flags = item
+    first = _first_attempt(pathlib.Path(flags, role))
+    if role == "sleep":
+        if first:
+            time.sleep(60)
+        return role
+    running = pathlib.Path(flags, "sleep")
+    for _ in range(3000):
+        if running.exists():
+            break
+        time.sleep(0.01)
+    if first:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return role
+
+
+def flood_beats(x: int) -> int:
+    """Module-level worker fn: item 1 sends far more beats than a pipe
+    buffer holds, so it blocks unless the parent keeps draining."""
+    if x == 1:
+        time.sleep(0.3)
+        for _ in range(20000):
+            _beat("beat", x)
+    return x
+
+
+def _first_attempt(flag: pathlib.Path) -> bool:
+    try:
+        flag.touch(exist_ok=False)
+    except FileExistsError:
+        return False
+    return True
 
 
 def _failed(flight):
@@ -92,6 +146,45 @@ def test_parallel_no_recorder_starts_no_manager(monkeypatch):
     monkeypatch.setattr(multiprocessing, "Manager", no_manager)
     ex = SweepExecutor(jobs=2)
     assert ex.map(abs, [-1, -2, -3]) == [1, 2, 3]
+
+
+def test_parallel_recorder_starts_no_manager(monkeypatch):
+    """Workers beat to the parent over a pipe, not a Manager queue."""
+    def no_manager(*args, **kwargs):
+        raise AssertionError("recorded map started a Manager")
+
+    monkeypatch.setattr(multiprocessing, "Manager", no_manager)
+    ex = SweepExecutor(jobs=2, flight=FlightRecorder(label="t"))
+    assert ex.map(abs, [-1, -2, -3]) == [1, 2, 3]
+
+
+def test_parallel_recorded_map_leaves_no_child_process():
+    """A recorded parallel map reaps its workers and starts no server
+    process, so nothing outlives ``map`` (no ``close()`` to call)."""
+    before = set(multiprocessing.active_children())
+    ex = SweepExecutor(jobs=2, flight=FlightRecorder(label="t"))
+    assert ex.map(abs, [-1, -2, -3]) == [1, 2, 3]
+    assert [p for p in multiprocessing.active_children()
+            if p not in before] == []
+
+
+def test_full_heartbeat_pipe_releases_its_writer_when_map_raises(monkeypatch):
+    """Item 1 fills the pipe while the parent is stuck on item 0, then
+    the map raises. Closing the parent's ends must break the pipe (no
+    worker holds a read end), so the blocked writer gets BrokenPipeError
+    and its worker exits instead of hanging interpreter exit."""
+    def give_up(self, ctx, index, measure):
+        time.sleep(1.0)
+        raise RuntimeError("parent gave up")
+
+    monkeypatch.setattr(FlightRecorder, "item_finished", give_up)
+    before = set(multiprocessing.active_children())
+    ex = SweepExecutor(jobs=2, flight=FlightRecorder(label="t"))
+    with _deadline(30):
+        with pytest.raises(RuntimeError, match="parent gave up"):
+            ex.map(flood_beats, [0, 1])
+        while [p for p in multiprocessing.active_children() if p not in before]:
+            time.sleep(0.05)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -182,18 +275,68 @@ def test_sigkill_raise_mode_raises_sweep_item_error():
 def test_broken_pool_charges_only_items_without_done_beat():
     """Item 2 finished on a healthy worker (its result lost to the
     poisoned future); item 3 is the one the pool died on. Only 3 pays."""
-    import queue
-
-    beats = queue.Queue()
-    for worker, index, phase in (
-        ("w1", 2, "start"), ("w2", 3, "start"), ("w1", 2, "done"),
-    ):
-        beats.put({"worker": worker, "index": index, "phase": phase})
-    flight = FlightRecorder(label="t")
-    ctx = flight.begin_map(lethal, 6, None, jobs=2)
-    phases = flight.drain_heartbeats(ctx, beats)
+    beats, writer = multiprocessing.Pipe(duplex=False)
+    with beats, writer:
+        for worker, index, phase in (
+            ("w1", 2, "start"), ("w2", 3, "start"), ("w1", 2, "done"),
+        ):
+            writer.send({"worker": worker, "index": index, "phase": phase})
+        flight = FlightRecorder(label="t")
+        ctx = flight.begin_map(lethal, 6, None, jobs=2)
+        phases = flight.drain_heartbeats(ctx, beats)
+        assert not beats.poll()
     assert phases == {2: "done", 3: "start"}
     assert _crashed(phases, {2, 3, 4, 5}) == {3}
+
+
+def test_abort_beat_refunds_item_the_breaking_pool_terminated(tmp_path):
+    """Item 1 SIGKILLs its worker while item 0 sleeps on the other one.
+    The breaking pool SIGTERMs the sleeper, whose abort beat refunds
+    its attempt: only the killer is charged and reported."""
+    raising, keeping = tmp_path / "raise", tmp_path / "keep"
+    raising.mkdir()
+    keeping.mkdir()
+
+    flight = FlightRecorder(label="t")
+    items = [("sleep", str(raising)), ("kill", str(raising))]
+    with _deadline(60), pytest.raises(SweepItemError) as excinfo:
+        SweepExecutor(jobs=2, flight=flight).map(sleep_or_kill, items)
+    assert excinfo.value.index == 1
+    assert "WorkerCrashed" in excinfo.value.error
+
+    flight = FlightRecorder(label="t")
+    items = [("sleep", str(keeping)), ("kill", str(keeping))]
+    with _deadline(60):
+        out = SweepExecutor(jobs=2, flight=flight, retries=1).map(
+            sleep_or_kill, items, failures="keep"
+        )
+    assert out == ["sleep", "kill"]
+    attempts = {r.index: r.attempts for r in flight.records}
+    assert attempts == {0: 1, 1: 2}
+
+
+def test_outside_sigterm_abort_is_still_charged():
+    """A worker SIGTERMed from outside the pool sends an abort beat like
+    one the breaking pool terminated. A round whose beats charge no item
+    charges every dispatched one, so ``retries`` still bounds the sweep,
+    with or without a recorder."""
+    for flight in (FlightRecorder(label="t"), None):
+        ex = SweepExecutor(jobs=2, flight=flight, retries=1)
+        with _deadline(60), pytest.raises(SweepItemError) as excinfo:
+            ex.map(sigterm_self, list(range(3)))
+        assert excinfo.value.index == 0
+        assert excinfo.value.attempts == 2
+        assert "WorkerCrashed" in excinfo.value.error
+
+    flight = FlightRecorder(label="t")
+    ex = SweepExecutor(jobs=2, flight=flight, retries=1)
+    with _deadline(60):
+        out = ex.map(sigterm_self, list(range(3)), failures="keep")
+    assert out[0] is None
+    killer = [r for r in _failed(flight) if r.index == 0]
+    assert len(killer) == 1
+    assert killer[0].attempts == 2
+    assert "WorkerCrashed" in killer[0].error
 
 
 @pytest.mark.parametrize("flight_on", [False, True])

@@ -145,7 +145,11 @@ class Transfer:
     duration_s:
         Startup + wire time.
     done:
-        Event firing with this :class:`Transfer` at ``start_s + duration_s``.
+        Event firing with ``None`` at ``start_s + duration_s``. It does
+        not carry the transfer back: ``done._value is transfer`` would
+        be a Transfer <-> done reference cycle on every transaction,
+        left for the cyclic collector. Callers already hold the
+        transfer from the grant and write a bare ``yield transfer.done``.
     """
 
     message: t.Any
@@ -312,7 +316,7 @@ class SerialLink:
             )
             send.event.succeed(transfer)
             recv.event.succeed(transfer)
-            transfer.done.succeed(transfer, delay=duration)
+            transfer.done.succeed(None, delay=duration)
             self.transfer_count[direction] += 1
             self.bytes_moved[direction] += send.payload_bytes
             if self.obs is not None:

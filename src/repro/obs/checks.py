@@ -473,9 +473,22 @@ def replay(
 
     Offline counterpart of ``log.attach(monitor)``: identical monitor
     code paths, so a cached run re-checked later yields the same
-    verdicts a live tap would have produced.
+    verdicts a live tap would have produced. A log is read with
+    :meth:`~repro.obs.events.EventLog.stream`, so the pass leaves no
+    materialized records behind and builds only the events some
+    monitor inspects: the union of their :attr:`InvariantMonitor.kinds`
+    plus ``log.truncated``, which every monitor notes.
     """
-    records = log.records if isinstance(log, EventLog) else log
+    if isinstance(log, EventLog):
+        kinds: set[str] | None = {"log.truncated"}
+        for monitor in monitors:
+            if not monitor.kinds:
+                kinds = None
+                break
+            kinds.update(monitor.kinds)
+        records = log.stream(kinds)
+    else:
+        records = log
     for event in records:
         for monitor in monitors:
             monitor.observe(event)

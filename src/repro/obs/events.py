@@ -16,6 +16,15 @@ contract deterministically: a run with events off stores, buffers and
 drops no records and makes no energy-ledger adds, while its metrics
 stay live. Wall time is left to the end-to-end benchmark.
 
+Storage
+-------
+Emitted events go to a columnar buffer (parallel ``kind``/``ts``/
+``actor``/``data`` lists), not to per-event objects; they become
+:class:`TelemetryEvent` records only when read as such. The buffer
+adds no objects for the cyclic collector to track, and
+:meth:`EventLog.digest` and :meth:`EventLog.stream` read it without
+materializing anything.
+
 Event kinds are dotted strings, namespaced by layer:
 
 =====================  ====================================================
@@ -54,6 +63,9 @@ figures, reports and trace exporters.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import itertools
+import json
 import typing as t
 
 __all__ = ["TelemetryEvent", "EventLog", "NULL_LOG", "discharge_curves"]
@@ -131,51 +143,86 @@ class EventLog:
     the log fills. Taps are live-run machinery: they are not pickled
     with the log and not part of its serialized form.
 
-    Internally, emissions are buffered as raw field tuples and only
-    materialized into :class:`TelemetryEvent` objects when the log is
-    *read* (``records``, iteration, queries, serialization) — frozen
+    Internally, the stored stream is a prefix of materialized
+    :class:`TelemetryEvent` objects followed by a columnar buffer: four
+    parallel ``kind``/``ts``/``actor``/``data`` lists. :meth:`emit`
+    appends to the columns; an event is materialized only when the log
+    is *read* as objects (``records``, iteration, queries). Frozen
     dataclass construction is the single largest cost of full telemetry
-    on a hot run, and most recorded events are never individually
-    inspected. Attaching a tap forces eager construction, since taps
-    must observe real events online.
+    on a hot run, and a per-event container would stay tracked by the
+    cyclic collector for the life of the log: a tuple holding a dict is
+    never untracked, while a ``data`` dict of atomic values in a list
+    is not tracked at all. :meth:`digest` and :meth:`stream` read the
+    columns without materializing them. Attaching a tap forces eager
+    construction, since taps must observe real events online.
     """
 
-    __slots__ = ("enabled", "max_events", "_records", "_pending", "dropped", "_taps")
+    __slots__ = (
+        "enabled", "max_events", "_records",
+        "_kinds", "_ts", "_actors", "_data", "dropped", "_taps",
+    )
 
     def __init__(self, enabled: bool = True, max_events: int = 1_000_000):
         self.enabled = enabled
         self.max_events = max_events
         self._records: list[TelemetryEvent] = []
-        self._pending: list[tuple[str, float, str, dict[str, t.Any]]] = []
+        self._kinds: list[str] = []
+        self._ts: list[float] = []
+        self._actors: list[str] = []
+        self._data: list[dict[str, t.Any]] = []
         self.dropped = 0
         self._taps: list[t.Any] = []
 
     @property
     def records(self) -> list[TelemetryEvent]:
-        """All stored events, materializing any lazily-buffered ones."""
-        if self._pending:
+        """All stored events, materializing any buffered ones."""
+        if self._kinds:
             self._flush()
         return self._records
 
     @records.setter
     def records(self, value: list[TelemetryEvent]) -> None:
         self._records = value
-        self._pending = []
+        self._clear_columns()
 
     def _flush(self) -> None:
-        append = self._records.append
-        for kind, ts, actor, data in self._pending:
-            append(TelemetryEvent(kind, ts, actor, data))
-        self._pending.clear()
+        self._records.extend(
+            map(TelemetryEvent, self._kinds, self._ts, self._actors, self._data)
+        )
+        self._clear_columns()
+
+    def _clear_columns(self) -> None:
+        self._kinds.clear()
+        self._ts.clear()
+        self._actors.clear()
+        self._data.clear()
 
     def __bool__(self) -> bool:
         return self.enabled
 
     def __len__(self) -> int:
-        return len(self._records) + len(self._pending)
+        return len(self._records) + len(self._kinds)
 
     def __iter__(self) -> t.Iterator[TelemetryEvent]:
         return iter(self.records)
+
+    def stream(
+        self, kinds: t.Container[str] | None = None
+    ) -> t.Iterator[TelemetryEvent]:
+        """Stored events in order (only ``kinds``, if given), uncached.
+
+        Buffered events are built one at a time and dropped after use,
+        so a single pass over a long log (a monitor replay) does not
+        leave the log holding an object per event the way
+        :attr:`records` does; with ``kinds``, events of other kinds are
+        never built at all.
+        """
+        for event in self._records:
+            if kinds is None or event.kind in kinds:
+                yield event
+        for kind, ts, actor, data in zip(self._kinds, self._ts, self._actors, self._data):
+            if kinds is None or kind in kinds:
+                yield TelemetryEvent(kind, ts, actor, data)
 
     def emit(self, kind: str, ts: float, actor: str = "", **data: t.Any) -> None:
         """Publish one event (no-op when disabled; counted when full)."""
@@ -184,8 +231,8 @@ class EventLog:
         taps = self._taps
         if taps:
             event = TelemetryEvent(kind, ts, actor, data)
-            if len(self._records) + len(self._pending) < self.max_events:
-                if self._pending:
+            if len(self._records) + len(self._kinds) < self.max_events:
+                if self._kinds:
                     self._flush()
                 self._records.append(event)
             else:
@@ -193,8 +240,11 @@ class EventLog:
             for tap in taps:
                 tap.observe(event)
             return
-        if len(self._records) + len(self._pending) < self.max_events:
-            self._pending.append((kind, ts, actor, data))
+        if len(self._records) + len(self._kinds) < self.max_events:
+            self._kinds.append(kind)
+            self._ts.append(ts)
+            self._actors.append(actor)
+            self._data.append(data)
         else:
             self.dropped += 1
 
@@ -202,8 +252,8 @@ class EventLog:
         """Publish an already-built event (same gating as :meth:`emit`)."""
         if not self.enabled:
             return
-        if len(self._records) + len(self._pending) < self.max_events:
-            if self._pending:
+        if len(self._records) + len(self._kinds) < self.max_events:
+            if self._kinds:
                 self._flush()
             self._records.append(event)
         else:
@@ -232,13 +282,17 @@ class EventLog:
         if not self.enabled or not self.dropped:
             return
         data = {"dropped": self.dropped}
-        if self._pending and self._pending[-1][0] == "log.truncated":
-            self._pending[-1] = ("log.truncated", ts, "", data)
+        if self._kinds and self._kinds[-1] == "log.truncated":
+            self._ts[-1] = ts
+            self._data[-1] = data
             return
-        if not self._pending and self._records and self._records[-1].kind == "log.truncated":
+        if not self._kinds and self._records and self._records[-1].kind == "log.truncated":
             self._records[-1] = TelemetryEvent("log.truncated", ts, "", data)
             return
-        self._pending.append(("log.truncated", ts, "", data))
+        self._kinds.append("log.truncated")
+        self._ts.append(ts)
+        self._actors.append("")
+        self._data.append(data)
 
     # -- streaming subscribers -------------------------------------------
     def attach(self, tap: t.Any) -> t.Any:
@@ -269,13 +323,13 @@ class EventLog:
     def counts_by_kind(self) -> dict[str, int]:
         """kind -> number of records, sorted by kind (deterministic).
 
-        Reads the lazy buffer directly — summarizing a run must not
-        force every buffered event to materialize.
+        Reads the columns directly — summarizing a run must not force
+        every buffered event to materialize.
         """
         counts: dict[str, int] = {}
         for event in self._records:
             counts[event.kind] = counts.get(event.kind, 0) + 1
-        for kind, _ts, _actor, _data in self._pending:
+        for kind in self._kinds:
             counts[kind] = counts.get(kind, 0) + 1
         return dict(sorted(counts.items()))
 
@@ -285,7 +339,7 @@ class EventLog:
         for event in self._records:
             if event.actor and event.actor not in seen:
                 seen[event.actor] = None
-        for _kind, _ts, actor, _data in self._pending:
+        for actor in self._actors:
             if actor and actor not in seen:
                 seen[actor] = None
         return list(seen)
@@ -293,7 +347,7 @@ class EventLog:
     def clear(self) -> None:
         """Drop all records (the cap and enabled flag are unchanged)."""
         self._records.clear()
-        self._pending.clear()
+        self._clear_columns()
         self.dropped = 0
 
     # -- serialization ---------------------------------------------------
@@ -306,31 +360,88 @@ class EventLog:
             "records": [e.as_dict() for e in self.records],
         }
 
+    def digest(self) -> str:
+        """SHA-256 hex digest of the canonical JSON of :meth:`as_dict`.
+
+        Byte-for-byte the digest of ``json.dumps(log.as_dict(),
+        sort_keys=True, separators=(",", ":"))``, computed in chunks of
+        :data:`_DIGEST_CHUNK` records straight from the stored prefix and
+        the columns: no record is materialized and the whole document is
+        never held in memory. Only a chunk's transient dicts are built,
+        and reference counting frees them.
+        """
+        encode = _CANONICAL.encode
+        head = encode({
+            "enabled": self.enabled,
+            "max_events": self.max_events,
+            "dropped": self.dropped,
+            "records": [],
+        })
+        # "records" sorts last, so the header ends in '"records":[]}':
+        # hash it up to the '[', then the records, then the closing ']}'.
+        sha = hashlib.sha256(head[:-2].encode("utf-8"))
+        rows = itertools.chain(
+            (e.as_dict() for e in self._records),
+            (
+                {"kind": kind, "ts": ts, "actor": actor, "data": data}
+                for kind, ts, actor, data in zip(
+                    self._kinds, self._ts, self._actors, self._data
+                )
+            ),
+        )
+        sep = ""
+        while chunk := list(itertools.islice(rows, _DIGEST_CHUNK)):
+            sha.update((sep + encode(chunk)[1:-1]).encode("utf-8"))
+            sep = ","
+        sha.update(b"]}")
+        return sha.hexdigest()
+
     @classmethod
     def from_dict(cls, payload: t.Mapping[str, t.Any]) -> "EventLog":
-        """Rebuild a log (records included) from :meth:`as_dict` output."""
+        """Rebuild a log (records included) from :meth:`as_dict` output.
+
+        The records land in the columns, like freshly emitted ones.
+        """
         log = cls(
             enabled=payload.get("enabled", True),
             max_events=payload.get("max_events", 1_000_000),
         )
-        log.records = [TelemetryEvent.from_dict(r) for r in payload.get("records", [])]
+        for r in payload.get("records", []):
+            log._kinds.append(r["kind"])
+            log._ts.append(r["ts"])
+            log._actors.append(r.get("actor", ""))
+            log._data.append(dict(r.get("data", {})))
         log.dropped = payload.get("dropped", 0)
         return log
 
     # -- pickling ---------------------------------------------------------
     # Taps are live-run subscribers (monitors holding arbitrary state);
-    # a log shipped home from a worker or a cache payload carries only
-    # its records.
+    # a log shipped home from a worker carries only its stored stream,
+    # as it is: the materialized prefix and the columns.
     def __getstate__(self) -> tuple:
-        return (self.enabled, self.max_events, self.records, self.dropped)
+        return (
+            self.enabled, self.max_events, self.dropped, self._records,
+            self._kinds, self._ts, self._actors, self._data,
+        )
 
     def __setstate__(self, state: tuple) -> None:
-        self.enabled, self.max_events, self.records, self.dropped = state
+        (self.enabled, self.max_events, self.dropped, self._records,
+         self._kinds, self._ts, self._actors, self._data) = state
         self._taps = []
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "on" if self.enabled else "off"
         return f"<EventLog {state} n={len(self)} dropped={self.dropped}>"
+
+
+#: Records per encoder call in :meth:`EventLog.digest`: large enough that
+#: per-call overhead vanishes, small enough that a chunk's transient
+#: dicts and text stay a few hundred kilobytes.
+_DIGEST_CHUNK = 2048
+
+#: The canonical JSON form that :meth:`EventLog.digest` hashes; the same
+#: settings as ``repro.obs.store._canonical_json``.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 #: Shared always-off log for call sites that want an object, not None.

@@ -259,8 +259,8 @@ def build_run_record(
     if run.obs is not None:
         metrics = run.obs.metrics.as_dict()
         if run.obs.events:
-            events_json = _canonical_json(run.obs.events.as_dict())
-            event_digest = hashlib.sha256(events_json.encode("utf-8")).hexdigest()
+            # sha256 of _canonical_json(events.as_dict()), streamed.
+            event_digest = run.obs.events.digest()
             n_events = len(run.obs.events)
 
     run_id = hashlib.sha256(

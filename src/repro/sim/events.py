@@ -151,28 +151,47 @@ class Timeout(Event):
 
 
 class _Condition(Event):
-    """Shared machinery for :class:`AnyOf` / :class:`AllOf`."""
+    """Shared machinery for :class:`AnyOf` / :class:`AllOf`.
+
+    A condition registers its bound ``_observe`` on every constituent it
+    still waits for, which is a reference cycle (condition -> events ->
+    constituent -> callbacks -> condition) for as long as a constituent
+    is pending. Once the condition triggers, :meth:`_detach` removes the
+    callback from every constituent that has not fired yet, so a
+    per-frame ``any_of([grant, timer])`` is freed by reference counting
+    instead of by the cyclic collector, and a long-lived constituent
+    (an event fired once per run) does not accumulate dead callbacks.
+    """
 
     __slots__ = ("events", "_pending")
 
     def __init__(self, sim: "Simulator", events: t.Sequence[Event]):
         super().__init__(sim)
         self.events = list(events)
-        self._pending = 0
+        self._pending = len(self.events)
         for event in self.events:
             if event.sim is not sim:
                 raise SimulationError("all events must belong to the same simulator")
         for event in self.events:
+            if self.triggered:
+                break
             if event.processed:
                 self._observe(event)
             else:
-                self._pending += 1
                 event.add_callback(self._observe)
         self._check_empty()
 
     def _check_empty(self) -> None:
         if not self.events and not self.triggered:
             self.succeed(self._result())
+
+    def _detach(self) -> None:
+        """Remove every registration of ``_observe`` from the constituents."""
+        observe = self._observe
+        for event in self.events:
+            callbacks = event.callbacks
+            if callbacks and observe in callbacks:
+                callbacks[:] = [cb for cb in callbacks if cb != observe]
 
     def _observe(self, event: Event) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -204,6 +223,7 @@ class AnyOf(_Condition):
             self.fail(event._exception)  # type: ignore[arg-type]
         else:
             self.succeed(self._result())
+        self._detach()
 
 
 class AllOf(_Condition):
@@ -220,6 +240,7 @@ class AllOf(_Condition):
             return
         if not event.ok:
             self.fail(event._exception)  # type: ignore[arg-type]
+            self._detach()
             return
         self._pending -= 1
         if self._pending <= 0:

@@ -356,6 +356,28 @@ class TestStreamingEquivalence:
         ]
         assert streamed == replayed
 
+    @pytest.mark.parametrize("max_events", [1_000_000, 300])
+    def test_replay_builds_only_monitored_kinds(self, max_events):
+        """Replaying a log equals a pass over every record, truncated or not."""
+        spec = PAPER_EXPERIMENTS["2B"]
+        run = run_experiment(
+            spec,
+            battery_factory=tiny_battery_factory,
+            telemetry=Telemetry(max_events=max_events),
+            monitor_interval_s=60.0,
+        )
+        log = run.obs.events
+        assert bool(log.dropped) == (max_events == 300)
+        every = [v.as_dict() for v in replay(list(log.stream()), paper_monitors(spec))]
+        replayed = [v.as_dict() for v in replay(log, paper_monitors(spec))]
+        assert replayed == every
+        assert log._records == []  # nothing materialized and kept
+        monitored = {"battery.draw", "log.truncated"}
+        assert {e.kind for e in log.stream(monitored)} <= monitored
+        assert len(list(log.stream(monitored))) == sum(
+            log.counts_by_kind().get(kind, 0) for kind in monitored
+        )
+
     def test_taps_see_events_dropped_by_the_storage_cap(self):
         log = EventLog(max_events=2)
         monitor = ChargeMonotonicMonitor()

@@ -75,7 +75,7 @@ class TestEventLog:
 
 
 class TestLazyMaterialization:
-    """Emissions buffer as raw tuples until the log is actually read."""
+    """Emissions buffer in columns until the log is read as objects."""
 
     def test_emit_defers_event_construction(self):
         log = EventLog()
@@ -103,7 +103,7 @@ class TestLazyMaterialization:
         assert log.counts_by_kind() == {"a": 2, "b": 1}
         assert log.actors() == ["x", "y"]
         assert len(log) == 3
-        assert log._records == []  # still raw tuples
+        assert log._records == []  # still in the columns
 
     def test_mixed_buffered_and_materialized_reads_stay_ordered(self):
         log = EventLog()
@@ -151,3 +151,41 @@ class TestLazyMaterialization:
         clone = pickle.loads(pickle.dumps(log))
         assert clone.records == log.records
         assert EventLog.from_dict(log.as_dict()).records == log.records
+
+    def test_pickle_round_trip_keeps_the_columns(self):
+        import pickle
+
+        log = EventLog(max_events=4)
+        log.emit("a", 0.5, "x", n=1)
+        _ = log.records  # a materialized prefix ...
+        log.emit("b", 1.5, "y", s="t")  # ... then buffered events
+        log.emit("c", 2.5, "")
+        log.emit("d", 3.5, "z")
+        log.emit("e", 4.5, "z")  # dropped
+        log.seal(5.0)
+        clone = pickle.loads(pickle.dumps(log))
+        assert len(clone._records) == 1  # materialized nothing new
+        assert clone._kinds == ["b", "c", "d", "log.truncated"]
+        assert clone.digest() == log.digest()
+        assert clone.as_dict() == log.as_dict()
+        assert clone.records == log.records
+        assert (clone.dropped, clone.enabled, clone.max_events) == (1, True, 4)
+
+    def test_from_dict_fills_the_columns(self):
+        log = EventLog()
+        log.emit("a", 0.5, "x", n=1)
+        log.record(TelemetryEvent("b", 1.0, "y", {"s": "t"}))
+        clone = EventLog.from_dict(log.as_dict())
+        assert clone._records == []
+        assert clone.digest() == log.digest()
+        assert clone.records == log.records
+
+    def test_stream_does_not_cache_materialized_events(self):
+        log = EventLog()
+        log.emit("a", 0.0, "x", n=1)
+        _ = log.records
+        log.emit("b", 1.0, "y", n=2)
+        streamed = list(log.stream())
+        assert [(e.kind, e.data) for e in streamed] == [("a", {"n": 1}), ("b", {"n": 2})]
+        assert len(log._records) == 1 and log._kinds == ["b"]
+        assert streamed == log.records

@@ -123,3 +123,69 @@ class TestAllOf:
         cond = sim.all_of([a])
         sim.run()
         assert cond.value == {a: "a"}
+
+
+def _observers(cond, events):
+    """How many times ``cond._observe`` is still registered on ``events``."""
+    observe = cond._observe
+    return sum(
+        1 for ev in events for cb in (ev.callbacks or []) if cb == observe
+    )
+
+
+class TestConditionDetach:
+    """A triggered condition leaves no callback behind on its constituents.
+
+    A registration left on a pending constituent is a reference cycle
+    (condition -> events -> constituent -> callbacks -> condition) that
+    only the cyclic collector can free.
+    """
+
+    def test_any_of_detaches_from_the_loser(self, sim):
+        a, b = sim.timeout(1.0, "a"), sim.timeout(2.0, "b")
+        cond = sim.any_of([a, b])
+        sim.run(until=cond)
+        assert not b.processed
+        assert _observers(cond, [a, b]) == 0
+
+    def test_any_of_with_processed_first_constituent(self, sim):
+        done = sim.timeout(1.0, "done")
+        sim.run()
+        pending = sim.event()
+        cond = sim.any_of([done, pending])
+        assert cond.triggered
+        assert _observers(cond, [pending]) == 0
+        sim.run()
+        assert cond.value == {done: "done"}
+
+    def test_all_of_with_processed_first_constituent_waits(self, sim):
+        done = sim.timeout(1.0, "done")
+        sim.run()
+        later = sim.timeout(2.0, "later")
+        cond = sim.all_of([done, later])
+        assert not cond.triggered
+        sim.run(until=cond)
+        assert sim.now == 3.0
+        assert cond.value == {done: "done", later: "later"}
+
+    def test_any_of_duplicated_constituent(self, sim):
+        a, b = sim.timeout(1.0, "a"), sim.event()
+        cond = sim.any_of([b, a, b])
+        assert _observers(cond, [b]) == 2
+        sim.run(until=cond)
+        assert _observers(cond, [a, b]) == 0
+
+    def test_all_of_failure_detaches_every_duplicate(self, sim):
+        a, b = sim.event(), sim.event()
+        cond = sim.all_of([b, a, b])
+        a.fail(RuntimeError("x"))
+        sim.run(until=cond)
+        assert not cond.ok
+        assert _observers(cond, [a, b]) == 0
+
+    def test_all_of_duplicated_constituent_counts_each_listing(self, sim):
+        a = sim.timeout(1.0, "a")
+        cond = sim.all_of([a, a])
+        sim.run(until=cond)
+        assert cond.value == {a: "a"}
+        assert _observers(cond, [a]) == 0

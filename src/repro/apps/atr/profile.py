@@ -202,7 +202,6 @@ def measure_profile(
     repeats: int = 5,
     itsy_total_seconds: float = 1.1,
     frames: int = 1,
-    obs: t.Any = None,
 ) -> TaskProfile:
     """Derive a :class:`TaskProfile` by timing the real blocks.
 
@@ -224,12 +223,6 @@ def measure_profile(
     Itsy's code was — which is precisely why the paper-faithful
     experiments use :data:`PAPER_PROFILE` and this function exists for
     methodology demonstrations.
-
-    Pass a :class:`repro.obs.Telemetry` as ``obs`` to record every
-    repeat of every block as a profiling span — the registry then holds
-    a per-block latency histogram (``span.target_detection``,
-    ``span.fft``, ...) over all ``repeats`` timings, not just the
-    median the profile keeps.
     """
     if frames < 1:
         raise ConfigurationError(f"frames must be >= 1, got {frames}")
@@ -238,31 +231,22 @@ def measure_profile(
     rng = np.random.default_rng(seed)
     scenes = [generate_scene(spec, rng) for _ in range(frames)]
 
-    def median_time(name: str, fn: t.Callable[[], t.Any]) -> tuple[float, t.Any]:
+    def median_time(fn: t.Callable[[], t.Any]) -> tuple[float, t.Any]:
         times = []
         result = None
-        for rep in range(max(1, repeats)):
-            if obs is not None:
-                with obs.span(name, repeat=rep, frames=frames):
-                    t0 = time.perf_counter()
-                    result = fn()
-                    times.append(time.perf_counter() - t0)
-            else:
-                t0 = time.perf_counter()
-                result = fn()
-                times.append(time.perf_counter() - t0)
+        for _ in range(max(1, repeats)):
+            t0 = time.perf_counter()
+            result = fn()
+            times.append(time.perf_counter() - t0)
         return float(np.median(times)), result
 
     t_detect, regions_per_frame = median_time(
-        "target_detection",
-        lambda: [pipeline.stage_detect(scene.image) for scene in scenes],
+        lambda: [pipeline.stage_detect(scene.image) for scene in scenes]
     )
     regions = [roi for frame in regions_per_frame for roi in frame]
-    t_fft, spectra = median_time("fft", lambda: pipeline.stage_fft(regions))
-    t_ifft, peaks = median_time("ifft", lambda: pipeline.stage_ifft(spectra))
-    t_dist, records = median_time(
-        "compute_distance", lambda: pipeline.stage_distance(peaks)
-    )
+    t_fft, spectra = median_time(lambda: pipeline.stage_fft(regions))
+    t_ifft, peaks = median_time(lambda: pipeline.stage_ifft(spectra))
+    t_dist, records = median_time(lambda: pipeline.stage_distance(peaks))
 
     def payload(objects: t.Any, fallback: int) -> int:
         try:

@@ -539,7 +539,8 @@ def batch_sweep(
     bit-identical across serial, parallel, and cache-replayed runs.
     Telemetry (``batch.epoch`` events when ``events=True``, ``batch.*``
     counters always) rides home inside each chunk payload and is folded
-    into ``obs`` in input order. An optional
+    into ``obs`` in input order, so ``obs`` is the same on cold,
+    cache-replayed and parallel runs. An optional
     :class:`~repro.obs.flight.FlightRecorder` (``flight=``) journals
     each chunk and streams live progress.
     """
@@ -556,7 +557,7 @@ def batch_sweep(
         keys = [cache.key_for("batch_sweep", "v4", item) for item in items]
     if flight is not None:
         flight.phase("batch", total=len(items))
-    executor = SweepExecutor(jobs=jobs, cache=cache, obs=obs, flight=flight)
+    executor = SweepExecutor(jobs=jobs, cache=cache, flight=flight)
     payloads = executor.map(
         _chunk_job,
         items,

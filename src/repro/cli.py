@@ -24,7 +24,9 @@ Exposes the reproduction as a set of subcommands::
     python -m repro calibrate          # re-run the model calibration
     python -m repro profile --frames 8 # time the real ATR blocks (Fig. 6)
 
-All output is plain text; ``--csv``/``--json`` export structured rows.
+All output is plain text; ``--export PATH`` writes the structured rows
+to a ``.csv`` or ``.json`` file (``repro trace --export`` instead picks
+a ``chrome``, ``jsonl`` or ``csv`` telemetry export).
 ``--fast`` swaps in quarter-capacity cells for quick demos (ratios
 compress a little at reduced scale — see the battery-model ablation).
 
@@ -333,7 +335,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             out,
             trace=trace,
             events=run.obs.events,
-            spans=run.obs.spans,
             label=f"repro {label}",
         )
     elif args.export == "jsonl":
@@ -341,7 +342,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             out,
             trace=trace,
             events=run.obs.events,
-            spans=run.obs.spans,
             metrics=run.obs.metrics,
             energy=run.obs.energy,
         )
@@ -356,8 +356,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
           f"{n_events} events)")
     if run.obs.events.dropped:
         print(f"warning: event log truncated — {run.obs.events.dropped} "
-              "events dropped past the storage cap (raise max_events "
-              "or bound --frames)", file=sys.stderr)
+              "events dropped past the storage cap (lower --frames)",
+              file=sys.stderr)
     return 0
 
 

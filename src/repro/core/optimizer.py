@@ -29,7 +29,7 @@ from repro.core.policies import (
     DVSPolicy,
     SlowestFeasiblePolicy,
 )
-from repro.core.prediction import role_duty_cycle
+from repro.core.prediction import predict_role_lifetime_hours, role_duty_cycle
 from repro.errors import ConfigurationError, InfeasiblePartitionError
 from repro.hw.battery.kibam import KiBaMParameters, PAPER_KIBAM_PARAMETERS
 from repro.hw.dvs import SA1100_TABLE, DVSTable
@@ -219,7 +219,7 @@ def optimize_configuration(
                     plans, table
                 )
                 per_stage = tuple(
-                    predicted_lifetime_hours_for_role(
+                    predict_role_lifetime_hours(
                         role, timing, deadline_s, battery, power_model, table
                     )
                     for role in roles
@@ -267,17 +267,3 @@ def optimize_configuration(
     )
     return sorted(candidates, key=key, reverse=True)
 
-
-def predicted_lifetime_hours_for_role(
-    role: RoleConfig,
-    timing: TransactionTiming,
-    deadline_s: float,
-    battery: KiBaMParameters,
-    power_model: PowerModel,
-    table: DVSTable,
-) -> float:
-    """One stage's steady-state lifetime (thin wrapper for the optimizer)."""
-    anchor = Anchor(
-        "stage", role_duty_cycle(role, timing, deadline_s), 0.0
-    )
-    return predicted_lifetime_hours(anchor, battery, power_model, table)

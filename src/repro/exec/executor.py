@@ -30,7 +30,6 @@ lost sweep.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import multiprocessing
 import os
@@ -270,13 +269,6 @@ class SweepExecutor:
     cache:
         Optional :class:`ResultCache`. Only items given a key are
         cached; see :meth:`map`.
-    obs:
-        Optional :class:`repro.obs.Telemetry` bundle. Each
-        :meth:`map` call is recorded as a ``sweep.map`` span and the
-        registry accumulates ``sweep.items`` / ``sweep.executed`` /
-        ``sweep.cache_hits`` counters, so sweeps aggregate per-run
-        accounting deterministically across worker processes (the
-        counters are derived from input order, never from scheduling).
     flight:
         Optional :class:`~repro.obs.flight.FlightRecorder`. When
         attached, ``map`` journals every item, collects worker
@@ -298,6 +290,15 @@ class SweepExecutor:
         item (say, a worker SIGTERMed from outside the pool). Either
         way a sweep gives up after ``1 + retries`` crashed rounds.
 
+    Notes
+    -----
+    The executor records no telemetry of its own. Per-call counts
+    (items, executed, cache hits, wall time) are in :attr:`stats` and
+    :attr:`lifetime`, and per-item wall-clock records go to the flight
+    journal. Simulation telemetry rides home inside each item's result,
+    so it is the same whether an item ran serially, in a worker, or
+    came from the cache.
+
     Examples
     --------
     >>> ex = SweepExecutor(jobs=1)
@@ -309,13 +310,11 @@ class SweepExecutor:
         self,
         jobs: int = 1,
         cache: ResultCache | None = None,
-        obs: t.Any = None,
         flight: t.Any = None,
         retries: int = 0,
     ):
         self.jobs = max(1, int(jobs))
         self.cache = cache
-        self.obs = obs
         self.flight = flight
         self.retries = max(0, int(retries))
         self.stats = SweepStats()
@@ -385,83 +384,72 @@ class SweepExecutor:
             raise ValueError(f"failures must be 'raise' or 'keep', got {failures!r}")
         if failures == "keep" and self.flight is None:
             raise ValueError("failures='keep' requires a flight recorder")
-        span = (
-            self.obs.span("sweep.map", items=len(items), jobs=self.jobs)
-            if self.obs is not None
-            else contextlib.nullcontext()
-        )
         journal = self.flight if self.flight is not None else _NULL_JOURNAL
-        with span:
-            started = time.perf_counter()
-            n = len(items)
-            results: list[t.Any] = [None] * n
-            settled: list[bool] = [False] * n  # terminal success (hit or executed)
-            ctx = journal.begin_map(fn, n, keys, jobs=self.jobs)
+        started = time.perf_counter()
+        n = len(items)
+        results: list[t.Any] = [None] * n
+        settled: list[bool] = [False] * n  # terminal success (hit or executed)
+        ctx = journal.begin_map(fn, n, keys, jobs=self.jobs)
 
-            cache = self.cache
-            pending: list[int] = []
-            for i, item in enumerate(items):
-                journal.item_queued(ctx, i)
-                key = keys[i] if keys is not None and cache is not None else None
-                if key is not None:
-                    payload = cache.get(key)
-                    if payload is not None:
-                        results[i] = decode(item, payload)  # type: ignore[misc]
-                        settled[i] = True
-                        journal.item_cache_hit(ctx, i)
-                        continue
-                pending.append(i)
+        cache = self.cache
+        pending: list[int] = []
+        for i, item in enumerate(items):
+            journal.item_queued(ctx, i)
+            key = keys[i] if keys is not None and cache is not None else None
+            if key is not None:
+                payload = cache.get(key)
+                if payload is not None:
+                    results[i] = decode(item, payload)  # type: ignore[misc]
+                    settled[i] = True
+                    journal.item_cache_hit(ctx, i)
+                    continue
+            pending.append(i)
 
-            # Cache writes land per item as each result settles — not in
-            # a batch after the whole map — so a process killed mid-sweep
-            # has already persisted every finished item and a resumed run
-            # re-executes at most the in-flight ones.
-            def store(i: int) -> None:
-                if cache is not None and keys is not None:
-                    key = keys[i]
-                    if key is not None and settled[i]:
-                        cache.put(key, encode(results[i]))  # type: ignore[misc]
+        # Cache writes land per item as each result settles — not in
+        # a batch after the whole map — so a process killed mid-sweep
+        # has already persisted every finished item and a resumed run
+        # re-executes at most the in-flight ones.
+        def store(i: int) -> None:
+            if cache is not None and keys is not None:
+                key = keys[i]
+                if key is not None and settled[i]:
+                    cache.put(key, encode(results[i]))  # type: ignore[misc]
 
-            if pending:
-                run = (
-                    self._parallel
-                    if self.jobs > 1 and len(pending) > 1
-                    else self._serial
-                )
-                run(fn, items, pending, journal, ctx, results, settled,
-                    failures, store)
-
-            # Stats settle before observer callbacks so a raising
-            # observer cannot leave the accounting stale for work that
-            # did happen.
-            self.stats = SweepStats(
-                total=n,
-                executed=len(pending),
-                cache_hits=n - len(pending),
-                jobs=self.jobs,
-                wall_s=time.perf_counter() - started,
+        if pending:
+            run = (
+                self._parallel
+                if self.jobs > 1 and len(pending) > 1
+                else self._serial
             )
-            self.lifetime.add(self.stats)
-            if self.obs is not None:
-                m = self.obs.metrics
-                m.counter("sweep.items").inc(n)
-                m.counter("sweep.executed").inc(len(pending))
-                m.counter("sweep.cache_hits").inc(n - len(pending))
-            journal.end_map(ctx)
+            run(fn, items, pending, journal, ctx, results, settled,
+                failures, store)
 
-            if on_result is not None:
-                for i, item in enumerate(items):
-                    if not settled[i]:
-                        continue
-                    try:
-                        on_result(item, results[i])
-                    except BaseException as exc:
-                        journal.item_failed(
-                            ctx, i, "callback", f"{type(exc).__name__}: {exc}"
-                        )
-                        journal.flush()
-                        raise
-            return results
+        # Stats settle before observer callbacks so a raising
+        # observer cannot leave the accounting stale for work that
+        # did happen.
+        self.stats = SweepStats(
+            total=n,
+            executed=len(pending),
+            cache_hits=n - len(pending),
+            jobs=self.jobs,
+            wall_s=time.perf_counter() - started,
+        )
+        self.lifetime.add(self.stats)
+        journal.end_map(ctx)
+
+        if on_result is not None:
+            for i, item in enumerate(items):
+                if not settled[i]:
+                    continue
+                try:
+                    on_result(item, results[i])
+                except BaseException as exc:
+                    journal.item_failed(
+                        ctx, i, "callback", f"{type(exc).__name__}: {exc}"
+                    )
+                    journal.flush()
+                    raise
+        return results
 
     def _serial(
         self, fn, items, pending, journal, ctx, results, settled, failures, store

@@ -1,4 +1,4 @@
-"""Unified telemetry: events, metrics, spans, and exporters.
+"""Unified telemetry: events, metrics, energy ledger, and exporters.
 
 ``repro.obs`` is the zero-dependency observability layer the paper's
 methodology implies: Itsy's on-board power monitor and the Figs. 2/3/9
@@ -11,17 +11,18 @@ reproduction's equivalents into structured, machine-readable data.
 - :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges, and
   mergeable histograms with deterministic aggregation across worker
   processes.
-- :class:`~repro.obs.spans.Span` — ``with obs.span("fft", frame=i):``
-  wall-clock profiling feeding per-block latency histograms.
 - :mod:`~repro.obs.export` — JSONL (bit-identical round trips), CSV
   rows, and Chrome trace-event output loadable in ``chrome://tracing``
   / Perfetto.
 
-:class:`Telemetry` bundles the three collectors behind one handle that
-serializes to JSON (so sweep results carry telemetry through worker
-pickling and the content-addressed cache) — which is what lifts the
-PR-1 restriction that traced runs could be neither cached nor
-parallelized.
+:class:`Telemetry` bundles the event log, the metrics registry and the
+energy ledger behind one handle that serializes to JSON, so sweep
+results carry telemetry through worker pickling and the
+content-addressed cache. All three record simulated time only, so a
+run's telemetry is a pure function of its configuration: identical
+across serial, parallel and cache-replayed runs. The one wall-clock
+record of execution is the flight recorder's journal
+(:mod:`repro.obs.flight`), which stays outside :class:`Telemetry`.
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ from repro.obs.progress import (
     render_snapshot,
 )
 from repro.obs.report import build_html_report, write_html_report
-from repro.obs.spans import Span, SpanRecord
 from repro.obs.store import RunRecord, RunRegistry, build_run_record, diff_records
 
 __all__ = [
@@ -134,8 +134,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Span",
-    "SpanRecord",
     "TelemetryBundle",
     "chrome_trace",
     "write_chrome_trace",
@@ -149,13 +147,13 @@ __all__ = [
 
 
 class Telemetry:
-    """One run's telemetry: event log + metrics registry + spans.
+    """One run's telemetry: event log + metrics registry + energy ledger.
 
     Parameters
     ----------
     events:
         ``False`` builds the event log as a null sink (falsy, no-op
-        emit) while metrics and spans stay live — the cheap mode for
+        emit) while metrics stay live — the cheap mode for
         long sweeps that only need aggregates.
     max_events:
         Event-log memory bound (see :class:`~repro.obs.events.EventLog`).
@@ -165,15 +163,15 @@ class Telemetry:
     The object is picklable and JSON round-trippable
     (:meth:`as_dict` / :meth:`from_dict`), so a worker process can
     build one, fill it during a simulation, and ship it home inside
-    the run result — deterministically, because the event log holds
-    simulated time only. Span records hold wall-clock measurements and
-    are therefore excluded from determinism comparisons.
+    the run result — deterministically, because every collector holds
+    simulated time only: :meth:`as_dict` is a pure function of the
+    run's configuration, equal on serial, parallel and cache-replayed
+    runs.
     """
 
     def __init__(self, events: bool = True, max_events: int = 1_000_000):
         self.events = EventLog(enabled=events, max_events=max_events)
         self.metrics = MetricsRegistry()
-        self.spans: list[SpanRecord] = []
         #: Energy-attribution ledger (see :mod:`repro.obs.energy`);
         #: filled by the pipeline engine when the event bus is live.
         #: The ``events=False`` null sink skips attribution too: it
@@ -185,17 +183,12 @@ class Telemetry:
         """Publish one event to the bus (no-op when events are off)."""
         self.events.emit(kind, ts, actor, **data)
 
-    def span(self, name: str, **tags: t.Any) -> Span:
-        """A context manager timing one region into ``span.<name>``."""
-        return Span(name, tags, self.spans, self.metrics)
-
     # -- serialization ---------------------------------------------------
     def as_dict(self) -> dict[str, t.Any]:
         """JSON payload; :meth:`from_dict` restores it bit-identically."""
         return {
             "events": self.events.as_dict(),
             "metrics": self.metrics.as_dict(),
-            "spans": [span.as_dict() for span in self.spans],
             "energy": self.energy.as_dict(),
         }
 
@@ -204,12 +197,10 @@ class Telemetry:
         obs = cls()
         obs.events = EventLog.from_dict(payload.get("events", {}))
         obs.metrics = MetricsRegistry.from_dict(payload.get("metrics", {}))
-        obs.spans = [SpanRecord.from_dict(s) for s in payload.get("spans", [])]
         obs.energy = EnergyLedger.from_dict(payload.get("energy", {}))
         return obs
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Telemetry events={len(self.events)} metrics={len(self.metrics)} "
-            f"spans={len(self.spans)}>"
+            f"<Telemetry events={len(self.events)} metrics={len(self.metrics)}>"
         )

@@ -3,17 +3,21 @@
 Three machine-readable views of the same run:
 
 - **JSONL** — one tagged JSON object per line (``{"type": "segment",
-  ...}``), covering trace segments, events, spans, the metrics
-  registry and the energy ledger. :func:`read_jsonl` reloads the file into the
+  ...}``), covering trace segments, events, the metrics registry and
+  the energy ledger. :func:`read_jsonl` reloads the file into the
   original typed objects *bit-identically* (Python's ``json`` emits
   shortest round-tripping float literals, so every ``float`` survives).
 - **CSV rows** — flat dict rows for :func:`repro.analysis.export.write_rows`.
 - **Chrome trace-event format** — loadable in ``chrome://tracing`` and
   Perfetto. Nodes render as tracks (one ``tid`` per actor) under the
-  "simulation" process; activity segments and profiling spans become
-  duration slices, telemetry events become instants, and
-  ``battery.draw`` samples become counter tracks, reproducing the paper's Fig. 2/3/9
+  "simulation" process; activity segments become duration slices,
+  telemetry events become instants, and ``battery.draw`` samples
+  become counter tracks, reproducing the paper's Fig. 2/3/9
   timing-vs-power view interactively.
+
+Every view is in simulated time, so each export is a pure function of
+the run's configuration. The execution journal (wall clock) has its own
+exporter, :func:`repro.obs.flight.write_journal`.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import typing as t
 from repro.obs.energy import EnergyLedger
 from repro.obs.events import EventLog, TelemetryEvent, discharge_curves
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import SpanRecord
 from repro.sim.trace import Segment, TraceRecorder
 
 __all__ = [
@@ -60,32 +63,23 @@ class TelemetryBundle:
     events:
         Structured telemetry events (``battery.draw`` discharge
         samples included), in file order.
-    spans:
-        Profiling spans, in file order.
     metrics:
         The metrics registry, if one was written.
     energy:
         The energy-attribution ledger, if one was written.
-    journal:
-        Flight-recorder execution-journal rows (plain dicts), if any
-        were written.
     """
 
     segments: list[Segment] = dataclasses.field(default_factory=list)
     events: list[TelemetryEvent] = dataclasses.field(default_factory=list)
-    spans: list[SpanRecord] = dataclasses.field(default_factory=list)
     metrics: MetricsRegistry | None = None
     energy: EnergyLedger | None = None
-    journal: list[dict[str, t.Any]] = dataclasses.field(default_factory=list)
 
 
 def _jsonl_records(
     trace: TraceRecorder | None,
     events: EventLog | None,
-    spans: t.Sequence[SpanRecord] | None,
     metrics: MetricsRegistry | None,
-    energy: EnergyLedger | None = None,
-    journal: t.Sequence[t.Mapping[str, t.Any]] | None = None,
+    energy: EnergyLedger | None,
 ) -> t.Iterator[dict[str, t.Any]]:
     if trace is not None:
         for segment in trace.all_segments():
@@ -93,16 +87,10 @@ def _jsonl_records(
     if events is not None:
         for event in events.records:
             yield {"type": "event", **event.as_dict()}
-    if spans:
-        for span in spans:
-            yield {"type": "span", **span.as_dict()}
     if metrics is not None:
         yield {"type": "metrics", **metrics.as_dict()}
     if energy is not None and energy:
         yield {"type": "energy_ledger", **energy.as_dict()}
-    if journal:
-        for row in journal:
-            yield {"type": "exec_item", **dict(row)}
 
 
 def write_jsonl(
@@ -110,25 +98,13 @@ def write_jsonl(
     *,
     trace: TraceRecorder | None = None,
     events: EventLog | None = None,
-    spans: t.Sequence[SpanRecord] | None = None,
     metrics: MetricsRegistry | None = None,
     energy: EnergyLedger | None = None,
-    journal: t.Sequence[t.Mapping[str, t.Any]] | None = None,
 ) -> pathlib.Path:
-    """Write any subset of a run's telemetry as tagged JSONL lines.
-
-    ``journal`` rows (flight-recorder execution journal — dicts from
-    :meth:`~repro.obs.store.RunRegistry.list_journal` or
-    :func:`~repro.obs.flight.journal_to_rows`) are tagged
-    ``exec_item``. Note that canonical cross-mode journal exports go
-    through :func:`repro.obs.flight.write_journal` instead, which
-    strips telemetry fields; this exporter keeps whatever it is given.
-    """
+    """Write any subset of a run's telemetry as tagged JSONL lines."""
     path = pathlib.Path(path)
     with open(path, "w", encoding="utf-8") as fh:
-        for record in _jsonl_records(
-            trace, events, spans, metrics, energy, journal
-        ):
+        for record in _jsonl_records(trace, events, metrics, energy):
             fh.write(json.dumps(record, separators=(",", ":")))
             fh.write("\n")
     return path
@@ -154,14 +130,10 @@ def read_jsonl(path: str | pathlib.Path) -> TelemetryBundle:
                 bundle.segments.append(Segment.from_dict(record))
             elif kind == "event":
                 bundle.events.append(TelemetryEvent.from_dict(record))
-            elif kind == "span":
-                bundle.spans.append(SpanRecord.from_dict(record))
             elif kind == "metrics":
                 bundle.metrics = MetricsRegistry.from_dict(record)
             elif kind == "energy_ledger":
                 bundle.energy = EnergyLedger.from_dict(record)
-            elif kind == "exec_item":
-                bundle.journal.append(record)
             else:
                 raise ValueError(f"unknown telemetry record type: {kind!r}")
     return bundle
@@ -267,7 +239,6 @@ def chrome_trace(
     *,
     trace: TraceRecorder | None = None,
     events: EventLog | None = None,
-    spans: t.Sequence[SpanRecord] | None = None,
     label: str = "repro",
 ) -> dict[str, t.Any]:
     """Build a Chrome trace-event JSON object from run telemetry.
@@ -275,9 +246,7 @@ def chrome_trace(
     Process 0 ("simulation") holds one track per actor: activity
     segments as complete ("X") slices, telemetry events as instants
     ("i"), and ``battery.draw`` state-of-charge samples additionally as
-    counter ("C") series. Process 1
-    ("profiling") holds wall-clock spans, rebased so the earliest span
-    starts at t=0.
+    counter ("C") series.
     """
     out: list[dict[str, t.Any]] = []
     tids = _track_ids(trace, events)
@@ -351,31 +320,6 @@ def chrome_trace(
                     }
                 )
 
-    if spans:
-        out.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": 0,
-                "args": {"name": f"{label} profiling"},
-            }
-        )
-        epoch = min(span.start_s for span in spans)
-        for span in spans:
-            out.append(
-                {
-                    "name": span.name,
-                    "cat": "span",
-                    "ph": "X",
-                    "ts": (span.start_s - epoch) * _US,
-                    "dur": span.duration_s * _US,
-                    "pid": 1,
-                    "tid": 0,
-                    "args": dict(span.tags),
-                }
-            )
-
     return {"traceEvents": out, "displayTimeUnit": "ms"}
 
 
@@ -384,12 +328,11 @@ def write_chrome_trace(
     *,
     trace: TraceRecorder | None = None,
     events: EventLog | None = None,
-    spans: t.Sequence[SpanRecord] | None = None,
     label: str = "repro",
 ) -> pathlib.Path:
     """Write :func:`chrome_trace` output as a ``chrome://tracing`` file."""
     path = pathlib.Path(path)
-    payload = chrome_trace(trace=trace, events=events, spans=spans, label=label)
+    payload = chrome_trace(trace=trace, events=events, label=label)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, separators=(",", ":"))
         fh.write("\n")

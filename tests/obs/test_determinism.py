@@ -1,18 +1,20 @@
-"""Telemetry determinism: identical seeds yield identical event logs.
+"""Telemetry determinism: identical seeds yield identical telemetry.
 
-The event log records *simulated* time only, and metric aggregation is
-exact, so a run's telemetry must be bit-identical whether the suite ran
-serially, fanned over worker processes, or decoded from the result
-cache. Wall-clock span records are the documented exception and are
-excluded from these comparisons.
+Every collector in :class:`~repro.obs.Telemetry` (event log, metrics,
+energy ledger) records *simulated* time only, and metric aggregation is
+exact, so a run's whole telemetry payload must be bit-identical whether
+the work ran serially, fanned over worker processes, or decoded from
+the result cache.
 """
 
 from __future__ import annotations
 
 import json
 
+from repro.batch.sweep import BatchSweepSpec, batch_sweep
 from repro.core.experiments import run_paper_suite
 from repro.exec import ResultCache
+from repro.obs import Telemetry
 
 from tests.conftest import tiny_battery_factory
 
@@ -27,17 +29,14 @@ _KW = dict(
 
 
 def _fingerprint(runs):
-    """Deterministic digest of each run's telemetry (spans excluded)."""
+    """Digest of each run's whole telemetry, trace and remaining charge."""
     out = {}
     for label, run in runs.items():
-        obs = run.obs
-        assert obs is not None and run.trace is not None
+        assert run.obs is not None and run.trace is not None
         out[label] = json.dumps(
             {
-                "events": obs.events.as_dict(),
-                "metrics": obs.metrics.as_dict(),
+                "obs": run.obs.as_dict(),
                 "trace": run.trace.as_dict(),
-                "energy": obs.energy.as_dict(),
                 "remaining_mah": run.pipeline.remaining_mah
                 if run.pipeline is not None
                 else None,
@@ -68,3 +67,21 @@ def test_same_seed_same_events_repeated_in_process():
     a = _fingerprint(run_paper_suite(_LABELS, jobs=1, **_KW))
     b = _fingerprint(run_paper_suite(_LABELS, jobs=1, **_KW))
     assert a == b
+
+
+def test_batch_sweep_telemetry_identical_cold_warm_and_parallel(tmp_path):
+    spec = BatchSweepSpec(grid=2)
+    cache = ResultCache(tmp_path / "cache")
+
+    def sweep(**kw):
+        obs = Telemetry()
+        result = batch_sweep(spec, obs=obs, events=True, chunk_size=4, **kw)
+        return result, obs.as_dict()
+
+    cold, cold_obs = sweep(cache=cache)
+    warm, warm_obs = sweep(cache=cache)
+    assert (cold.stats.executed, warm.stats.cache_hits) == (4, 4)
+    _, parallel_obs = sweep(jobs=2)
+    assert cold_obs["events"]["records"]
+    assert warm_obs == cold_obs
+    assert parallel_obs == cold_obs

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from repro.obs import EventLog, MetricsRegistry, SpanRecord
+from repro.obs import EventLog, MetricsRegistry
 from repro.obs.energy import EnergyLedger
 from repro.obs.events import discharge_curves
 from repro.obs.export import (
@@ -77,7 +77,6 @@ class TestJsonlRoundTrip:
         events = _make_draws()
         events.emit("frame.emit", 0.0, "host", frame=0)
         events.emit("dvs.switch", 1.1, "node1", from_mhz=59.0, to_mhz=103.2)
-        spans = [SpanRecord("fft", 10.0, 10.25, {"frame": 0})]
         metrics = MetricsRegistry()
         metrics.counter("frames.completed").inc(1)
         metrics.histogram("frame.latency_s").observe(4.6)
@@ -85,13 +84,11 @@ class TestJsonlRoundTrip:
             tmp_path / "all.jsonl",
             trace=trace,
             events=events,
-            spans=spans,
             metrics=metrics,
         )
         bundle = read_jsonl(path)
         assert bundle.segments == trace.all_segments()
         assert bundle.events == events.records
-        assert bundle.spans == spans
         assert bundle.metrics is not None
         assert bundle.metrics.as_dict() == metrics.as_dict()
 
@@ -192,9 +189,10 @@ class TestChromeTrace:
         trace = _make_trace()
         events = _make_draws()
         events.emit("frame.emit", 0.0, "host", frame=0)
-        spans = [SpanRecord("fft", 5.0, 5.5, {})]
-        payload = chrome_trace(trace=trace, events=events, spans=spans)
+        payload = chrome_trace(trace=trace, events=events)
         assert validate_chrome_trace(payload) == []
+        # One process: everything is in simulated time.
+        assert {e["pid"] for e in payload["traceEvents"]} == {0}
         assert expect_tracks(payload, ["node1", "node2", "host"]) == []
         counters = [e for e in payload["traceEvents"] if e["ph"] == "C"]
         assert [(e["name"], e["ts"], e["args"]["fraction"]) for e in counters] == [

@@ -1496,8 +1496,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "reaches the same frontier on spaces the "
                                 "sampler can exhaust)")
     p_explore.add_argument("--probe", type=int, default=2048, metavar="N",
-                           help="initial stratified probe batch for "
-                                "--guided (default 2048)")
+                           help="--guided only: size of the initial "
+                                "probe and of every proposal round "
+                                "(default 2048)")
     p_explore.add_argument("--resume", metavar="RUN", default=None,
                            help="resume a killed exploration from its "
                                 "latest registry cursor: a session-id "

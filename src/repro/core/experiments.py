@@ -143,8 +143,8 @@ class ExperimentRun:
         The run's trace recorder (per-run when ``trace=True`` was
         requested, the caller's when one was passed in).
     obs:
-        The run's telemetry bundle (events + metrics + spans) when
-        telemetry was requested.
+        The run's telemetry bundle (events + metrics + energy ledger)
+        when telemetry was requested.
     """
 
     spec: ExperimentSpec
@@ -396,7 +396,7 @@ def run_experiment(
     :class:`TraceRecorder` (picklable and cacheable; preferred over
     passing a shared recorder instance). ``telemetry=True`` attaches a
     fresh :class:`repro.obs.Telemetry` bundle: structured events,
-    the metrics registry, and span profiling, all returned on
+    the metrics registry, and the energy ledger, all returned on
     ``ExperimentRun.obs``. ``monitor_interval_s`` spaces the nodes'
     ``battery.draw`` state-of-charge samples on that bus, so it needs
     telemetry: setting it without raises

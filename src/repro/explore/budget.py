@@ -1,4 +1,7 @@
-"""Adaptive promotion budgets driven by rung-to-rung rank disagreement.
+"""The ladder's one promotion rule, and its adaptive budgets.
+
+:func:`promote` is the only place candidates are grouped by deadline:
+every rung promotion and the guided sampler's stall test call it.
 
 The halving ladder's exact-simulation budget (``keep[2]``) is the
 scarcest resource in an exploration — rung 3 costs seconds per config
@@ -25,11 +28,14 @@ degenerates to exactly the round-robin split the fixed strategy used
 
 from __future__ import annotations
 
+import heapq
 import typing as t
 
 from repro.errors import ConfigurationError
 
-__all__ = ["rank_disagreement", "allocate_budgets"]
+__all__ = ["rank_disagreement", "allocate_budgets", "promote"]
+
+T = t.TypeVar("T")
 
 #: How strongly disagreement skews the apportionment weights: a stratum
 #: at maximal disagreement (tau distance 1.0) weighs ``1 + _GAIN`` times
@@ -114,3 +120,47 @@ def allocate_budgets(
         alloc[best] += 1
         remaining -= 1
     return alloc
+
+
+def promote(
+    candidates: t.Iterable[T],
+    keep: int,
+    deadline: t.Callable[[T], float],
+    rank: t.Callable[[T], t.Any],
+    weight: t.Callable[[list[T]], float] | None = None,
+    arrange: t.Callable[[list[T]], list[T]] | None = None,
+) -> list[T]:
+    """The top ``keep`` candidates, stratified across deadline values.
+
+    The halving score is scalar (normalized lifetime), but the frame
+    deadline moves *both* frontier objectives at once — shorter
+    deadlines deliver more frames on less lifetime. Ranking the whole
+    population on lifetime alone would promote only the longest
+    deadline and erase that tradeoff before any simulation sees it.
+
+    So candidates are grouped by ``deadline`` *value* (ascending), and
+    :func:`allocate_budgets` splits ``keep`` across the strata, weighted
+    by ``weight(stratum)`` (a rank disagreement; equal weights when
+    None, which is the plain round-robin split). Each stratum yields the
+    head of ``arrange(stratum)`` — by default the stratum sorted on
+    ``rank`` — and the promoted set comes back sorted on ``rank``.
+    ``rank`` must be a total order (it ends in the enumeration index),
+    which keeps promotion independent of arrival order.
+    """
+    strata: dict[float, list[T]] = {}
+    for cand in candidates:
+        strata.setdefault(deadline(cand), []).append(cand)
+    groups = [strata[d] for d in sorted(strata)]
+    budgets = allocate_budgets(
+        keep,
+        [len(g) for g in groups],
+        [weight(g) if weight is not None else 0.0 for g in groups],
+    )
+    promoted: list[T] = []
+    for group, budget in zip(groups, budgets):
+        if arrange is None:
+            promoted.extend(heapq.nsmallest(budget, group, key=rank))
+        else:
+            promoted.extend(arrange(group)[:budget])
+    promoted.sort(key=rank)
+    return promoted

@@ -13,11 +13,29 @@ rung   name        evaluator                              cost/config
 3      exact       full simulation, ``mode="exact"``      ~ seconds
 =====  ==========  =====================================  ============
 
+The ladder is data. :data:`RUNGS` lists each :class:`Rung`: its name,
+a ``score(ladder, candidates, report)`` function that evaluates the
+entrants at that rung's fidelity and drops the disqualified, and its
+promotion. One loop in :func:`explore` owns everything the rungs
+share: the :class:`RungReport`, executor accounting, wall time, the
+flight-recorder phase, ``progress``, and the registry snapshot with
+its resume cursor.
+
 After each rung, candidates are ranked by normalized lifetime (T/N,
 the paper's efficiency metric at that rung's fidelity) and only the
 top ``keep[rung]`` promote — so with the default budgets well over 99%
 of a 100k-config space never reaches a simulation, yet every frontier
-member is confirmed in exact mode.
+member is confirmed in exact mode. Every promotion is the one rule
+:func:`repro.explore.budget.promote`: stratify by deadline value,
+split ``keep`` across the strata, take each stratum's head, sort the
+result on ``(-score, index)``. Rungs 0 and 1 split evenly and rank by
+score. Promotion into rung 3 is *adaptive* — strata get exact
+confirmations in proportion to how much rung 1 and rung 2 disagreed
+about their ranking — and *frontier-aware*: within a stratum,
+candidates promote by Pareto layer over (lifetime, frames, deadline
+misses) before scalar score, so a config that trades lifetime for
+throughput is confirmed in exact mode instead of being buried by a
+scalar sort (:func:`repro.explore.pareto.pareto_layers`).
 
 Constraints ride the ladder too: each rung applies the cheapest check
 that can already disqualify a config (static schedule feasibility and
@@ -25,20 +43,11 @@ link budget at rung 0, death-within-horizon at rung 1, the full
 :func:`repro.obs.checks.paper_monitors` replay at rungs 2/3), all
 speaking the same :class:`~repro.obs.checks.Verdict` vocabulary.
 
-Two promotion refinements ride on the ladder. Promotion into rung 3 is
-*adaptive* — the exact-simulation budget apportions across deadline
-strata by how much rung 1 and rung 2 disagreed about each stratum's
-ranking (:mod:`repro.explore.budget`) — and *frontier-aware*: within a
-stratum, candidates promote by Pareto layer over (lifetime, frames,
-deadline misses) before scalar score, so a config that trades lifetime
-for throughput is confirmed in exact mode instead of being buried by a
-scalar sort (:func:`repro.explore.pareto.pareto_layers`).
-
 Rung 0 has two drivers. The exhaustive driver enumerates and scores the
 whole space — right up to ~10^5 configs. Past that, ``guided=True``
 switches to the model-guided sampler (:mod:`repro.explore.surrogate`),
 which keeps the space implicit and proposes batches from a quantized
-effect surrogate until the stratified top set is stable and closed
+effect surrogate until the set rung 0 promotes is stable and closed
 under single-axis moves; every score still comes from the same
 analytic prescreen, so both drivers feed identical numbers forward.
 
@@ -74,15 +83,11 @@ from repro.errors import (
 )
 from repro.exec import SweepExecutor
 from repro.exec.cache import ResultCache, stable_key
-from repro.explore.budget import allocate_budgets, rank_disagreement
+from repro.explore.budget import promote, rank_disagreement
 from repro.explore.pareto import OBJECTIVES, pareto_indices, pareto_layers
-from repro.explore.space import (
-    ExploreConfig,
-    PEUKERT_EXPONENT,
-    PEUKERT_REFERENCE_MA,
-    SpaceSpec,
-)
+from repro.explore.space import ExploreConfig, SpaceSpec
 from repro.explore.surrogate import guided_sample
+from repro.hw.battery.peukert import peukert_rate
 from repro.hw.power import PowerMode
 from repro.obs.checks import (
     Verdict,
@@ -95,16 +100,13 @@ from repro.units import SECONDS_PER_HOUR, mah_to_mas
 
 __all__ = [
     "RUNGS",
+    "Rung",
     "RungReport",
     "FrontierMember",
     "ExploreResult",
     "explore",
     "explore_fingerprint",
 ]
-
-#: Rung names, cheapest first.
-RUNGS = ("predict", "cohort", "fast", "exact")
-
 
 @dataclasses.dataclass
 class RungReport:
@@ -247,17 +249,167 @@ class _Candidate:
 
 
 # ---------------------------------------------------------------------------
-# rung 0: analytic prescreen
+# shared ladder state
 # ---------------------------------------------------------------------------
 
-def _peukert_rate(current_ma: float) -> float:
-    """Effective Peukert drain rate (must mirror PeukertBattery)."""
-    if current_ma == 0.0:
-        return 0.0
-    return current_ma * (current_ma / PEUKERT_REFERENCE_MA) ** (
-        PEUKERT_EXPONENT - 1.0
-    )
+@dataclasses.dataclass
+class _Ladder:
+    """One exploration's shared state: what every rung function reads."""
 
+    space: SpaceSpec
+    keep: tuple[int, int, int]
+    limit: int | None
+    mode: str  # "guided" or "full": the rung-0 driver
+    fingerprint: str
+    n_configs: int
+    configs: list[ExploreConfig] | None  # the enumerated space; None if guided
+    probe: int
+    chunk_size: int
+    executor: SweepExecutor  # holds the result cache, if any
+    registry: t.Any
+    disqualified: dict[str, int] = dataclasses.field(default_factory=dict)
+    rungs: list[RungReport] = dataclasses.field(default_factory=list)
+    #: Guided-sampler accounting (:meth:`GuidedReport.content` form).
+    sampler: dict[str, t.Any] | None = None
+
+    def cursor(self, candidates: list[_Candidate]) -> dict[str, t.Any]:
+        """The resumable state after the last completed rung — pure content.
+
+        Everything needed to re-enter the ladder exactly where it
+        stopped: the promoted survivor set (as enumeration indices plus
+        the scores and metrics later rungs read), the cumulative rung
+        reports and verdict tallies, and the identity fields a resume
+        checks. No wall clock enters; JSON floats round-trip exactly,
+        so a cursor written, stored, and restored reproduces
+        bit-identical state.
+        """
+        return {
+            "version": 1,
+            "mode": self.mode,
+            "keep": list(self.keep),
+            "limit": self.limit,
+            "n_configs": self.n_configs,
+            "rung": self.rungs[-1].name,
+            "rungs": [r.content() for r in self.rungs],
+            "disqualified": dict(sorted(self.disqualified.items())),
+            "sampler": self.sampler,
+            "candidates": [
+                [
+                    c.config.index,
+                    c.score,
+                    c.prev_score,
+                    c.lifetime_hours,
+                    c.frames,
+                    c.deadline_misses,
+                    c.run_id,
+                ]
+                for c in candidates
+            ],
+        }
+
+    def restore(self, resume: dict[str, t.Any]) -> tuple[list[_Candidate], int]:
+        """Validate a resume cursor against this ladder and load its state.
+
+        The cursor must describe the same exploration — same driver
+        mode, budgets, limit, and universe size (the space itself is
+        pinned by the caller matching fingerprints) — or resuming would
+        silently mix two different ladders. Loads the rung reports,
+        verdict tallies and sampler accounting; returns ``(candidates,
+        completed_rungs)``.
+        """
+        if not isinstance(resume, dict) or "rung" not in resume:
+            raise ConfigurationError(
+                "resume cursor must be a dict with rung state (got "
+                f"{type(resume).__name__})"
+            )
+        for field, want in (
+            ("mode", self.mode),
+            ("keep", list(self.keep)),
+            ("limit", self.limit),
+            ("n_configs", self.n_configs),
+        ):
+            got = resume.get(field)
+            if got != want:
+                raise ConfigurationError(
+                    f"resume cursor disagrees on {field}: cursor has "
+                    f"{got!r}, this invocation has {want!r}"
+                )
+        names = [rung.name for rung in RUNGS]
+        rung = resume["rung"]
+        if rung not in names:
+            raise ConfigurationError(
+                f"resume cursor names unknown rung {rung!r}"
+            )
+        completed = names.index(rung) + 1
+        contents = resume.get("rungs", [])
+        if [r["name"] for r in contents] != names[:completed]:
+            raise ConfigurationError(
+                f"resume cursor rung reports inconsistent with rung {rung!r}"
+            )
+        self.rungs = [
+            RungReport(
+                name=r["name"],
+                entered=int(r["entered"]),
+                evaluated=int(r["evaluated"]),
+                disqualified=int(r["disqualified"]),
+                promoted=int(r["promoted"]),
+            )
+            for r in contents
+        ]
+        self.disqualified = {
+            str(k): int(v) for k, v in resume.get("disqualified", {}).items()
+        }
+        self.sampler = resume.get("sampler")
+        candidates = [
+            _Candidate(
+                config=self.space.config_at(int(row[0])),
+                score=float(row[1]),
+                prev_score=float(row[2]),
+                lifetime_hours=float(row[3]),
+                frames=int(row[4]),
+                deadline_misses=int(row[5]),
+                run_id=str(row[6]),
+            )
+            for row in resume.get("candidates", [])
+        ]
+        return candidates, completed
+
+    def snapshot(
+        self,
+        rung: str,
+        candidates: list[_Candidate],
+        frontier: t.Sequence[dict[str, t.Any]] = (),
+    ) -> None:
+        """Append one explore-session row, with its cursor, to the registry."""
+        if self.registry is None:
+            return
+        from repro.obs.store import build_explore_record, git_revision
+
+        self.registry.record_explore(
+            build_explore_record(
+                self.fingerprint,
+                self.n_configs,
+                rung,
+                [r.content() for r in self.rungs],
+                frontier,
+                git_sha=git_revision(),
+                cursor=self.cursor(candidates),
+            )
+        )
+
+
+def _disqualify(
+    disqualified: dict[str, int], report: RungReport, *verdicts: Verdict
+) -> None:
+    """Tally one disqualified config under each failed monitor."""
+    for verdict in verdicts:
+        disqualified[verdict.monitor] = disqualified.get(verdict.monitor, 0) + 1
+    report.disqualified += 1
+
+
+# ---------------------------------------------------------------------------
+# rung 0: analytic prescreen
+# ---------------------------------------------------------------------------
 
 def _config_structure(
     config: ExploreConfig, profile: TaskProfile
@@ -310,14 +462,10 @@ def _prescreen(
     out: list[_Candidate] = []
     for config in configs:
         if config.rotation_period is not None and config.n_stages < 2:
-            verdict = static_verdict(
+            _disqualify(disqualified, report, static_verdict(
                 "rotation-feasibility", False,
                 "rotation needs a pipeline of at least two nodes",
-            )
-            disqualified[verdict.monitor] = (
-                disqualified.get(verdict.monitor, 0) + 1
-            )
-            report.disqualified += 1
+            ))
             continue
         skey = (config.policy, config.cut, config.bandwidth_bps, config.deadline_s)
         entry = structures.get(skey)
@@ -342,11 +490,7 @@ def _prescreen(
                 entry = ("fail", link) if not link.ok else ("ok", cycles, comm_s)
             structures[skey] = entry
         if entry[0] == "fail":
-            verdict: Verdict = entry[1]
-            disqualified[verdict.monitor] = (
-                disqualified.get(verdict.monitor, 0) + 1
-            )
-            report.disqualified += 1
+            _disqualify(disqualified, report, entry[1])
             continue
         cycles = entry[1]
         dkey = (skey, config.io_activity)
@@ -358,7 +502,7 @@ def _prescreen(
             ]
             plain = [sum(i * dt for i, dt in c) for c in current_cycles]
             peuk = [
-                sum(_peukert_rate(i) * dt for i, dt in c)
+                sum(peukert_rate(i) * dt for i, dt in c)
                 for c in current_cycles
             ]
             n = len(cycles)
@@ -386,102 +530,32 @@ def _prescreen(
     return out
 
 
-def _promote(
-    candidates: list[_Candidate], keep: int, report: RungReport
+def _predict(
+    ladder: _Ladder, candidates: list[_Candidate], report: RungReport
 ) -> list[_Candidate]:
-    """Top ``keep`` by score, stratified across deadline values.
+    """Rung 0: prescreen the enumerated space, or what the sampler probes."""
+    space = ladder.space
+    if ladder.configs is not None:
+        return _prescreen(space, ladder.configs, report, ladder.disqualified)
+    structures: dict[tuple, tuple] = {}
+    drains: dict[tuple, tuple[float, float, float, float]] = {}
+    by_index: dict[int, _Candidate] = {}
 
-    The halving score is scalar (normalized lifetime), but the frame
-    deadline moves *both* frontier objectives at once — shorter
-    deadlines deliver more frames on less lifetime. Ranking the whole
-    population on lifetime alone would promote only the longest
-    deadline and erase that tradeoff before any simulation sees it, so
-    promotion round-robins over per-deadline strata, each sorted by
-    ``(-score, index)``. With a single deadline value this degenerates
-    to plain top-k. Enumeration index breaks ties, keeping promotion
-    independent of arrival order.
-    """
-    strata: dict[float, list[_Candidate]] = {}
-    for cand in candidates:
-        strata.setdefault(cand.config.deadline_s, []).append(cand)
-    for group in strata.values():
-        group.sort(key=lambda c: (-c.score, c.config.index))
-    promoted: list[_Candidate] = []
-    rank = 0
-    while len(promoted) < keep:
-        advanced = False
-        for deadline in sorted(strata):
-            group = strata[deadline]
-            if rank < len(group) and len(promoted) < keep:
-                promoted.append(group[rank])
-                advanced = True
-        if not advanced:
-            break
-        rank += 1
-    # Rung order stays globally score-sorted regardless of strata.
-    promoted.sort(key=lambda c: (-c.score, c.config.index))
-    report.promoted = len(promoted)
-    return promoted
+    def evaluate(indices: list[int]) -> list[float | None]:
+        batch = [space.config_at(i) for i in indices]
+        found = _prescreen(
+            space, batch, report, ladder.disqualified, structures, drains
+        )
+        got = {c.config.index: c for c in found}
+        by_index.update(got)
+        return [got[i].score if i in got else None for i in indices]
 
-
-def _promote_exact(
-    candidates: list[_Candidate], keep: int, report: RungReport
-) -> list[_Candidate]:
-    """Promotion into the exact rung: adaptive budgets, frontier-aware.
-
-    Two changes over the scalar :func:`_promote`, both only meaningful
-    after rung 2 (the first rung that measures all three objectives and
-    the first with two fidelities behind it):
-
-    - the per-stratum share of ``keep`` comes from
-      :func:`~repro.explore.budget.allocate_budgets` weighted by each
-      stratum's rung-1-vs-rung-2 :func:`rank_disagreement` — strata
-      whose cheap fidelity mis-ranked survivors get more exact
-      confirmations;
-    - within a stratum, candidates promote by Pareto layer over
-      (lifetime, frames, deadline misses) before scalar score, so a
-      config sitting on the running frontier promotes ahead of a
-      dominated config with a fatter scalar score.
-
-    With one stratum and mutually non-dominated survivors this is plain
-    top-``keep`` by ``(-score, index)`` — the legacy behavior.
-    """
-    strata: dict[float, list[_Candidate]] = {}
-    for cand in candidates:
-        strata.setdefault(cand.config.deadline_s, []).append(cand)
-    order = sorted(strata)
-    budgets = allocate_budgets(
-        keep,
-        [len(strata[d]) for d in order],
-        [
-            rank_disagreement(
-                [
-                    (c.prev_score, c.score, c.config.index)
-                    for c in strata[d]
-                ]
-            )
-            for d in order
-        ],
+    scores, sampler = guided_sample(
+        space, ladder.keep[0], evaluate, limit=ladder.limit,
+        probe=ladder.probe,
     )
-    promoted: list[_Candidate] = []
-    for deadline, budget in zip(order, budgets):
-        group = strata[deadline]
-        points = [
-            (c.lifetime_hours, c.frames, c.deadline_misses) for c in group
-        ]
-        for layer in pareto_layers(points):
-            if budget <= 0:
-                break
-            ranked = sorted(
-                (group[i] for i in layer),
-                key=lambda c: (-c.score, c.config.index),
-            )
-            take = ranked[:budget]
-            promoted.extend(take)
-            budget -= len(take)
-    promoted.sort(key=lambda c: (-c.score, c.config.index))
-    report.promoted = len(promoted)
-    return promoted
+    ladder.sampler = sampler.content()
+    return [by_index[i] for i in sorted(scores)]
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +571,8 @@ def _bucket_walk(
     """Death time of a recovery-free charge bucket repeating ``cycle``.
 
     Closed form over whole cycles plus a segment walk through the last
-    partial one — the linear/Peukert twin of the KiBaM cohort's exact
-    stepping. Returns ``(death_s or None past the horizon, full cycles)``.
+    partial one — what the KiBaM cohort's exact stepping does for the
+    linear and Peukert chemistries. Returns ``(death_s or None past the horizon, full cycles)``.
     """
     drain = sum(rate_fn(i) * dt for i, dt in cycle)
     cycle_s = sum(dt for _, dt in cycle)
@@ -561,7 +635,7 @@ def _cohort_job(item: tuple) -> dict[str, t.Any]:
             )
             kibam_cells.extend((params, cycle) for cycle in current_cycles)
         else:
-            rate = _peukert_rate if config.chemistry == "peukert" else (
+            rate = peukert_rate if config.chemistry == "peukert" else (
                 lambda i: i
             )
             capacity_mas = mah_to_mas(config.capacity_mah)
@@ -626,15 +700,10 @@ def _fold_cell_metrics(
 
 
 def _cohort_rung(
-    survivors: list[_Candidate],
-    space: SpaceSpec,
-    executor: SweepExecutor,
-    cache: ResultCache | None,
-    chunk_size: int,
-    report: RungReport,
-    disqualified: dict[str, int],
+    ladder: _Ladder, survivors: list[_Candidate], report: RungReport
 ) -> list[_Candidate]:
     """Rung 1: exact battery walks, chunked through the executor."""
+    space, chunk_size = ladder.space, ladder.chunk_size
     items = [
         (
             tuple(c.config for c in survivors[i : i + chunk_size]),
@@ -643,18 +712,17 @@ def _cohort_rung(
         )
         for i in range(0, len(survivors), chunk_size)
     ]
+    cache = ladder.executor.cache
     keys = None
     if cache is not None:
         keys = [cache.key_for("explore_cohort", "v2", item) for item in items]
-    payloads = executor.map(
+    payloads = ladder.executor.map(
         _cohort_job,
         items,
         keys=keys,
         encode=lambda payload: payload,
         decode=lambda item, payload: payload,
     )
-    report.executed = executor.stats.executed
-    report.cache_hits = executor.stats.cache_hits
     out: list[_Candidate] = []
     pos = 0
     for payload in payloads:
@@ -662,14 +730,10 @@ def _cohort_rung(
             cand = survivors[pos]
             pos += 1
             if lifetime_s is None:
-                verdict = static_verdict(
+                _disqualify(ladder.disqualified, report, static_verdict(
                     "death-within-horizon", False,
                     f"no battery death within {space.max_hours:g} h",
-                )
-                disqualified[verdict.monitor] = (
-                    disqualified.get(verdict.monitor, 0) + 1
-                )
-                report.disqualified += 1
+                ))
                 continue
             cand.lifetime_hours = lifetime_s / SECONDS_PER_HOUR
             cand.frames = int(n_frames)
@@ -707,15 +771,10 @@ def _sim_job(item: tuple):
 
 
 def _sim_rung(
-    name: str,
     mode: str,
+    ladder: _Ladder,
     survivors: list[_Candidate],
-    space: SpaceSpec,
-    executor: SweepExecutor,
-    cache: ResultCache | None,
-    registry: t.Any,
     report: RungReport,
-    disqualified: dict[str, int],
 ) -> list[_Candidate]:
     """Rungs 2/3: simulate every survivor, replay the paper monitors."""
     from repro.core.experiments import (
@@ -725,11 +784,13 @@ def _sim_rung(
     )
     from repro.obs.store import build_run_record, git_revision
 
+    space, registry = ladder.space, ladder.registry
     items = [(c.config, mode, space.profile) for c in survivors]
+    cache = ladder.executor.cache
     keys = None
     if cache is not None:
         keys = [cache.key_for("explore_sim", "v1", item) for item in items]
-    runs = executor.map(
+    runs = ladder.executor.map(
         _sim_job,
         items,
         keys=keys,
@@ -741,8 +802,6 @@ def _sim_rung(
             payload,
         ),
     )
-    report.executed = executor.stats.executed
-    report.cache_hits = executor.stats.cache_hits
     report.evaluated = len(survivors)
     git_sha = git_revision() if registry is not None else None
     out: list[_Candidate] = []
@@ -758,11 +817,7 @@ def _sim_rung(
         verdicts = replay(run.obs.events, paper_monitors(spec))
         failed = [v for v in verdicts if not v.ok]
         if failed:
-            for verdict in failed:
-                disqualified[verdict.monitor] = (
-                    disqualified.get(verdict.monitor, 0) + 1
-                )
-            report.disqualified += 1
+            _disqualify(ladder.disqualified, report, *failed)
             continue
         cand.lifetime_hours = run.t_hours
         cand.frames = run.frames
@@ -775,130 +830,108 @@ def _sim_rung(
     return out
 
 
-# ---------------------------------------------------------------------------
-# resume cursors
-# ---------------------------------------------------------------------------
+def _fast(
+    ladder: _Ladder, candidates: list[_Candidate], report: RungReport
+) -> list[_Candidate]:
+    """Rung 2: the fast simulation, remembering each cohort score.
 
-def _cursor_payload(
-    mode: str,
-    keep: tuple[int, int, int],
-    limit: int | None,
-    n_configs: int,
-    rungs: list[RungReport],
-    disqualified: dict[str, int],
-    sampler: dict[str, t.Any] | None,
-    candidates: list[_Candidate],
-) -> dict[str, t.Any]:
-    """The resumable state after one completed rung — pure content.
-
-    Everything needed to re-enter the ladder exactly where it stopped:
-    the promoted survivor set (as enumeration indices plus the scores
-    and metrics later rungs read), the cumulative rung reports and
-    verdict tallies, and the identity fields a resume must match. No
-    wall clock enters; JSON floats round-trip exactly, so a cursor
-    written, stored, and restored reproduces bit-identical state.
+    ``prev_score`` is what the exact promotion compares the fast score
+    against, so it is set here and nowhere else.
     """
-    return {
-        "version": 1,
-        "mode": mode,
-        "keep": list(keep),
-        "limit": limit,
-        "n_configs": n_configs,
-        "rung": rungs[-1].name,
-        "rungs": [r.content() for r in rungs],
-        "disqualified": dict(sorted(disqualified.items())),
-        "sampler": sampler,
-        "candidates": [
-            [
-                c.config.index,
-                c.score,
-                c.prev_score,
-                c.lifetime_hours,
-                c.frames,
-                c.deadline_misses,
-                c.run_id,
-            ]
-            for c in candidates
-        ],
-    }
+    for cand in candidates:
+        cand.prev_score = cand.score
+    return _sim_rung("fast", ladder, candidates, report)
 
 
-def _restore_cursor(
-    space: SpaceSpec,
-    keep: tuple[int, int, int],
-    limit: int | None,
-    mode: str,
-    n_configs: int,
-    resume: dict[str, t.Any],
-) -> tuple[
-    list[RungReport],
-    dict[str, int],
-    list[_Candidate],
-    dict[str, t.Any] | None,
-    int,
-]:
-    """Validate and decode a resume cursor against this invocation.
+def _exact(
+    ladder: _Ladder, candidates: list[_Candidate], report: RungReport
+) -> list[_Candidate]:
+    """Rung 3: exact confirmation of the fast rung's promotions."""
+    return _sim_rung("exact", ladder, candidates, report)
 
-    The cursor must describe the same exploration — same driver mode,
-    budgets, limit, and universe size (the space itself is pinned by
-    the caller matching fingerprints) — or resuming would silently mix
-    two different ladders. Returns ``(rungs, disqualified, candidates,
-    sampler, completed_rungs)``.
+
+# ---------------------------------------------------------------------------
+# promotion and the rung table
+# ---------------------------------------------------------------------------
+
+def _rank(cand: _Candidate) -> tuple[float, int]:
+    return (-cand.score, cand.config.index)
+
+
+def _deadline(cand: _Candidate) -> float:
+    return cand.config.deadline_s
+
+
+def _scalar_promotion(
+    candidates: list[_Candidate], keep: int
+) -> list[_Candidate]:
+    """Top ``keep`` by score, split evenly across deadline strata."""
+    return promote(candidates, keep, _deadline, _rank)
+
+
+def _frontier_promotion(
+    candidates: list[_Candidate], keep: int
+) -> list[_Candidate]:
+    """Promotion into the exact rung: adaptive budgets, frontier-aware.
+
+    Rung 2 is the first rung that measures all three objectives and the
+    first with two fidelities behind it, so two things change:
+
+    - each stratum's share of ``keep`` is weighted by its
+      rung-1-vs-rung-2 :func:`~repro.explore.budget.rank_disagreement`
+      — strata whose cheap fidelity mis-ranked survivors get more exact
+      confirmations;
+    - within a stratum, candidates promote by Pareto layer over
+      (lifetime, frames, deadline misses) before scalar score, so a
+      config on the running frontier promotes ahead of a dominated
+      config with a fatter scalar score.
+
+    With one stratum and mutually non-dominated survivors this is plain
+    top-``keep`` by ``(-score, index)``.
     """
-    if not isinstance(resume, dict) or "rung" not in resume:
-        raise ConfigurationError(
-            "resume cursor must be a dict with rung state (got "
-            f"{type(resume).__name__})"
+
+    def disagreement(stratum: list[_Candidate]) -> float:
+        return rank_disagreement(
+            [(c.prev_score, c.score, c.config.index) for c in stratum]
         )
-    for field, want in (
-        ("mode", mode),
-        ("keep", list(keep)),
-        ("limit", limit),
-        ("n_configs", n_configs),
-    ):
-        got = resume.get(field)
-        if got != want:
-            raise ConfigurationError(
-                f"resume cursor disagrees on {field}: cursor has {got!r}, "
-                f"this invocation has {want!r}"
-            )
-    rung = resume["rung"]
-    if rung not in RUNGS:
-        raise ConfigurationError(f"resume cursor names unknown rung {rung!r}")
-    completed = RUNGS.index(rung) + 1
-    contents = resume.get("rungs", [])
-    if len(contents) != completed or [r["name"] for r in contents] != list(
-        RUNGS[:completed]
-    ):
-        raise ConfigurationError(
-            f"resume cursor rung reports inconsistent with rung {rung!r}"
-        )
-    rungs = [
-        RungReport(
-            name=r["name"],
-            entered=int(r["entered"]),
-            evaluated=int(r["evaluated"]),
-            disqualified=int(r["disqualified"]),
-            promoted=int(r["promoted"]),
-        )
-        for r in contents
-    ]
-    disqualified = {
-        str(k): int(v) for k, v in resume.get("disqualified", {}).items()
-    }
-    candidates = [
-        _Candidate(
-            config=space.config_at(int(row[0])),
-            score=float(row[1]),
-            prev_score=float(row[2]),
-            lifetime_hours=float(row[3]),
-            frames=int(row[4]),
-            deadline_misses=int(row[5]),
-            run_id=str(row[6]),
-        )
-        for row in resume.get("candidates", [])
-    ]
-    return rungs, disqualified, candidates, resume.get("sampler"), completed
+
+    def by_layer(stratum: list[_Candidate]) -> list[_Candidate]:
+        points = [
+            (c.lifetime_hours, c.frames, c.deadline_misses) for c in stratum
+        ]
+        return [
+            cand
+            for layer in pareto_layers(points)
+            for cand in sorted((stratum[i] for i in layer), key=_rank)
+        ]
+
+    return promote(
+        candidates, keep, _deadline, _rank,
+        weight=disagreement, arrange=by_layer,
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class Rung:
+    """One rung of the ladder, as data."""
+
+    name: str
+    #: ``score(ladder, candidates, report)``: evaluate the entrants at
+    #: this rung's fidelity, tally the disqualified into ``report`` and
+    #: the ladder, and return the survivors.
+    score: t.Callable[[_Ladder, list[_Candidate], RungReport], list[_Candidate]]
+    #: ``promotion(survivors, keep)``, or None for the last rung, where
+    #: every survivor is a frontier candidate.
+    promotion: t.Callable[[list[_Candidate], int], list[_Candidate]] | None
+
+
+#: The ladder, cheapest rung first. Rung ``k`` promotes ``keep[k]``.
+RUNGS = (
+    Rung("predict", _predict, _scalar_promotion),
+    Rung("cohort", _cohort_rung, _scalar_promotion),
+    Rung("fast", _fast, _frontier_promotion),
+    Rung("exact", _exact, None),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -973,7 +1006,7 @@ def explore(
         come from the same analytic prescreen.
     probe:
         Guided mode only: size of the initial stratified probe batch
-        (and of each subsequent proposal round).
+        and of each subsequent proposal round.
     resume:
         A cursor from a previous session's explore snapshot (see
         ``RunRegistry.latest_explore_cursor``). Completed rungs are
@@ -989,8 +1022,6 @@ def explore(
     if chunk_size < 1:
         raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
     started = time.perf_counter()
-    mode = "guided" if guided else "full"
-    fingerprint = explore_fingerprint(space, keep, limit, guided=guided)
     if guided:
         configs: list[ExploreConfig] | None = None
         n_configs = (
@@ -1000,122 +1031,52 @@ def explore(
         configs = space.configs(limit=limit)
         n_configs = len(configs)
     executor = SweepExecutor(jobs=jobs, cache=cache, flight=flight)
-    disqualified: dict[str, int] = {}
-    rungs: list[RungReport] = []
+    ladder = _Ladder(
+        space=space,
+        keep=tuple(keep),
+        limit=limit,
+        mode="guided" if guided else "full",
+        fingerprint=explore_fingerprint(space, keep, limit, guided=guided),
+        n_configs=n_configs,
+        configs=configs,
+        probe=probe,
+        chunk_size=chunk_size,
+        executor=executor,
+        registry=registry,
+    )
     candidates: list[_Candidate] = []
-    sampler_content: dict[str, t.Any] | None = None
     completed = 0
     if resume is not None:
-        rungs, disqualified, candidates, sampler_content, completed = (
-            _restore_cursor(space, keep, limit, mode, n_configs, resume)
-        )
+        candidates, completed = ladder.restore(resume)
 
-    def finish_rung(report: RungReport, t0: float) -> None:
+    totals = executor.lifetime
+    for position in range(completed, len(RUNGS)):
+        rung = RUNGS[position]
+        t0 = time.perf_counter()
+        executed, cache_hits = totals.executed, totals.cache_hits
+        phase = flight.phase(rung.name) if flight is not None else None
+        report = RungReport(
+            rung.name, entered=len(candidates) if position else n_configs
+        )
+        candidates = rung.score(ladder, candidates, report)
+        if rung.promotion is not None:
+            candidates = rung.promotion(candidates, keep[position])
+        report.promoted = len(candidates)
+        report.executed += totals.executed - executed
+        report.cache_hits += totals.cache_hits - cache_hits
         report.wall_s = time.perf_counter() - t0
-        rungs.append(report)
-        if flight is not None:
+        ladder.rungs.append(report)
+        if phase is not None:
+            if phase.total is None:
+                # A rung with no executor items (the analytic prescreen)
+                # ticks its bar wholesale when it completes.
+                phase.total = phase.done = report.evaluated
             flight.finish_phase(
                 note=f"promoted {report.promoted}/{report.entered}"
             )
-        if registry is not None:
-            from repro.obs.store import build_explore_record, git_revision
-
-            registry.record_explore(
-                build_explore_record(
-                    fingerprint,
-                    n_configs,
-                    report.name,
-                    [r.content() for r in rungs],
-                    git_sha=git_revision(),
-                    cursor=_cursor_payload(
-                        mode, tuple(keep), limit, n_configs, rungs,
-                        disqualified, sampler_content, candidates,
-                    ),
-                )
-            )
+        ladder.snapshot(rung.name, candidates)
         if progress is not None:
             progress(report)
-
-    # rung 0: analytic prescreen (exhaustive or model-guided)
-    if completed < 1:
-        t0 = time.perf_counter()
-        predict_phase = None
-        if flight is not None:
-            predict_phase = flight.phase(
-                "predict", total=None if guided else n_configs
-            )
-        report = RungReport("predict", entered=n_configs)
-        if guided:
-            structures: dict[tuple, tuple] = {}
-            drains: dict[tuple, tuple[float, float, float, float]] = {}
-            by_index: dict[int, _Candidate] = {}
-
-            def evaluate(indices: list[int]) -> list[float | None]:
-                batch = [space.config_at(i) for i in indices]
-                found = _prescreen(
-                    space, batch, report, disqualified, structures, drains
-                )
-                got = {c.config.index: c for c in found}
-                by_index.update(got)
-                return [
-                    got[i].score if i in got else None for i in indices
-                ]
-
-            scores, guided_report = guided_sample(
-                space, keep[0], evaluate, limit=limit, probe=probe,
-            )
-            sampler_content = guided_report.content()
-            candidates = [by_index[i] for i in sorted(scores)]
-        else:
-            candidates = _prescreen(space, configs, report, disqualified)
-        candidates = _promote(candidates, keep[0], report)
-        if predict_phase is not None:
-            # The prescreen is vectorized-analytic (no executor items),
-            # so tick its bar wholesale when it completes.
-            predict_phase.total = report.evaluated
-            predict_phase.done = report.evaluated
-        finish_rung(report, t0)
-
-    # rung 1: cohort battery walk
-    if completed < 2:
-        t0 = time.perf_counter()
-        if flight is not None:
-            flight.phase("cohort")
-        report = RungReport("cohort", entered=len(candidates))
-        candidates = _cohort_rung(
-            candidates, space, executor, cache, chunk_size, report,
-            disqualified,
-        )
-        candidates = _promote(candidates, keep[1], report)
-        finish_rung(report, t0)
-
-    # rung 2: fast full simulation
-    if completed < 3:
-        for cand in candidates:
-            cand.prev_score = cand.score
-        t0 = time.perf_counter()
-        if flight is not None:
-            flight.phase("fast")
-        report = RungReport("fast", entered=len(candidates))
-        candidates = _sim_rung(
-            "fast", "fast", candidates, space, executor, cache, registry,
-            report, disqualified,
-        )
-        candidates = _promote_exact(candidates, keep[2], report)
-        finish_rung(report, t0)
-
-    # rung 3: exact confirmation
-    if completed < 4:
-        t0 = time.perf_counter()
-        if flight is not None:
-            flight.phase("exact")
-        report = RungReport("exact", entered=len(candidates))
-        candidates = _sim_rung(
-            "exact", "exact", candidates, space, executor, cache, registry,
-            report, disqualified,
-        )
-        report.promoted = len(candidates)
-        finish_rung(report, t0)
 
     survivors = tuple(
         FrontierMember(
@@ -1134,31 +1095,15 @@ def explore(
     result = ExploreResult(
         space=space,
         keep=tuple(keep),
-        fingerprint=fingerprint,
+        fingerprint=ladder.fingerprint,
         n_configs=n_configs,
-        rungs=rungs,
+        rungs=ladder.rungs,
         frontier=frontier,
         survivors=survivors,
-        disqualified=disqualified,
+        disqualified=ladder.disqualified,
         wall_s=time.perf_counter() - started,
-        sampler=sampler_content,
+        sampler=ladder.sampler,
         resumed_rungs=completed,
     )
-    if registry is not None:
-        from repro.obs.store import build_explore_record, git_revision
-
-        registry.record_explore(
-            build_explore_record(
-                fingerprint,
-                n_configs,
-                "frontier",
-                [r.content() for r in rungs],
-                [m.as_dict() for m in frontier],
-                git_sha=git_revision(),
-                cursor=_cursor_payload(
-                    mode, tuple(keep), limit, n_configs, rungs,
-                    disqualified, sampler_content, candidates,
-                ),
-            )
-        )
+    ladder.snapshot("frontier", candidates, [m.as_dict() for m in frontier])
     return result

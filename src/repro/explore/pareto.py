@@ -74,7 +74,7 @@ def pareto_indices(
     """Indices of the non-dominated points, in input order.
 
     Duplicates of a frontier point are all kept (none strictly
-    dominates its twin); an empty input yields an empty frontier.
+    dominates an equal point); an empty input yields an empty frontier.
     """
     if senses is None:
         senses = [sense for _, sense in OBJECTIVES]

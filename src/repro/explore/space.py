@@ -49,8 +49,6 @@ __all__ = [
     "AXES",
     "POLICY_FAMILIES",
     "CHEMISTRIES",
-    "PEUKERT_REFERENCE_MA",
-    "PEUKERT_EXPONENT",
     "Axis",
     "SpaceSpec",
     "ExploreConfig",
@@ -76,12 +74,6 @@ POLICY_FAMILIES = ("baseline", "slowest", "dvs_io")
 
 #: Battery chemistries the ``chemistry`` axis ranges over.
 CHEMISTRIES = ("kibam", "linear", "peukert")
-
-#: Peukert parameters shared by :class:`ConfigBattery` and the rung-0
-#: analytic drain (must match :class:`~repro.hw.battery.peukert.PeukertBattery`
-#: defaults, or the prescreen would rank a different model than it runs).
-PEUKERT_REFERENCE_MA = 60.0
-PEUKERT_EXPONENT = 1.2
 
 _DEFAULTS: dict[str, tuple] = {
     "policy": ("dvs_io",),
@@ -291,11 +283,7 @@ class ConfigBattery:
         if self.chemistry == "linear":
             return LinearBattery(self.capacity_mah)
         if self.chemistry == "peukert":
-            return PeukertBattery(
-                self.capacity_mah,
-                reference_ma=PEUKERT_REFERENCE_MA,
-                exponent=PEUKERT_EXPONENT,
-            )
+            return PeukertBattery(self.capacity_mah)
         raise ConfigurationError(f"unknown chemistry {self.chemistry!r}")
 
 

@@ -43,17 +43,23 @@ import math
 import typing as t
 
 from repro.errors import ConfigurationError
+from repro.explore.budget import promote
 from repro.explore.space import AXES, SpaceSpec
 
 __all__ = [
     "GuidedReport",
     "Surrogate",
-    "stratified_top",
     "guided_sample",
 ]
 
 #: Index of the deadline axis in :data:`AXES` (promotion stratifies on it).
 _DEADLINE_AXIS = AXES.index("deadline_s")
+
+#: Consecutive rounds the top set must survive unchanged before stopping.
+_PATIENCE = 1
+
+#: Safety cap on proposal rounds.
+_MAX_ROUNDS = 64
 
 #: Weight of the uncertainty bonus relative to the predicted score.
 _EXPLORE_BONUS = 0.25
@@ -180,35 +186,25 @@ class Surrogate:
         return out
 
 
-def stratified_top(
-    entries: t.Mapping[int, tuple[float, int]], keep: int
+def _stall_set(
+    scores: t.Mapping[int, float],
+    deadline_of: t.Mapping[int, float],
+    keep: int,
 ) -> tuple[int, ...]:
-    """The promoted index set, mirrored from ``halving._promote``.
+    """The index set rung 0 promotes from ``scores``, sorted by index.
 
-    ``entries`` maps enumeration index to ``(score, deadline digit)``.
-    Round-robins over per-deadline strata, each sorted ``(-score,
-    index)`` — the same selection the scheduler's promotion makes, so
-    the sampler's stall test watches exactly the set that will promote.
-    Returned sorted by index (a set identity, not a rung order).
+    The scheduler's own promotion rule,
+    :func:`~repro.explore.budget.promote`, over the scored indices, with
+    each index's deadline value from ``deadline_of`` — so the stall test
+    watches exactly the set that will promote.
     """
-    strata: dict[int, list[tuple[float, int]]] = {}
-    for index, (score, deadline) in entries.items():
-        strata.setdefault(deadline, []).append((-score, index))
-    for group in strata.values():
-        group.sort()
-    chosen: list[int] = []
-    rank = 0
-    while len(chosen) < keep:
-        advanced = False
-        for deadline in sorted(strata):
-            group = strata[deadline]
-            if rank < len(group) and len(chosen) < keep:
-                chosen.append(group[rank][1])
-                advanced = True
-        if not advanced:
-            break
-        rank += 1
-    return tuple(sorted(chosen))
+    chosen = promote(
+        scores.items(),
+        keep,
+        deadline=lambda entry: deadline_of[entry[0]],
+        rank=lambda entry: (-entry[1], entry[0]),
+    )
+    return tuple(sorted(index for index, _ in chosen))
 
 
 def _walk_stride(n: int) -> int:
@@ -252,9 +248,6 @@ def guided_sample(
     *,
     limit: int | None = None,
     probe: int = 2048,
-    batch: int = 2048,
-    patience: int = 1,
-    max_rounds: int = 64,
 ) -> tuple[dict[int, float], GuidedReport]:
     """Drive the propose/score loop until the top set goes quiet.
 
@@ -270,14 +263,10 @@ def guided_sample(
         The true scorer: takes enumeration indices, returns one score
         per index (``None`` = disqualified). The caller owns all
         bookkeeping side effects (rung report counts, verdicts).
-    probe, batch:
-        Sizes of the initial stratified probe and each round's
-        exploit/explore batches (the closure batch is never capped —
+    probe:
+        Size of the initial stratified probe and of each round's
+        exploit + explore batches (the closure batch is never capped —
         stopping requires it empty).
-    patience:
-        Consecutive rounds the top set must survive unchanged.
-    max_rounds:
-        Safety cap on proposal rounds.
 
     Returns
     -------
@@ -286,10 +275,8 @@ def guided_sample(
     """
     if keep < 1:
         raise ConfigurationError(f"keep must be >= 1, got {keep}")
-    if probe < 1 or batch < 1:
-        raise ConfigurationError(
-            f"probe and batch must be >= 1, got {probe}, {batch}"
-        )
+    if probe < 1:
+        raise ConfigurationError(f"probe must be >= 1, got {probe}")
     radices = space.radices()
     full = space.size()
     if limit is not None and 0 < limit < full:
@@ -303,6 +290,8 @@ def guided_sample(
     model = Surrogate(space)
     scores: dict[int, float] = {}
     digits_of: dict[int, tuple[int, ...]] = {}
+    deadline_of: dict[int, float] = {}
+    deadlines = space.axis_values("deadline_s")
     evaluated: set[int] = set()
 
     def universe_at(pos: int) -> int:
@@ -317,6 +306,7 @@ def guided_sample(
             evaluated.add(index)
             digits = space.digits_at(index)
             digits_of[index] = digits
+            deadline_of[index] = deadlines[digits[_DEADLINE_AXIS]]
             model.observe(digits, score if score is not None else 0.0)
             if score is not None:
                 scores[index] = score
@@ -354,13 +344,7 @@ def guided_sample(
     stable = 0
     while True:
         report.rounds += 1
-        top = stratified_top(
-            {
-                i: (score, digits_of[i][_DEADLINE_AXIS])
-                for i, score in scores.items()
-            },
-            keep,
-        )
+        top = _stall_set(scores, deadline_of, keep)
         closure: set[int] = set()
         for index in top:
             for neighbor in _neighbors(digits_of[index], radices):
@@ -369,13 +353,13 @@ def guided_sample(
                     closure.add(ni)
         stable = stable + 1 if top == prev_top else 0
         prev_top = top
-        if not closure and stable >= patience:
+        if not closure and stable >= _PATIENCE:
             report.stop_reason = "stable"
             break
         if len(evaluated) >= n:
             report.stop_reason = "exhausted"
             break
-        if report.rounds >= max_rounds:
+        if report.rounds >= _MAX_ROUNDS:
             report.stop_reason = "max-rounds"
             break
 
@@ -396,9 +380,9 @@ def guided_sample(
             )
             candidates.append((-gain, index))
         candidates.sort()
-        proposals.update(index for _, index in candidates[: batch // 2])
+        proposals.update(index for _, index in candidates[: probe // 2])
         # explore: the next slice of the permutation walk
-        proposals.update(walk(batch // 2))
+        proposals.update(walk(probe // 2))
         fresh = sorted(i for i in proposals if i not in evaluated)
         if not fresh:
             report.stop_reason = "exhausted"

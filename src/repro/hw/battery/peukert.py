@@ -16,7 +16,28 @@ from repro.errors import BatteryError
 from repro.hw.battery.base import Battery
 from repro.units import mah_to_mas
 
-__all__ = ["PeukertBattery"]
+__all__ = [
+    "PEUKERT_EXPONENT",
+    "PEUKERT_REFERENCE_MA",
+    "PeukertBattery",
+    "peukert_rate",
+]
+
+#: Default reference current (mA) and exponent: the values the explore
+#: space's Peukert chemistry runs and its analytic rungs score.
+PEUKERT_REFERENCE_MA = 60.0
+PEUKERT_EXPONENT = 1.2
+
+
+def peukert_rate(
+    current_ma: float,
+    reference_ma: float = PEUKERT_REFERENCE_MA,
+    exponent: float = PEUKERT_EXPONENT,
+) -> float:
+    """Effective charge-consumption rate (mA) for a real current."""
+    if current_ma == 0.0:
+        return 0.0
+    return current_ma * (current_ma / reference_ma) ** (exponent - 1.0)
 
 
 class PeukertBattery(Battery):
@@ -33,7 +54,12 @@ class PeukertBattery(Battery):
         typical Li-ion values are 1.05-1.3.
     """
 
-    def __init__(self, capacity_mah: float, reference_ma: float = 60.0, exponent: float = 1.2):
+    def __init__(
+        self,
+        capacity_mah: float,
+        reference_ma: float = PEUKERT_REFERENCE_MA,
+        exponent: float = PEUKERT_EXPONENT,
+    ):
         super().__init__(capacity_mah)
         if reference_ma <= 0:
             raise BatteryError(f"reference current must be positive: {reference_ma}")
@@ -45,9 +71,7 @@ class PeukertBattery(Battery):
 
     def effective_rate(self, current_ma: float) -> float:
         """Effective charge-consumption rate for a real current, mA."""
-        if current_ma == 0.0:
-            return 0.0
-        return current_ma * (current_ma / self.reference_ma) ** (self.exponent - 1.0)
+        return peukert_rate(current_ma, self.reference_ma, self.exponent)
 
     def charge_fraction(self) -> float:
         return max(0.0, self._remaining_effective_mas / mah_to_mas(self.capacity_mah))

@@ -7,8 +7,6 @@ self-contained, SimPy-flavoured kernel:
 - :class:`~repro.sim.events.Event` is the unit of synchronization.
 - :class:`~repro.sim.process.Process` wraps a generator coroutine; the
   generator ``yield``\\ s events and is resumed with their values.
-- :class:`~repro.sim.resources.Channel` / :class:`~repro.sim.resources.Resource`
-  provide message passing and mutual exclusion between processes.
 - :class:`~repro.sim.trace.TraceRecorder` records piecewise-constant
   activity segments (who, what mode, what current) for figures and
   energy accounting.
@@ -22,7 +20,6 @@ order, and no wall-clock or global randomness is consulted anywhere.
 from repro.sim.events import Event, Timeout
 from repro.sim.kernel import Simulator
 from repro.sim.process import Interrupt, Process
-from repro.sim.resources import Channel, Resource
 from repro.sim.rng import RngStreams
 from repro.sim.trace import Segment, TraceRecorder
 
@@ -32,8 +29,6 @@ __all__ = [
     "Timeout",
     "Process",
     "Interrupt",
-    "Channel",
-    "Resource",
     "RngStreams",
     "TraceRecorder",
     "Segment",

@@ -1,9 +1,22 @@
 """Adaptive exact-rung budgets: disagreement measurement, apportionment."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import ConfigurationError
-from repro.explore.budget import allocate_budgets, rank_disagreement
+from repro.explore.budget import allocate_budgets, promote, rank_disagreement
+
+
+def _round_robin(total: int, sizes: list[int]) -> list[int]:
+    """One slot per stratum per rank, in stratum order, until spent."""
+    alloc = [0] * len(sizes)
+    while total > 0 and any(a < s for a, s in zip(alloc, sizes)):
+        for i, size in enumerate(sizes):
+            if total > 0 and alloc[i] < size:
+                alloc[i] += 1
+                total -= 1
+    return alloc
 
 
 class TestRankDisagreement:
@@ -66,3 +79,49 @@ class TestAllocateBudgets:
             allocate_budgets(-1, [1], [0.0])
         with pytest.raises(ConfigurationError, match="lengths"):
             allocate_budgets(1, [1, 2], [0.0])
+
+    @given(
+        total=st.integers(0, 120),
+        sizes=st.lists(st.integers(0, 30), max_size=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equal_weights_are_round_robin(self, total, sizes):
+        assert allocate_budgets(total, sizes, [0.0] * len(sizes)) == (
+            _round_robin(total, sizes)
+        )
+
+
+class TestPromote:
+    # (index, score, deadline) triples.
+    ITEMS = [(0, 5.0, 3.0), (1, 9.0, 2.3), (2, 7.0, 3.0), (3, 1.0, 2.3)]
+
+    @staticmethod
+    def _promote(items, keep, **kwargs):
+        return promote(
+            items, keep, lambda e: e[2], lambda e: (-e[1], e[0]), **kwargs
+        )
+
+    def test_strata_in_deadline_value_order(self):
+        # keep=3 over two strata of two: the extra slot goes to the
+        # shorter deadline whatever order the items arrive in.
+        for items in (self.ITEMS, self.ITEMS[::-1]):
+            got = self._promote(items, 3)
+            assert [e[0] for e in got] == [1, 2, 3]
+
+    def test_result_sorted_by_rank(self):
+        got = self._promote(self.ITEMS, 4)
+        assert [e[0] for e in got] == [1, 2, 0, 3]
+
+    def test_arrange_orders_within_stratum(self):
+        # Reverse-score order inside each stratum: the worst promotes.
+        got = self._promote(
+            self.ITEMS, 2, arrange=lambda g: sorted(g, key=lambda e: e[1])
+        )
+        assert [e[0] for e in got] == [0, 3]
+
+    def test_weight_skews_the_split(self):
+        items = [(i, float(i), 2.3 if i < 4 else 3.0) for i in range(8)]
+        got = self._promote(
+            items, 4, weight=lambda g: 1.0 if g[0][2] == 3.0 else 0.0
+        )
+        assert sum(e[2] == 3.0 for e in got) > sum(e[2] == 2.3 for e in got)

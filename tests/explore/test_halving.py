@@ -13,8 +13,8 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.exec import ResultCache
 from repro.explore import Axis, SpaceSpec, explore
-from repro.explore.halving import RUNGS, _bucket_walk, _peukert_rate
-from repro.hw.battery.peukert import PeukertBattery
+from repro.explore.halving import RUNGS, _bucket_walk
+from repro.hw.battery.peukert import PeukertBattery, peukert_rate
 from repro.obs.store import RunRegistry
 
 
@@ -36,7 +36,7 @@ class TestExploreEndToEnd:
         return explore(small_space(), keep=(8, 4, 2))
 
     def test_rung_names_and_order(self, result):
-        assert tuple(r.name for r in result.rungs) == RUNGS
+        assert [r.name for r in result.rungs] == [r.name for r in RUNGS]
 
     def test_prunes_at_least_ninety_percent(self, result):
         assert result.n_configs == 120
@@ -223,16 +223,15 @@ class TestBucketWalk:
 
     def test_peukert_rate_matches_scalar_battery(self):
         cell = PeukertBattery(100.0)
-        for current in (5.0, 60.0, 120.0, 250.0):
-            assert _peukert_rate(current) == pytest.approx(
-                cell.effective_rate(current)
-            )
+        for current in (0.0, 5.0, 60.0, 120.0, 250.0):
+            # The explore rungs and the cell share one rate function.
+            assert peukert_rate(current) == cell.effective_rate(current)
 
     def test_peukert_walk_matches_scalar_battery(self):
         cycle = ((120.0, 1.0), (20.0, 1.5))
         capacity_mah = 0.25
         death, _ = _bucket_walk(
-            capacity_mah * 3600.0, cycle, _peukert_rate, 1e9
+            capacity_mah * 3600.0, cycle, peukert_rate, 1e9
         )
         cell = PeukertBattery(capacity_mah)
         t = 0.0

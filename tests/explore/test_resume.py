@@ -29,6 +29,33 @@ from tests.explore.test_halving import small_space
 
 KEEP = (8, 4, 2)
 CHUNK = 2
+NAMES = [rung.name for rung in RUNGS]
+
+#: A version-1 cursor exactly as the registry stored it after rung
+#: "cohort" of ``explore(small_space(), keep=KEEP, chunk_size=CHUNK)``,
+#: written by the ladder before its rungs became a table.
+V1_COHORT_CURSOR = {
+    "candidates": [
+        [96, 0.20926352690955133, 0.0, 0.20926352690955133, 327, 0, ""],
+        [97, 0.2068133371849105, 0.0, 0.2068133371849105, 323, 0, ""],
+        [98, 0.20439767046446913, 0.0, 0.20439767046446913, 319, 0, ""],
+        [99, 0.20226746342680282, 0.0, 0.20226746342680282, 316, 0, ""],
+    ],
+    "disqualified": {},
+    "keep": [8, 4, 2],
+    "limit": None,
+    "mode": "full",
+    "n_configs": 120,
+    "rung": "cohort",
+    "rungs": [
+        {"disqualified": 0, "entered": 120, "evaluated": 120,
+         "name": "predict", "promoted": 8},
+        {"disqualified": 0, "entered": 8, "evaluated": 8,
+         "name": "cohort", "promoted": 4},
+    ],
+    "sampler": None,
+    "version": 1,
+}
 
 _DRIVER = """
 import os, signal, sys
@@ -147,11 +174,11 @@ class TestKillMidRung:
         # The killed session left a clean prefix: every completed rung
         # snapshotted, nothing from the rung that died.
         assert [s.rung for s in snapshots] == list(
-            reversed(RUNGS[: RUNGS.index(dead_rung)])
+            reversed(NAMES[: NAMES.index(dead_rung)])
         )
 
         resumed, resumed_registry, record = _resume(tmp_path)
-        assert resumed.resumed_rungs == RUNGS.index(dead_rung)
+        assert resumed.resumed_rungs == NAMES.index(dead_rung)
         assert _frontier_blob(resumed) == _frontier_blob(result)
 
         # Registry contents byte-identical to the uninterrupted run's.
@@ -170,7 +197,7 @@ class TestKillMidRung:
         persisted = kill_after if when == "after" else kill_after - 1
         skipped = sum(
             r.executed
-            for r in result.rungs[1 : RUNGS.index(dead_rung)]
+            for r in result.rungs[1 : NAMES.index(dead_rung)]
         )
         executed = sum(r.executed for r in resumed.rungs[1:])
         hits = sum(r.cache_hits for r in resumed.rungs[1:])
@@ -222,6 +249,22 @@ class TestKillMidRung:
         assert resumed.resumed_rungs == len(RUNGS)
         assert sum(r.executed for r in resumed.rungs) == 0
         assert _frontier_blob(resumed) == _frontier_blob(uninterrupted)
+        assert _frontier_blob(resumed) == _frontier_blob(result)
+
+
+class TestVersionOneCursor:
+    def test_stored_cohort_cursor_resumes_to_same_frontier(self, control):
+        result, _, _ = control
+        resumed = explore(
+            small_space(),
+            keep=KEEP,
+            chunk_size=CHUNK,
+            resume=json.loads(json.dumps(V1_COHORT_CURSOR)),
+        )
+        assert resumed.resumed_rungs == 2
+        assert [r.content() for r in resumed.rungs[:2]] == (
+            V1_COHORT_CURSOR["rungs"]
+        )
         assert _frontier_blob(resumed) == _frontier_blob(result)
 
 

@@ -14,14 +14,14 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.explore import AXES, default_space, explore
-from repro.explore.halving import RungReport, _prescreen, _promote
+from repro.explore.halving import RUNGS, RungReport, _prescreen
 from repro.explore.surrogate import (
     Surrogate,
     _index_of,
     _neighbors,
+    _stall_set,
     _walk_stride,
     guided_sample,
-    stratified_top,
 )
 from tests.explore.test_halving import small_space
 
@@ -108,23 +108,64 @@ class TestSurrogate:
 
 
 class TestStratifiedTop:
+    """The sampler's stall set: rung 0's promotion over scored indices."""
+
     def test_single_stratum_is_topk(self):
-        entries = {i: (float(10 - i), 0) for i in range(6)}
-        assert stratified_top(entries, 3) == (0, 1, 2)
+        scores = {i: float(10 - i) for i in range(6)}
+        assert _stall_set(scores, dict.fromkeys(scores, 2.3), 3) == (0, 1, 2)
 
     def test_round_robins_across_strata(self):
-        entries = {
-            0: (9.0, 0),
-            1: (8.0, 0),
-            2: (1.0, 1),
-            3: (2.0, 1),
-        }
+        scores = {0: 9.0, 1: 8.0, 2: 1.0, 3: 2.0}
+        deadline_of = {0: 2.0, 1: 2.0, 2: 3.0, 3: 3.0}
         # rank 0 of each stratum first: 0 (9.0) and 3 (2.0).
-        assert stratified_top(entries, 2) == (0, 3)
+        assert _stall_set(scores, deadline_of, 2) == (0, 3)
 
     def test_ties_break_on_index(self):
-        entries = {5: (1.0, 0), 2: (1.0, 0)}
-        assert stratified_top(entries, 1) == (2,)
+        scores = {5: 1.0, 2: 1.0}
+        assert _stall_set(scores, dict.fromkeys(scores, 2.3), 1) == (2,)
+
+    @pytest.mark.parametrize("keep", [7, 63, 65])
+    def test_matches_rung0_promotion_on_descending_deadlines(self, keep):
+        # Deadlines declared longest first: the value order of the
+        # strata is the reverse of their digit order, and an odd keep
+        # gives the first stratum in value order the extra slot.
+        space = default_space(2, 3, 3, deadlines=(3.0, 2.3))
+        candidates = _prescreen(
+            space, space.configs(), RungReport("predict"), {}
+        )
+        want = sorted(
+            c.config.index for c in RUNGS[0].promotion(candidates, keep)
+        )
+        scores = {c.config.index: c.score for c in candidates}
+        deadline_of = {c.config.index: c.config.deadline_s for c in candidates}
+        assert list(_stall_set(scores, deadline_of, keep)) == want
+
+    @pytest.mark.parametrize("keep", [7, 63, 65])
+    def test_stable_stop_closes_rung0_promotion(self, keep):
+        # A "stable" stop certifies that every one-axis neighbor of the
+        # set rung 0 will promote was scored.
+        space = default_space(2, 3, 3, deadlines=(3.0, 2.3))
+        seen: set[int] = set()
+        evaluate = _true_evaluator(space)
+
+        def recording(indices):
+            seen.update(indices)
+            return evaluate(indices)
+
+        scores, report = guided_sample(space, keep, recording, probe=64)
+        assert report.stop_reason == "stable"
+        candidates = [
+            c
+            for c in _prescreen(
+                space, space.configs(), RungReport("predict"), {}
+            )
+            if c.config.index in scores
+        ]
+        radices = space.radices()
+        for cand in RUNGS[0].promotion(candidates, keep):
+            digits = space.digits_at(cand.config.index)
+            for neighbor in _neighbors(digits, radices):
+                assert _index_of(neighbor, radices) in seen
 
 
 class TestGuidedSample:
@@ -138,10 +179,10 @@ class TestGuidedSample:
     def test_deterministic_across_runs(self):
         space = small_space()
         a_scores, a_report = guided_sample(
-            space, 8, _true_evaluator(space), probe=16, batch=16
+            space, 8, _true_evaluator(space), probe=16
         )
         b_scores, b_report = guided_sample(
-            space, 8, _true_evaluator(space), probe=16, batch=16
+            space, 8, _true_evaluator(space), probe=16
         )
         assert a_scores == b_scores
         assert a_report.content() == b_report.content()
@@ -155,7 +196,7 @@ class TestGuidedSample:
     def test_small_probe_stops_stable_before_exhausting(self):
         space = small_space()
         scores, report = guided_sample(
-            space, 8, _true_evaluator(space), probe=16, batch=16
+            space, 8, _true_evaluator(space), probe=16
         )
         assert report.stop_reason == "stable"
         assert report.probed < space.size()
@@ -164,7 +205,7 @@ class TestGuidedSample:
         space = small_space()
         allowed = set(space.indices(40))
         scores, report = guided_sample(
-            space, 4, _true_evaluator(space), limit=40, probe=8, batch=8
+            space, 4, _true_evaluator(space), limit=40, probe=8
         )
         assert report.universe == 40
         assert set(scores) <= allowed
@@ -198,21 +239,13 @@ class TestGuidedVersusExhaustive:
         # promotes.
         space = default_space()
         keep0 = 512
-        report = RungReport("predict")
-        exhaustive = _promote(
-            _prescreen(space, space.configs(), report, {}), keep0, report
+        exhaustive = RUNGS[0].promotion(
+            _prescreen(space, space.configs(), RungReport("predict"), {}),
+            keep0,
         )
         want = sorted(c.config.index for c in exhaustive)
 
         scores, sampler = guided_sample(space, keep0, _true_evaluator(space))
-        got = sorted(
-            stratified_top(
-                {
-                    i: (s, space.digits_at(i)[-1])
-                    for i, s in scores.items()
-                },
-                keep0,
-            )
-        )
-        assert got == want
+        deadline_of = {i: space.config_at(i).deadline_s for i in scores}
+        assert list(_stall_set(scores, deadline_of, keep0)) == want
         assert sampler.probed <= space.size()

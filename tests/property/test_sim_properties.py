@@ -3,7 +3,7 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.sim import Channel, Simulator
+from repro.sim import Simulator
 
 
 class TestClockProperties:
@@ -57,50 +57,3 @@ class TestClockProperties:
             return log
 
         assert run_once() == run_once()
-
-
-class TestChannelProperties:
-    @given(items=st.lists(st.integers(), min_size=0, max_size=50))
-    @settings(max_examples=100, deadline=None)
-    def test_fifo_preserves_sequence(self, items):
-        sim = Simulator()
-        ch = Channel(sim)
-        received = []
-
-        def producer(sim, ch, items):
-            for item in items:
-                yield ch.put(item)
-
-        def consumer(sim, ch, n):
-            for _ in range(n):
-                received.append((yield ch.get()))
-
-        sim.process(producer(sim, ch, items))
-        sim.process(consumer(sim, ch, len(items)))
-        sim.run()
-        assert received == items
-
-    @given(
-        items=st.lists(st.integers(), min_size=1, max_size=30),
-        capacity=st.integers(1, 5),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_bounded_channel_never_overflows(self, items, capacity):
-        sim = Simulator()
-        ch = Channel(sim, capacity=capacity)
-        max_seen = []
-
-        def producer(sim, ch, items):
-            for item in items:
-                yield ch.put(item)
-                max_seen.append(len(ch))
-
-        def consumer(sim, ch, n):
-            for _ in range(n):
-                yield sim.timeout(1.0)
-                yield ch.get()
-
-        sim.process(producer(sim, ch, items))
-        sim.process(consumer(sim, ch, len(items)))
-        sim.run()
-        assert all(n <= capacity for n in max_seen)

@@ -27,7 +27,6 @@ __all__ = [
     "figure7_power_profile",
     "figure8_partitioning",
     "figure10_results",
-    "figure_discharge_curves",
 ]
 
 
@@ -122,48 +121,6 @@ def figure8_partitioning(
         float_fmt=".1f",
     )
     return FigureData("fig8", rows, text)
-
-
-def figure_discharge_curves(run: ExperimentRun, width: int = 64, height: int = 12) -> FigureData:
-    """Per-node discharge curves (charge fraction vs hours) for one run.
-
-    Not a figure the paper prints, but the measurement its power
-    monitor produced; shows visually how unbalanced partitions drain
-    one cell ahead of the other and how rotation locks the curves
-    together. Built from the run's ``battery.draw`` events, so it
-    needs ``telemetry=True`` and ``monitor_interval_s`` set.
-    """
-    from repro.analysis.charts import line_plot
-    from repro.errors import ConfigurationError
-    from repro.obs.events import discharge_curves
-
-    curves = {}
-    if run.pipeline is not None and run.obs is not None:
-        curves = discharge_curves(run.obs.events.records)
-    if not curves:
-        raise ConfigurationError(
-            "discharge curves need battery.draw events: run the pipeline "
-            "with telemetry=True and monitor_interval_s set"
-        )
-    rows: list[dict[str, t.Any]] = []
-    plots: list[str] = []
-    for name, samples in curves.items():
-        curve = [(ts / 3600.0, frac) for ts, frac in samples]
-        if len(curve) < 2:
-            continue
-        for hours, frac in curve:
-            rows.append({"node": name, "hours": hours, "charge_fraction": frac})
-        plots.append(
-            line_plot(
-                curve,
-                width=width,
-                height=height,
-                x_label="hours",
-                y_label="charge",
-                title=f"{name} discharge (experiment {run.spec.label})",
-            )
-        )
-    return FigureData("discharge", tuple(rows), "\n\n".join(plots))
 
 
 def figure10_results(runs: dict[str, ExperimentRun]) -> FigureData:

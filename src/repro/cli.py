@@ -20,13 +20,14 @@ Exposes the reproduction as a set of subcommands::
     python -m repro check --paper      # assert the Fig. 10 ordering
     python -m repro check --fleet      # fleet health from the exec journal
     python -m repro top                # attach to a running sweep (live)
-    python -m repro report -o out.md   # everything into one document
+    python -m repro report             # every paper figure in one HTML file
     python -m repro calibrate          # re-run the model calibration
     python -m repro profile --frames 8 # time the real ATR blocks (Fig. 6)
 
-All output is plain text; ``--export PATH`` writes the structured rows
-to a ``.csv`` or ``.json`` file (``repro trace --export`` instead picks
-a ``chrome``, ``jsonl`` or ``csv`` telemetry export).
+All output is plain text (``repro report`` writes one HTML file);
+``--export PATH`` writes the structured rows to a ``.csv`` or ``.json``
+file (``repro trace --export`` instead picks a ``chrome``, ``jsonl`` or
+``csv`` telemetry export).
 ``--fast`` swaps in quarter-capacity cells for quick demos (ratios
 compress a little at reduced scale — see the battery-model ablation).
 
@@ -57,7 +58,6 @@ import os
 import sys
 import typing as t
 
-from repro.analysis.export import write_rows
 from repro.analysis.figures import (
     figure6_performance_profile,
     figure7_power_profile,
@@ -74,6 +74,7 @@ from repro.core.experiments import (
 from repro.errors import ReproError
 from repro.hw.battery import KiBaM
 from repro.hw.battery.kibam import PAPER_BATTERY, PAPER_KIBAM_PARAMETERS
+from repro.obs.export import write_rows
 
 __all__ = ["main", "build_parser"]
 
@@ -962,42 +963,34 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.core.experiments import run_paper_suite
+    from repro.obs.report import write_html_report
 
-    factory = _battery_factory(args.fast)
-    labels = args.labels or None
-    html = str(args.output).endswith((".html", ".htm"))
-    if labels and not html:
-        print("experiment labels are only honored for .html reports",
+    if not str(args.output).endswith((".html", ".htm")):
+        print(f"report output must be an .html file: {args.output}",
               file=sys.stderr)
         return 2
     journal = None
-    if html and getattr(args, "fleet", False):
+    if args.fleet:
         registry = _registry(args)
         if registry is None:
             print("--fleet needs the registry (drop --no-registry)",
                   file=sys.stderr)
             return 2
         journal = registry.list_journal()
+    factory = _battery_factory(args.fast)
     runs = run_paper_suite(
-        labels,
+        args.labels or None,
         battery_factory=factory,
         telemetry=True,
         monitor_interval_s=300.0,
         **_sweep_kwargs(args),
     )
-    if html:
-        from repro.obs.report import write_html_report
-
-        path = write_html_report(args.output, runs, journal=journal)
-        extra = (f", fleet timeline over {len(journal)} item(s)"
-                 if journal else "")
-        print(f"wrote {path} (self-contained HTML, {len(runs)} "
-              f"experiments{extra})")
-        return 0
-    from repro.analysis.report import write_report
-
-    path = write_report(args.output, runs=runs, battery_factory=factory)
-    print(f"wrote {path}")
+    path = write_html_report(
+        args.output, runs, journal=journal, battery_factory=factory
+    )
+    extra = f", fleet timeline over {len(journal)} item(s)" if journal else ""
+    print(f"wrote {path} (self-contained HTML, {len(runs)} "
+          f"experiments{extra})")
     return 0
 
 
@@ -1242,9 +1235,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_fast(p: argparse.ArgumentParser) -> None:
         p.add_argument("--fast", action="store_true",
                        help="quarter-capacity batteries (quick demo)")
+
+    def add_common(p: argparse.ArgumentParser) -> None:
+        add_fast(p)
         p.add_argument("--export", metavar="PATH",
                        help="write rows to a .csv or .json file")
 
@@ -1267,7 +1263,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-cache", action="store_true",
                        help="recompute instead of reading .repro-cache")
         p.add_argument("--no-registry", action="store_true",
-                       help="do not record runs in the run registry")
+                       help="do not record or read registered runs")
         add_registry(p)
 
     def add_flight(p: argparse.ArgumentParser) -> None:
@@ -1406,14 +1402,9 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="PCT",
                          help="regression threshold for --baseline "
                               "(default 5%%)")
-    p_check.add_argument("--fast", action="store_true",
-                         help="quarter-capacity batteries (quick demo)")
-    p_check.add_argument("--no-registry", action="store_true",
-                         help="do not record or read registered runs")
-    p_check.add_argument("--jobs", type=int, default=1, metavar="N")
-    p_check.add_argument("--no-cache", action="store_true")
+    add_fast(p_check)
+    add_sweep(p_check)
     add_mode(p_check)
-    add_registry(p_check)
     p_check.set_defaults(func=_cmd_check)
 
     p_sweep = sub.add_parser(
@@ -1550,30 +1541,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser(
         "report",
-        help="write the full reproduction report (markdown, or "
-             "self-contained HTML with -o report.html)",
+        help="write the full reproduction report (one self-contained "
+             "HTML file: every paper figure, inline SVG charts)",
     )
     p_report.add_argument("labels", nargs="*", metavar="LABEL",
                           help="experiments to include (default: full "
-                               "suite; .html reports only)")
-    p_report.add_argument("-o", "--output", default="reproduction_report.md",
-                          help="output path; a .html suffix renders the "
-                               "single-file HTML report with inline SVG "
-                               "charts (default reproduction_report.md)")
-    p_report.add_argument("--fast", action="store_true",
-                          help="quarter-capacity batteries (quick demo)")
-    p_report.add_argument("--jobs", type=int, default=1, metavar="N",
-                          help="fan experiments over N worker processes "
-                               "(bit-identical)")
-    p_report.add_argument("--no-cache", action="store_true",
-                          help="recompute instead of reading .repro-cache")
-    p_report.add_argument("--no-registry", action="store_true",
-                          help="do not record runs in the run registry")
+                               "suite)")
+    p_report.add_argument("-o", "--output", default="reproduction_report.html",
+                          help="output path, .html or .htm "
+                               "(default reproduction_report.html)")
+    add_fast(p_report)
+    add_sweep(p_report)
     p_report.add_argument("--fleet", action="store_true",
                           help="append the fleet timeline track (per-"
                                "worker execution gantt from the persisted "
-                               "journal; .html reports only)")
-    add_registry(p_report)
+                               "journal)")
     p_report.set_defaults(func=_cmd_report)
 
     p_explain = sub.add_parser(
@@ -1592,8 +1574,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="experiment to run (default 2)")
     pe_frame.add_argument("--frames", type=int, default=None, metavar="N",
                           help="simulate N frames (default: just past ID)")
-    pe_frame.add_argument("--fast", action="store_true",
-                          help="quarter-capacity batteries (quick demo)")
+    add_fast(pe_frame)
     pe_frame.add_argument("--json", action="store_true",
                           help="machine-readable explanation instead of "
                                "the ASCII tree")
@@ -1608,8 +1589,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="experiment to run (default 2)")
     pe_energy.add_argument("--node", metavar="NAME",
                            help="restrict to one node")
-    pe_energy.add_argument("--fast", action="store_true",
-                           help="quarter-capacity batteries (quick demo)")
+    add_fast(pe_energy)
     pe_energy.add_argument("--export", metavar="PATH",
                            help="write ledger rows to a .csv or .json file")
     add_mode(pe_energy)

@@ -154,29 +154,36 @@ class ResultCache:
 
     # -- store ----------------------------------------------------------
     def get(self, key: str) -> t.Any | None:
-        """The payload stored under ``key``, or None on miss/corruption."""
+        """The payload stored under ``key``, or None on miss/corruption.
+
+        Only :meth:`put`'s envelope is a hit. Anything else under the
+        key (unparseable bytes, a bare JSON value, an envelope without
+        ``payload``) is a counted miss and is unlinked, so the caller
+        recomputes and rewrites the entry.
+        """
         path = self.path_for(key)
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
+                entry = json.load(fh)
         except FileNotFoundError:
             self.misses += 1
             return None
         except (OSError, ValueError, UnicodeDecodeError):
-            # Corrupted entry: drop it and recompute.
-            self.misses += 1
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - racing cleanup
-                pass
-            return None
-        self.hits += 1
-        if isinstance(payload, dict) and payload.get("__repro_cache__") == 1:
-            return payload.get("payload")
-        # Entries written before the salt envelope existed store the
-        # bare payload; they still decode (the salt already gated the
-        # key), they just count as "(unversioned)" in info().
-        return payload
+            entry = None
+        if (
+            isinstance(entry, dict)
+            and entry.get("__repro_cache__") == 1
+            and "payload" in entry
+        ):
+            self.hits += 1
+            return entry["payload"]
+        # Corrupted or foreign entry: drop it and recompute.
+        self.misses += 1
+        try:
+            path.unlink()
+        except OSError:  # pragma: no cover - racing cleanup
+            pass
+        return None
 
     def put(self, key: str, payload: t.Any) -> None:
         """Store ``payload`` (JSON-serializable) under ``key``.

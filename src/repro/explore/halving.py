@@ -137,13 +137,6 @@ class RungReport:
             "promoted": self.promoted,
         }
 
-    @property
-    def prune_fraction(self) -> float:
-        """Share of entrants that did not promote past this rung."""
-        if self.entered == 0:
-            return 0.0
-        return 1.0 - self.promoted / self.entered
-
 
 @dataclasses.dataclass(frozen=True)
 class FrontierMember:

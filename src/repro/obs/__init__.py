@@ -11,9 +11,11 @@ reproduction's equivalents into structured, machine-readable data.
 - :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges, and
   mergeable histograms with deterministic aggregation across worker
   processes.
-- :mod:`~repro.obs.export` — JSONL (bit-identical round trips), CSV
-  rows, and Chrome trace-event output loadable in ``chrome://tracing``
-  / Perfetto.
+- :mod:`~repro.obs.export` — JSONL (bit-identical round trips),
+  CSV/JSON/LaTeX rows, and Chrome trace-event output loadable in
+  ``chrome://tracing`` / Perfetto.
+- :mod:`~repro.obs.report` — the reproduction report: one
+  self-contained HTML document carrying every paper artifact.
 
 :class:`Telemetry` bundles the event log, the metrics registry and the
 energy ledger behind one handle that serializes to JSON, so sweep

@@ -1,13 +1,15 @@
-"""Telemetry exporters: JSONL, CSV rows, and Chrome trace-event JSON.
+"""Exporters: telemetry JSONL, flat rows (CSV/JSON/LaTeX), Chrome traces.
 
-Three machine-readable views of the same run:
+Three machine-readable formats:
 
 - **JSONL** — one tagged JSON object per line (``{"type": "segment",
   ...}``), covering trace segments, events, the metrics registry and
   the energy ledger. :func:`read_jsonl` reloads the file into the
   original typed objects *bit-identically* (Python's ``json`` emits
   shortest round-tripping float literals, so every ``float`` survives).
-- **CSV rows** — flat dict rows for :func:`repro.analysis.export.write_rows`.
+- **Flat rows** — dict rows (the ``*_to_rows`` builders, the figure
+  generators' rows, the CLI's ``--export`` tables) serialized to CSV,
+  JSON or LaTeX by :func:`write_rows`.
 - **Chrome trace-event format** — loadable in ``chrome://tracing`` and
   Perfetto. Nodes render as tracks (one ``tid`` per actor) under the
   "simulation" process; activity segments become duration slices,
@@ -22,7 +24,9 @@ exporter, :func:`repro.obs.flight.write_journal`.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import pathlib
 import typing as t
@@ -40,6 +44,10 @@ __all__ = [
     "events_to_rows",
     "metrics_to_rows",
     "ledger_to_rows",
+    "rows_to_csv",
+    "rows_to_json",
+    "rows_to_latex",
+    "write_rows",
     "write_collapsed_stacks",
     "SEGMENT_COLUMNS",
     "EVENT_COLUMNS",
@@ -140,7 +148,7 @@ def read_jsonl(path: str | pathlib.Path) -> TelemetryBundle:
 
 
 # ---------------------------------------------------------------------------
-# flat rows (for CSV via repro.analysis.export.write_rows)
+# flat rows and their CSV/JSON/LaTeX serializers
 # ---------------------------------------------------------------------------
 
 #: Column orders for the flat-row views below. CSV exporters pass
@@ -199,6 +207,125 @@ def ledger_to_rows(energy: EnergyLedger) -> list[dict[str, t.Any]]:
         }
         for row in energy.rows()
     ]
+
+
+def rows_to_csv(rows: t.Sequence[t.Mapping[str, t.Any]], columns: t.Sequence[str] | None = None) -> str:
+    """Serialize dict rows to CSV text (header included).
+
+    With explicit ``columns``, zero rows still produce the header line
+    — an exported file from an empty run (e.g. a zero-event telemetry
+    log) stays parseable instead of being empty. Without ``columns``
+    there is nothing to name, so zero rows yield an empty string.
+    """
+    if not rows and columns is None:
+        return ""
+    columns = list(columns) if columns is not None else list(rows[0].keys())
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: row.get(k) for k in columns})
+    return buf.getvalue()
+
+
+def rows_to_json(rows: t.Sequence[t.Mapping[str, t.Any]], indent: int = 2) -> str:
+    """Serialize dict rows to a JSON array."""
+    return json.dumps([dict(r) for r in rows], indent=indent, default=_coerce)
+
+
+_LATEX_ESCAPES = {
+    "&": r"\&",
+    "%": r"\%",
+    "#": r"\#",
+    "_": r"\_",
+    "{": r"\{",
+    "}": r"\}",
+}
+
+
+def _latex_cell(value: t.Any, float_fmt: str) -> str:
+    if value is None:
+        return "--"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        return format(value, float_fmt)
+    text = str(value)
+    for char, escape in _LATEX_ESCAPES.items():
+        text = text.replace(char, escape)
+    return text
+
+
+def rows_to_latex(
+    rows: t.Sequence[t.Mapping[str, t.Any]],
+    columns: t.Sequence[str] | None = None,
+    headers: t.Mapping[str, str] | None = None,
+    float_fmt: str = ".2f",
+    caption: str | None = None,
+    label: str | None = None,
+) -> str:
+    """Serialize dict rows to a LaTeX ``tabular`` (optionally in a table env).
+
+    The figure generators' structured rows drop straight into a paper:
+
+    >>> print(rows_to_latex([{"exp": "2C", "T": 19.58}]))  # doctest: +SKIP
+    """
+    if not rows:
+        return "% (no rows)\n"
+    columns = list(columns) if columns is not None else list(rows[0].keys())
+    headers = dict(headers or {})
+    lines = []
+    if caption is not None or label is not None:
+        lines.append("\\begin{table}[t]")
+        lines.append("\\centering")
+    lines.append("\\begin{tabular}{" + "l" * len(columns) + "}")
+    lines.append("\\toprule")
+    lines.append(
+        " & ".join(_latex_cell(headers.get(c, c), float_fmt) for c in columns)
+        + " \\\\"
+    )
+    lines.append("\\midrule")
+    for row in rows:
+        lines.append(
+            " & ".join(_latex_cell(row.get(c), float_fmt) for c in columns)
+            + " \\\\"
+        )
+    lines.append("\\bottomrule")
+    lines.append("\\end{tabular}")
+    if caption is not None:
+        lines.append(f"\\caption{{{caption}}}")
+    if label is not None:
+        lines.append(f"\\label{{{label}}}")
+    if caption is not None or label is not None:
+        lines.append("\\end{table}")
+    return "\n".join(lines) + "\n"
+
+
+def write_rows(
+    rows: t.Sequence[t.Mapping[str, t.Any]],
+    path: str | pathlib.Path,
+    columns: t.Sequence[str] | None = None,
+) -> pathlib.Path:
+    """Write rows to ``path``; format chosen by suffix (.csv/.json/.tex)."""
+    path = pathlib.Path(path)
+    if path.suffix == ".csv":
+        path.write_text(rows_to_csv(rows, columns))
+    elif path.suffix == ".json":
+        path.write_text(rows_to_json(rows))
+    elif path.suffix == ".tex":
+        path.write_text(rows_to_latex(rows, columns))
+    else:
+        raise ValueError(
+            f"unsupported export suffix {path.suffix!r} (use .csv, .json or .tex)"
+        )
+    return path
+
+
+def _coerce(obj: t.Any) -> t.Any:
+    """JSON fallback for numpy scalars and similar."""
+    if hasattr(obj, "item"):
+        return obj.item()
+    return str(obj)
 
 
 def write_collapsed_stacks(

@@ -1,11 +1,17 @@
-"""Self-contained HTML run reports with inline SVG charts.
+"""The reproduction report: every paper artifact in one HTML document.
 
-``repro report -o report.html`` renders a full experiment suite into a
-*single file*: no external assets, no JavaScript, no third-party
-libraries — just HTML, inline CSS, and hand-rolled SVG. The file can be
-archived as a CI artifact, attached to a paper review, or opened years
-later with nothing but a browser, which is the point: the reproduction's
-evidence should be as durable as the paper's own figures.
+``repro report`` renders an experiment suite into a *single file*: no
+external assets, no JavaScript, no third-party libraries — just HTML,
+inline CSS, hand-rolled SVG and escaped ``<pre>`` text blocks. The file
+can be archived as a CI artifact, attached to a paper review, or opened
+years later with nothing but a browser, which is the point: the
+reproduction's evidence should be as durable as the paper's own figures.
+
+The text blocks are the :mod:`repro.analysis` renderings of the paper's
+artifacts: the Fig. 6/7/8 profiles and partitions, the Fig. 2/3/9
+timing diagrams (from three short exact traced runs), the Fig. 10
+results table and bars, a per-node energy breakdown per pipeline run,
+and the analytical design-space ranking (KiBaM cells only).
 
 Charts map to the paper's visual vocabulary:
 
@@ -27,10 +33,13 @@ observability stack guarantees.
 
 from __future__ import annotations
 
+import dataclasses
 import html
 import pathlib
 import typing as t
 
+from repro.errors import ConfigurationError
+from repro.hw.battery import PAPER_BATTERY, Battery, KiBaM
 from repro.obs.energy import verify_conservation
 from repro.obs.events import discharge_curves
 
@@ -64,6 +73,8 @@ td.fail { color: #b02020; font-weight: bold; }
 .swatch { display: inline-block; width: 0.9em; height: 0.9em;
           margin-right: 0.3em; vertical-align: -0.1em; }
 svg { background: #fcfcfa; border: 1px solid #ddd; margin: 0.5em 0; }
+pre { background: #fcfcfa; border: 1px solid #ddd; padding: 0.6em;
+      font-size: 0.8em; overflow-x: auto; }
 .note { color: #666; font-size: 0.9em; }
 """
 
@@ -297,18 +308,20 @@ def _latency_histogram(run: "ExperimentRun") -> "Histogram | None":
 def _summary_table(runs: t.Sequence["ExperimentRun"]) -> str:
     head = (
         "<tr><th class='l'>label</th><th class='l'>description</th>"
-        "<th>frames</th><th>T (h)</th><th>Tnorm (h)</th><th>nodes</th>"
-        "<th>events truncated</th></tr>"
+        "<th>frames</th><th>T (h)</th><th>paper T (h)</th><th>Tnorm (h)</th>"
+        "<th>nodes</th><th>events truncated</th></tr>"
     )
     body = []
     for run in runs:
         truncated = 0
         if run.obs is not None and run.obs.events:
             truncated = run.obs.events.dropped
+        paper = run.spec.paper
         body.append(
             f"<tr><td class='l'>{html.escape(run.spec.label)}</td>"
             f"<td class='l'>{html.escape(run.spec.description)}</td>"
             f"<td>{run.frames}</td><td>{_fmt(run.t_hours, 2)}</td>"
+            f"<td>{_fmt(paper.t_hours if paper else None, 2)}</td>"
             f"<td>{_fmt(run.t_hours / run.spec.n_nodes, 2)}</td>"
             f"<td>{run.spec.n_nodes}</td>"
             f"<td>{truncated if truncated else '-'}</td></tr>"
@@ -370,6 +383,16 @@ def _run_section(run: "ExperimentRun") -> str:
         }
         parts.append("<h3>Energy attribution</h3>")
         parts.append(_stacked_bars(rows, "attributed charge (mAh)"))
+    if run.pipeline is not None:
+        from repro.analysis.energy import render_energy_breakdown
+
+        try:
+            breakdown = render_energy_breakdown(run.pipeline)
+        except ConfigurationError:  # run recorded without telemetry
+            pass
+        else:
+            parts.append("<h3>Energy breakdown</h3>")
+            parts.append(_pre(breakdown))
     hist = _latency_histogram(run)
     if hist is not None:
         parts.append("<h3>Frame latency</h3>")
@@ -384,17 +407,124 @@ def _run_section(run: "ExperimentRun") -> str:
     return "\n".join(parts)
 
 
+def _pre(text: str) -> str:
+    """An escaped plain-text block (an ASCII table or diagram)."""
+    return f"<pre>{html.escape(text)}</pre>"
+
+
+#: The timing diagrams: (title, experiment, frames, rotation period
+#: override). Each is a short exact traced run of its own.
+_SCHEDULES = (
+    ("Fig. 2 — single-node schedule", "1", 4, None),
+    ("Fig. 3 — two-node pipelined schedule", "2", 6, None),
+    ("Fig. 9 — node rotation (short period for visibility)", "2C", 18, 6),
+)
+
+
+def _schedule(
+    label: str,
+    frames: int,
+    rotation_period: int | None,
+    battery_factory: t.Callable[[], Battery],
+) -> str:
+    """ASCII Gantt chart of ``frames`` exact frames of one experiment."""
+    from repro.analysis.gantt import render_gantt
+    from repro.core.experiments import PAPER_EXPERIMENTS, run_experiment
+    from repro.sim import TraceRecorder
+
+    spec = PAPER_EXPERIMENTS[label]
+    if rotation_period is not None:
+        spec = dataclasses.replace(spec, rotation_period=rotation_period)
+    trace = TraceRecorder()
+    run_experiment(
+        spec, battery_factory=battery_factory, trace=trace, max_frames=frames
+    )
+    return render_gantt(
+        trace, end_s=frames * spec.deadline_s, width=96,
+        deadline_s=spec.deadline_s,
+    )
+
+
+def _design_space(battery_factory: t.Callable[[], Battery]) -> str | None:
+    """Top of the analytical design-space ranking (None unless KiBaM)."""
+    from repro.analysis.tables import format_table
+    from repro.apps.atr.profile import PAPER_PROFILE
+    from repro.core.optimizer import optimize_configuration
+
+    probe = battery_factory()
+    if not isinstance(probe, KiBaM):
+        return None  # the analytical ranking is defined for KiBaM cells
+    ranked = optimize_configuration(
+        PAPER_PROFILE, max_stages=3, battery=probe.params
+    )
+    return format_table([
+        {
+            "rank": i + 1,
+            "configuration": c.description,
+            "N": c.n_stages,
+            "T_hours": round(c.lifetime_hours, 2),
+            "Tnorm_hours": round(c.normalized_hours, 2),
+        }
+        for i, c in enumerate(ranked[:8])
+    ])
+
+
+def _paper_figures(
+    by_label: dict[str, "ExperimentRun"],
+    battery_factory: t.Callable[[], Battery],
+) -> list[str]:
+    """The paper's figures as text blocks, Fig. 10 with its SVG chart."""
+    from repro.analysis.figures import (
+        figure6_performance_profile,
+        figure7_power_profile,
+        figure8_partitioning,
+        figure10_results,
+    )
+
+    blocks = [
+        ("Fig. 6 — ATR performance profile", figure6_performance_profile().text),
+        ("Fig. 7 — power profile", figure7_power_profile().text),
+        ("Fig. 8 — partitioning schemes", figure8_partitioning().text),
+        *(
+            (title, _schedule(label, frames, period, battery_factory))
+            for title, label, frames, period in _SCHEDULES
+        ),
+    ]
+    sections = [f"<h2>{html.escape(title)}</h2>\n{_pre(text)}"
+                for title, text in blocks]
+    tnorms = {
+        label: run.t_hours / run.spec.n_nodes
+        for label, run in by_label.items()
+        if run.spec.io_enabled
+    }
+    sections.append("<h2>Fig. 10 — experiment results</h2>")
+    if tnorms:
+        sections.append(_pre(figure10_results(by_label).text))
+    sections.append("<h3>Normalized lifetime ordering</h3>")
+    sections.append(_ordering_chart(tnorms))
+    ranking = _design_space(battery_factory)
+    if ranking is not None:
+        sections.append("<h2>Design-space ranking (analytical predictor)</h2>")
+        sections.append(_pre(ranking))
+    return sections
+
+
 def build_html_report(
     runs: t.Mapping[str, "ExperimentRun"] | t.Sequence["ExperimentRun"],
     *,
     title: str = "Low-power distributed ATR — reproduction report",
     journal: t.Sequence[t.Mapping[str, t.Any]] | None = None,
+    battery_factory: t.Callable[[], Battery] = PAPER_BATTERY,
 ) -> str:
     """Render an experiment suite as one self-contained HTML document.
 
     ``runs`` is the :func:`~repro.core.experiments.run_paper_suite`
     mapping (or any sequence of runs). The output embeds every chart as
-    inline SVG and references no external resources.
+    inline SVG and every text figure as an escaped ``<pre>`` block, and
+    references no external resources. ``battery_factory`` supplies the
+    cells of the Fig. 2/3/9 timing-diagram runs and the battery
+    parameters of the design-space ranking; pass the one the suite ran
+    with.
 
     ``journal`` optionally adds a fleet timeline track from flight-
     recorder journal rows (full/telemetry form). It is opt-in because
@@ -403,17 +533,16 @@ def build_html_report(
     compares replayed reports with ``cmp``).
     """
     ordered = list(runs.values()) if isinstance(runs, t.Mapping) else list(runs)
-    tnorms = {
-        run.spec.label: run.t_hours / run.spec.n_nodes
-        for run in ordered
-        if run.spec.io_enabled
-    }
     sections = [
         f"<h1>{html.escape(title)}</h1>",
+        "<p>Generated by <code>python -m repro report</code>. Static "
+        "figures derive from the paper's parameters; experiment results "
+        "are simulated on the calibrated battery model. See "
+        "EXPERIMENTS.md for methodology and expected deviations.</p>",
         "<h2>Suite summary</h2>",
         _summary_table(ordered),
-        "<h2>Normalized lifetime ordering (Fig. 10)</h2>",
-        _ordering_chart(tnorms),
+        *_paper_figures({run.spec.label: run for run in ordered},
+                        battery_factory),
         "<h2>Energy conservation</h2>",
         "<p>Every node's attributed charge (energy ledger) against its "
         "battery's delivered total; the invariant requires agreement "
@@ -451,10 +580,14 @@ def write_html_report(
     *,
     title: str = "Low-power distributed ATR — reproduction report",
     journal: t.Sequence[t.Mapping[str, t.Any]] | None = None,
+    battery_factory: t.Callable[[], Battery] = PAPER_BATTERY,
 ) -> pathlib.Path:
     """Write :func:`build_html_report` output to ``path``."""
     path = pathlib.Path(path)
     path.write_text(
-        build_html_report(runs, title=title, journal=journal), encoding="utf-8"
+        build_html_report(
+            runs, title=title, journal=journal, battery_factory=battery_factory
+        ),
+        encoding="utf-8",
     )
     return path

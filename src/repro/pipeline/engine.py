@@ -338,11 +338,6 @@ class PipelineResult:
         """Payload bytes summed over every link direction."""
         return sum(self.link_bytes.values())
 
-    @property
-    def first_death_s(self) -> float | None:
-        """Earliest battery death, if any."""
-        return min(self.death_times_s.values(), default=None)
-
     def mean_result_period_s(self) -> float | None:
         """Average spacing of deliveries (should approximate D)."""
         if len(self.result_times_s) < 2:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis.export import rows_to_csv, rows_to_json, write_rows
+from repro.obs.export import rows_to_csv, rows_to_json, write_rows
 
 
 ROWS = [{"a": 1, "b": 2.5}, {"a": 3, "b": 4.0}]
@@ -61,7 +61,7 @@ class TestWriteRows:
 
 class TestLaTeX:
     def test_tabular_structure(self):
-        from repro.analysis.export import rows_to_latex
+        from repro.obs.export import rows_to_latex
 
         tex = rows_to_latex(ROWS)
         assert tex.startswith("\\begin{tabular}{ll}")
@@ -69,7 +69,7 @@ class TestLaTeX:
         assert "1 & 2.50 \\\\" in tex
 
     def test_table_environment_with_caption(self):
-        from repro.analysis.export import rows_to_latex
+        from repro.obs.export import rows_to_latex
 
         tex = rows_to_latex(ROWS, caption="Results", label="tab:x")
         assert "\\begin{table}[t]" in tex
@@ -77,30 +77,30 @@ class TestLaTeX:
         assert "\\label{tab:x}" in tex
 
     def test_escaping(self):
-        from repro.analysis.export import rows_to_latex
+        from repro.obs.export import rows_to_latex
 
         tex = rows_to_latex([{"name": "a_b & 50%"}])
         assert "a\\_b \\& 50\\%" in tex
 
     def test_none_and_bool(self):
-        from repro.analysis.export import rows_to_latex
+        from repro.obs.export import rows_to_latex
 
         tex = rows_to_latex([{"a": None, "b": True}])
         assert "-- & yes" in tex
 
     def test_header_override(self):
-        from repro.analysis.export import rows_to_latex
+        from repro.obs.export import rows_to_latex
 
         tex = rows_to_latex(ROWS, headers={"a": "Alpha"})
         assert "Alpha & b" in tex
 
     def test_empty(self):
-        from repro.analysis.export import rows_to_latex
+        from repro.obs.export import rows_to_latex
 
         assert rows_to_latex([]).startswith("%")
 
     def test_write_tex_suffix(self, tmp_path):
-        from repro.analysis.export import write_rows
+        from repro.obs.export import write_rows
 
         path = write_rows(ROWS, tmp_path / "t.tex")
         assert path.read_text().startswith("\\begin{tabular}")

@@ -63,9 +63,11 @@ class TestFigure8:
 
 
 class TestDischargeCurves:
+    """The per-node series behind the report's discharge charts."""
+
     def test_curves_per_node(self):
-        from repro.analysis.figures import figure_discharge_curves
         from repro.core.experiments import PAPER_EXPERIMENTS, run_experiment
+        from repro.obs.events import discharge_curves
 
         run = run_experiment(
             PAPER_EXPERIMENTS["2"],
@@ -73,27 +75,28 @@ class TestDischargeCurves:
             telemetry=True,
             monitor_interval_s=30.0,
         )
-        fig = figure_discharge_curves(run)
-        nodes = {r["node"] for r in fig.rows}
-        assert nodes == {"node1", "node2"}
+        curves = discharge_curves(run.obs.events.records)
+        assert set(curves) == {"node1", "node2"}
         # Fractions are non-increasing per node.
-        for node in nodes:
-            fracs = [r["charge_fraction"] for r in fig.rows if r["node"] == node]
+        for samples in curves.values():
+            fracs = [frac for _, frac in samples]
+            assert len(fracs) >= 2
             assert all(b <= a + 1e-9 for a, b in zip(fracs, fracs[1:]))
-        assert "node1 discharge" in fig.text
 
     def test_requires_monitors(self):
-        from repro.analysis.figures import figure_discharge_curves
         from repro.core.experiments import PAPER_EXPERIMENTS, run_experiment
-        from repro.errors import ConfigurationError
+        from repro.obs.events import discharge_curves
+        from repro.obs.report import build_html_report
 
         run = run_experiment(
             PAPER_EXPERIMENTS["1"],
             battery_factory=tiny_battery_factory,
+            telemetry=True,
             max_frames=3,
         )
-        with pytest.raises(ConfigurationError):
-            figure_discharge_curves(run)
+        assert discharge_curves(run.obs.events.records) == {}
+        page = build_html_report([run], battery_factory=tiny_battery_factory)
+        assert "Battery discharge" not in page
 
 
 class TestFigure10:

@@ -26,23 +26,39 @@ class TestEnvelope:
         assert raw["salt"] == "s1"
         assert raw["payload"] == [1, 2, 3]
 
-    def test_pre_envelope_entries_still_decode(self, tmp_path):
-        cache = ResultCache(tmp_path, salt="s1")
-        key = "cd" * 32
+    @staticmethod
+    def _plant(cache, key, raw):
         path = cache.path_for(key)
         path.parent.mkdir(parents=True)
-        path.write_text(json.dumps({"legacy": True}))
-        assert cache.get(key) == {"legacy": True}
+        path.write_text(json.dumps(raw))
+        return path
 
-    def test_bare_list_payload_unwrapped_correctly(self, tmp_path):
-        # Only the envelope shape is unwrapped; any other dict/list is
-        # returned verbatim.
+    def test_bare_dict_is_counted_miss_and_unlinked(self, tmp_path):
         cache = ResultCache(tmp_path, salt="s1")
-        key = "ef" * 32
-        path = cache.path_for(key)
-        path.parent.mkdir(parents=True)
-        path.write_text(json.dumps([1, 2]))
-        assert cache.get(key) == [1, 2]
+        path = self._plant(cache, "cd" * 32, {"legacy": True})
+        assert cache.get("cd" * 32) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert not path.exists()
+
+    def test_bare_list_is_counted_miss_and_unlinked(self, tmp_path):
+        cache = ResultCache(tmp_path, salt="s1")
+        path = self._plant(cache, "ef" * 32, [1, 2])
+        assert cache.get("ef" * 32) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert not path.exists()
+
+    def test_envelope_without_payload_is_counted_miss(self, tmp_path):
+        cache = ResultCache(tmp_path, salt="s1")
+        path = self._plant(cache, "ab" * 32, {"__repro_cache__": 1, "salt": "s1"})
+        assert cache.get("ab" * 32) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert not path.exists()
+
+    def test_envelope_with_null_payload_is_a_hit(self, tmp_path):
+        cache = ResultCache(tmp_path, salt="s1")
+        cache.put("ab" * 32, None)
+        assert cache.get("ab" * 32) is None
+        assert (cache.hits, cache.misses) == (1, 0)
 
 
 class TestInfo:

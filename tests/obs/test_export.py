@@ -150,7 +150,7 @@ class TestRows:
 
     def test_empty_log_yields_zero_rows_but_csv_keeps_header(self, tmp_path):
         """A zero-event run exports a header-only file, not an empty one."""
-        from repro.analysis.export import write_rows
+        from repro.obs.export import write_rows
 
         rows = events_to_rows(EventLog())
         assert rows == []

@@ -425,6 +425,44 @@ class TestSweep:
         assert "Fig. 10 ordering verified" in capsys.readouterr().out
 
 
+class TestReport:
+    def test_default_output_is_self_contained_html(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from tests.obs.html_schema import validate_html
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["report", "1", "--fast", "--no-cache",
+                     "--no-registry"]) == 0
+        page = (tmp_path / "reproduction_report.html").read_text(
+            encoding="utf-8"
+        )
+        assert validate_html(page) == []
+        assert "self-contained HTML, 1 experiments" in capsys.readouterr().out
+
+    def test_labels_are_honoured(self, tmp_path, capsys):
+        out = tmp_path / "r.html"
+        assert main(["report", "2", "2C", "--fast", "--no-cache",
+                     "--no-registry", "-o", str(out)]) == 0
+        page = out.read_text(encoding="utf-8")
+        assert 'id="run-2"' in page and 'id="run-2C"' in page
+        assert 'id="run-1"' not in page and 'id="run-2A"' not in page
+
+    def test_non_html_output_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "x.md"
+        assert main(["report", "1", "--fast", "--no-registry",
+                     "-o", str(out)]) == 2
+        assert ".html" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fleet_without_registry_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "r.html"
+        assert main(["report", "1", "--fleet", "--no-registry",
+                     "-o", str(out)]) == 2
+        assert "--fleet needs the registry" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCalibrate:
     def test_reports_residuals(self, capsys):
         assert main(["calibrate"]) == 0

@@ -2,7 +2,7 @@
 """Power-failure recovery in action (§5.4 / experiment 2B).
 
 Runs the partitioned pipeline with the ack/timeout/migrate protocol on
-quarter-scale cells, narrates the failure sequence, and prints the
+the paper's cells (steady-state epochs fast-forwarded), narrates the failure sequence, and prints the
 per-node energy breakdown — showing both sides of the paper's verdict:
 the protocol's ack transactions cost energy on every frame, but after
 the heavy node dies the survivor's otherwise-stranded charge buys
@@ -13,35 +13,18 @@ Usage::
     python examples/failure_recovery_demo.py
 """
 
-import dataclasses
-
 from repro import run_experiment
 from repro.analysis.energy import render_energy_breakdown
 from repro.analysis.tables import format_table
 from repro.core.experiments import PAPER_EXPERIMENTS
-from repro.hw.battery import KiBaM
-from repro.hw.battery.kibam import PAPER_KIBAM_PARAMETERS
-
-
-def small_battery() -> KiBaM:
-    params = dataclasses.replace(
-        PAPER_KIBAM_PARAMETERS, capacity_mah=PAPER_KIBAM_PARAMETERS.capacity_mah / 4
-    )
-    return KiBaM(params)
 
 
 def main() -> None:
     print("Running (2A) partitioned pipeline and (2B) with failure recovery")
-    print("(quarter-scale cells)...\n")
-    plain = run_experiment(
-        PAPER_EXPERIMENTS["2A"],
-        battery_factory=small_battery,
-        telemetry=True,
-    )
+    print("(paper-scale cells, fast-forwarded)...\n")
+    plain = run_experiment(PAPER_EXPERIMENTS["2A"], telemetry=True, mode="fast")
     recovery = run_experiment(
-        PAPER_EXPERIMENTS["2B"],
-        battery_factory=small_battery,
-        telemetry=True,
+        PAPER_EXPERIMENTS["2B"], telemetry=True, mode="fast"
     )
 
     rows = []

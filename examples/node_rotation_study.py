@@ -21,17 +21,8 @@ from repro import TraceRecorder, render_gantt, run_experiment
 from repro.analysis.charts import line_plot
 from repro.analysis.tables import format_table
 from repro.core.experiments import PAPER_EXPERIMENTS
-from repro.hw.battery import KiBaM
-from repro.hw.battery.kibam import PAPER_KIBAM_PARAMETERS
 
 D = 2.3
-
-
-def small_battery() -> KiBaM:
-    params = dataclasses.replace(
-        PAPER_KIBAM_PARAMETERS, capacity_mah=PAPER_KIBAM_PARAMETERS.capacity_mah / 4
-    )
-    return KiBaM(params)
 
 
 def show_transition() -> None:
@@ -53,13 +44,10 @@ def show_transition() -> None:
 
 
 def show_balance() -> None:
-    print("Discharge balance (quarter-scale cells):")
+    print("Discharge balance (paper-scale cells, fast-forwarded):")
     rows = []
     for label in ("2A", "2C"):
-        run = run_experiment(
-            PAPER_EXPERIMENTS[label],
-            battery_factory=small_battery,
-        )
+        run = run_experiment(PAPER_EXPERIMENTS[label], mode="fast")
         deaths = {
             name: f"{t / 3600:.2f} h" for name, t in run.death_times_s.items()
         }
@@ -80,11 +68,11 @@ def show_balance() -> None:
 
 
 def show_period_sweep() -> None:
-    print("Rotation-period sweep (quarter-scale cells):")
+    print("Rotation-period sweep (paper-scale cells, fast-forwarded):")
     points = []
     for period in (2, 5, 10, 30, 100, 300, 1000, 3000):
         spec = dataclasses.replace(PAPER_EXPERIMENTS["2C"], rotation_period=period)
-        run = run_experiment(spec, battery_factory=small_battery)
+        run = run_experiment(spec, mode="fast")
         points.append((float(period), float(run.frames)))
     print(
         line_plot(

@@ -3,42 +3,29 @@
 
 Runs four of the paper's experiments on the simulated Itsy testbed —
 baseline, DVS during I/O, partitioning, and node rotation — and prints
-the Fig. 10-style comparison. Takes about a minute: each run discharges
-a calibrated battery model over several simulated hours.
+the Fig. 10-style comparison. Takes about fifteen seconds: each run
+discharges a calibrated battery model over several simulated hours.
 
 Usage::
 
     python examples/quickstart.py [--fast]
 
-``--fast`` uses quarter-capacity cells (seconds instead of a minute;
-ratios are nearly identical).
+``--fast`` fast-forwards steady-state epochs analytically (about a
+second; frame counts are identical to the exact runs').
 """
 
-import dataclasses
 import sys
 
-from repro import PAPER_BATTERY, figure10_results, run_paper_suite
-from repro.hw.battery import KiBaM
-from repro.hw.battery.kibam import PAPER_KIBAM_PARAMETERS
-
-
-def fast_battery() -> KiBaM:
-    """Quarter-capacity cell with the paper's dynamics."""
-    params = dataclasses.replace(
-        PAPER_KIBAM_PARAMETERS,
-        capacity_mah=PAPER_KIBAM_PARAMETERS.capacity_mah / 4,
-    )
-    return KiBaM(params)
+from repro import figure10_results, run_paper_suite
 
 
 def main() -> None:
-    fast = "--fast" in sys.argv
-    factory = fast_battery if fast else PAPER_BATTERY
+    mode = "fast" if "--fast" in sys.argv else "exact"
     labels = ["1", "1A", "2", "2C"]
 
-    print(f"Running experiments {labels} "
-          f"({'quarter-scale' if fast else 'paper-scale'} batteries)...")
-    runs = run_paper_suite(labels, battery_factory=factory)
+    print(f"Running experiments {labels} (paper-scale batteries, "
+          f"{mode} simulation)...")
+    runs = run_paper_suite(labels, mode=mode)
 
     print()
     print(figure10_results(runs).text)

@@ -18,10 +18,9 @@ Usage::
     python examples/variable_workload_demo.py
 """
 
-import dataclasses
-
 from repro import (
     DVSDuringIOPolicy,
+    PAPER_BATTERY,
     PAPER_LINK_TIMING,
     PAPER_PROFILE,
     PinnedLevelsPolicy,
@@ -32,19 +31,10 @@ from repro import (
     SlowestFeasiblePolicy,
 )
 from repro.analysis.tables import format_table
-from repro.hw.battery import KiBaM
-from repro.hw.battery.kibam import PAPER_KIBAM_PARAMETERS
 from repro.pipeline.schedule import plan_node
 from repro.pipeline.workload import BurstyWorkload
 
 D = 2.3
-
-
-def small_battery() -> KiBaM:
-    params = dataclasses.replace(
-        PAPER_KIBAM_PARAMETERS, capacity_mah=PAPER_KIBAM_PARAMETERS.capacity_mah / 4
-    )
-    return KiBaM(params)
 
 
 def run(policy, adaptive: bool):
@@ -57,7 +47,7 @@ def run(policy, adaptive: bool):
         partition=partition,
         roles=policy.role_configs(plans, SA1100_TABLE),
         node_names=("node1", "node2"),
-        battery_factory=small_battery,
+        battery_factory=PAPER_BATTERY,
         deadline_s=D,
         workload=BurstyWorkload(
             calm_scale=0.9, burst_scale=1.25, burst_prob=0.08, burst_length=4
@@ -71,7 +61,7 @@ def run(policy, adaptive: bool):
 
 def main() -> None:
     print("Bursty ATR workload: 0.9x calm frames, 1.25x bursts of 4 "
-          "(quarter-scale cells)\n")
+          "(paper-scale cells)\n")
     strategies = {
         "static slowest-feasible (paper)": (
             DVSDuringIOPolicy(SlowestFeasiblePolicy()), False,

@@ -28,14 +28,12 @@ All output is plain text (``repro report`` writes one HTML file);
 ``--export PATH`` writes the structured rows to a ``.csv`` or ``.json``
 file (``repro trace --export`` instead picks a ``chrome``, ``jsonl`` or
 ``csv`` telemetry export).
-``--fast`` swaps in quarter-capacity cells for quick demos (ratios
-compress a little at reduced scale — see the battery-model ablation).
 
-``run``, ``suite`` and ``check`` fast-forward steady-state epochs by
-default (frame counts match event-exact simulation; lifetimes agree to
-float noise); pass ``--exact`` to simulate every event. The library
-default is the opposite: ``run_experiment`` simulates exactly unless
-``mode="fast"`` is requested.
+Every experiment runs on the paper's battery and simulates every
+event, as ``run_experiment`` does. ``--fast`` (on ``run``, ``suite``,
+``figures fig10``, ``metrics``, ``check``, ``report`` and ``explain
+energy``) fast-forwards steady-state epochs analytically instead:
+frame counts are identical to the exact run's.
 
 Experiment-running commands register their outcomes in the run
 registry (``.repro-runs.sqlite``; override with ``--db`` or the
@@ -72,23 +70,9 @@ from repro.core.experiments import (
     summarize_runs,
 )
 from repro.errors import ReproError
-from repro.hw.battery import KiBaM
-from repro.hw.battery.kibam import PAPER_BATTERY, PAPER_KIBAM_PARAMETERS
 from repro.obs.export import write_rows
 
 __all__ = ["main", "build_parser"]
-
-
-def _fast_battery() -> KiBaM:
-    params = dataclasses.replace(
-        PAPER_KIBAM_PARAMETERS,
-        capacity_mah=PAPER_KIBAM_PARAMETERS.capacity_mah / 4,
-    )
-    return KiBaM(params)
-
-
-def _battery_factory(fast: bool) -> t.Callable[[], KiBaM]:
-    return _fast_battery if fast else PAPER_BATTERY
 
 
 def _registry(args: argparse.Namespace) -> t.Any:
@@ -102,8 +86,8 @@ def _registry(args: argparse.Namespace) -> t.Any:
 
 
 def _mode(args: argparse.Namespace) -> str:
-    """Simulation mode from CLI flags: fast-forward unless --exact."""
-    return "exact" if getattr(args, "exact", False) else "fast"
+    """Simulation mode from CLI flags: exact unless --fast."""
+    return "fast" if args.fast else "exact"
 
 
 def _cache(args: argparse.Namespace) -> t.Any:
@@ -196,13 +180,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     sweep = _sweep_kwargs(args)
     flight, renderer = _flight(args, "suite")
-    runs = run_paper_suite(
-        labels,
-        battery_factory=_battery_factory(args.fast),
-        mode=_mode(args),
-        flight=flight,
-        **sweep,
-    )
+    runs = run_paper_suite(labels, mode=_mode(args), flight=flight, **sweep)
     _finish_flight(flight, renderer, args)
     rows = []
     for m in summarize_runs(runs):
@@ -219,9 +197,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if cache is not None and (cache.hits or cache.misses):
         print(f"\ncache: {cache.hits} hit(s), {cache.misses} miss(es) "
               f"under {cache.root} (disable with --no-cache)")
-    if args.fast:
-        print("\n(quarter-capacity cells: lifetimes scale down and "
-              "normalized ratios compress)")
     if args.export:
         path = write_rows(rows, args.export)
         print(f"\nwrote {path}")
@@ -247,9 +222,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             print(f"\nwrote {write_rows(list(fig.rows), args.export)}")
         return 0
     if which == "fig10":
-        runs = run_paper_suite(
-            battery_factory=_battery_factory(args.fast), **_sweep_kwargs(args)
-        )
+        runs = run_paper_suite(mode=_mode(args), **_sweep_kwargs(args))
         fig = figure10_results(runs)
         print(fig.text)
         if args.export:
@@ -378,9 +351,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     sweep = _sweep_kwargs(args)
     runs = run_paper_suite(
         labels,
-        battery_factory=_battery_factory(args.fast),
         telemetry=True,
         max_frames=args.frames,
+        mode=_mode(args),
         **sweep,
     )
     for label in labels:
@@ -764,9 +737,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"\nfleet healthy over {len(rows)} journaled item(s)")
         return 0
 
-    factory = _battery_factory(args.fast)
     run_kwargs: dict[str, t.Any] = dict(
-        battery_factory=factory,
         telemetry=True,
         monitor_interval_s=60.0,
         mode=_mode(args),
@@ -774,8 +745,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     if args.paper:
         # Assert the Fig. 10 ordering over registered lifetimes for
-        # *this* configuration (fast and full-capacity runs register
-        # under different fingerprints and never mix). Missing labels
+        # *this* configuration (fast and exact runs register under
+        # different fingerprints and never mix). Missing labels
         # are run and registered on the fly.
         from repro.obs.checks import PAPER_ORDERING
 
@@ -923,18 +894,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     from repro.apps.atr.profile import PAPER_PROFILE
     from repro.core.optimizer import optimize_configuration
-    from repro.hw.battery.kibam import PAPER_KIBAM_PARAMETERS
 
-    battery = PAPER_KIBAM_PARAMETERS
-    if args.fast:
-        battery = dataclasses.replace(
-            battery, capacity_mah=battery.capacity_mah / 4
-        )
     ranked = optimize_configuration(
         PAPER_PROFILE,
         max_stages=args.stages,
         deadline_s=args.deadline,
-        battery=battery,
         objective=args.objective,
     )
     rows = [
@@ -962,7 +926,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.core.experiments import run_paper_suite
     from repro.obs.report import write_html_report
 
     if not str(args.output).endswith((".html", ".htm")):
@@ -977,17 +940,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         journal = registry.list_journal()
-    factory = _battery_factory(args.fast)
     runs = run_paper_suite(
         args.labels or None,
-        battery_factory=factory,
         telemetry=True,
         monitor_interval_s=300.0,
+        mode=_mode(args),
         **_sweep_kwargs(args),
     )
-    path = write_html_report(
-        args.output, runs, journal=journal, battery_factory=factory
-    )
+    path = write_html_report(args.output, runs, journal=journal)
     extra = f", fleet timeline over {len(journal)} item(s)" if journal else ""
     print(f"wrote {path} (self-contained HTML, {len(runs)} "
           f"experiments{extra})")
@@ -1018,11 +978,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         # event stream stays small; coalesced frames are untraceable.
         frames = args.frames or max(args.frame_id + 2, 8)
         run = run_experiment(
-            spec,
-            battery_factory=_battery_factory(args.fast),
-            telemetry=True,
-            max_frames=frames,
-            mode="exact",
+            spec, telemetry=True, max_frames=frames, mode="exact"
         )
         assert run.obs is not None
         trace = causal.build_frame_trace(run.obs.events, args.frame_id)
@@ -1044,11 +1000,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
     if args.explain_command == "energy":
         run = run_experiment(
-            spec,
-            battery_factory=_battery_factory(args.fast),
-            telemetry=True,
-            monitor_interval_s=300.0,
-            mode=_mode(args),
+            spec, telemetry=True, monitor_interval_s=300.0, mode=_mode(args)
         )
         assert run.obs is not None
         ledger = run.obs.energy
@@ -1237,10 +1189,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_fast(p: argparse.ArgumentParser) -> None:
         p.add_argument("--fast", action="store_true",
-                       help="quarter-capacity batteries (quick demo)")
+                       help="fast-forward steady-state epochs analytically "
+                            "(frame counts identical to exact simulation)")
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        add_fast(p)
+    def add_export(p: argparse.ArgumentParser) -> None:
         p.add_argument("--export", metavar="PATH",
                        help="write rows to a .csv or .json file")
 
@@ -1248,13 +1200,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--db", metavar="PATH",
                        help="run-registry database (default "
                             "$REPRO_RUNS_DB or .repro-runs.sqlite)")
-
-    def add_mode(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--exact", action="store_true",
-                       help="simulate every event (default: fast-forward "
-                            "steady-state epochs analytically; frame "
-                            "counts match exact runs, lifetimes agree "
-                            "to float noise)")
 
     def add_sweep(p: argparse.ArgumentParser) -> None:
         p.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -1279,22 +1224,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run paper experiments by label")
     p_run.add_argument("labels", nargs="*", metavar="LABEL",
                        help=f"any of: {', '.join(PAPER_EXPERIMENTS)}")
-    add_common(p_run)
+    add_fast(p_run)
+    add_export(p_run)
     add_sweep(p_run)
-    add_mode(p_run)
     add_flight(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_suite = sub.add_parser("suite", help="run all eight experiments")
-    add_common(p_suite)
+    add_fast(p_suite)
+    add_export(p_suite)
     add_sweep(p_suite)
-    add_mode(p_suite)
     add_flight(p_suite)
     p_suite.set_defaults(func=_cmd_suite)
 
     p_fig = sub.add_parser("figures", help="regenerate a paper figure")
     p_fig.add_argument("figure", choices=["fig6", "fig7", "fig8", "fig10"])
-    add_common(p_fig)
+    add_fast(p_fig)
+    add_export(p_fig)
     add_sweep(p_fig)
     p_fig.set_defaults(func=_cmd_figures)
 
@@ -1305,7 +1251,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pipeline depth (default 2)")
     p_part.add_argument("--bandwidth-kbps", type=float, default=80.0,
                         help="link goodput in Kbps (default 80)")
-    add_common(p_part)
+    add_export(p_part)
     p_part.set_defaults(func=_cmd_partition)
 
     p_trace = sub.add_parser(
@@ -1333,7 +1279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument("--frames", type=int, default=None, metavar="N",
                            help="truncate each run after N frames "
                                 "(default: run to battery death)")
-    add_common(p_metrics)
+    add_fast(p_metrics)
+    add_export(p_metrics)
     add_sweep(p_metrics)
     p_metrics.set_defaults(func=_cmd_metrics)
 
@@ -1404,7 +1351,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default 5%%)")
     add_fast(p_check)
     add_sweep(p_check)
-    add_mode(p_check)
     p_check.set_defaults(func=_cmd_check)
 
     p_sweep = sub.add_parser(
@@ -1536,7 +1482,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="normalized")
     p_opt.add_argument("--top", type=int, default=10,
                        help="how many candidates to print")
-    add_common(p_opt)
+    add_export(p_opt)
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_report = sub.add_parser(
@@ -1574,7 +1520,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="experiment to run (default 2)")
     pe_frame.add_argument("--frames", type=int, default=None, metavar="N",
                           help="simulate N frames (default: just past ID)")
-    add_fast(pe_frame)
     pe_frame.add_argument("--json", action="store_true",
                           help="machine-readable explanation instead of "
                                "the ASCII tree")
@@ -1592,7 +1537,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_fast(pe_energy)
     pe_energy.add_argument("--export", metavar="PATH",
                            help="write ledger rows to a .csv or .json file")
-    add_mode(pe_energy)
     pe_energy.set_defaults(func=_cmd_explain)
 
     p_prof = sub.add_parser(

@@ -199,9 +199,12 @@ class ResultCache:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         envelope = {"__repro_cache__": 1, "salt": self.salt, "payload": payload}
+        # One-shot dumps: json.dump streams through the pure-Python
+        # encoder, dumps takes the C one (same bytes, ~4x faster).
+        text = json.dumps(envelope, separators=(",", ":"))
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(envelope, fh, separators=(",", ":"))
+                fh.write(text)
             os.replace(tmp, path)
         except OSError:
             # A read-only or full disk degrades to "no cache", silently.

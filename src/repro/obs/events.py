@@ -53,11 +53,12 @@ event-by-event stream, plus each node's post-jump charge fraction.
 Monitors in :mod:`repro.obs.checks` fold these back into their counts
 so verdicts stay well-defined in fast mode.
 
-``battery.draw`` events are the run's only discharge samples (the
-paper's power-monitor view): a node takes one when a battery segment
-closes at least ``monitor_interval_s`` after its previous sample.
-:func:`discharge_curves` turns them into per-node curves for the
-figures, reports and trace exporters.
+``battery.draw`` events are the run's discharge samples (the paper's
+power-monitor view): a node takes one when a battery segment closes at
+least ``monitor_interval_s`` after its previous sample.
+:func:`discharge_curves` turns them, and the post-jump charge of each
+``ff.epoch``, into per-node curves for the figures, reports and trace
+exporters.
 """
 
 from __future__ import annotations
@@ -453,7 +454,11 @@ def discharge_curves(
 ) -> dict[str, list[tuple[float, float]]]:
     """node -> [(time_s, charge fraction)] from ``battery.draw`` events.
 
-    Nodes appear in first-sample order, each curve in event order.
+    A fast-forward jump (``ff.epoch``) adds each node's post-jump charge
+    fraction at the jump's end ``t1``: charge falls linearly in time
+    under the periodic load it skipped, so the curve stays exact at its
+    samples. Nodes appear in first-sample order, each curve in event
+    order.
     """
     curves: dict[str, list[tuple[float, float]]] = {}
     for event in events:
@@ -461,4 +466,8 @@ def discharge_curves(
             curves.setdefault(event.actor, []).append(
                 (event.ts, event.data["charge_fraction"])
             )
+        elif event.kind == "ff.epoch":
+            t1 = event.data["t1"]
+            for node, fraction in event.data["charge_fraction"].items():
+                curves.setdefault(node, []).append((t1, fraction))
     return curves

@@ -572,8 +572,8 @@ class RunRegistry:
         """Registered runs, most recent first.
 
         ``label`` and ``fingerprint`` filter to one experiment and/or
-        one exact configuration (fingerprints distinguish e.g. full
-        from quarter-capacity batteries of the same label).
+        one exact configuration (fingerprints distinguish e.g. fast
+        from exact runs of the same label).
         ``limit``/``offset`` paginate the filtered, newest-first list
         (sqlite requires a LIMIT for OFFSET, so a bare offset is
         applied against an unbounded limit).

@@ -50,6 +50,7 @@ so event-log digests and the invariant monitors in
 
 from __future__ import annotations
 
+import itertools
 import typing as t
 from collections import deque
 
@@ -308,6 +309,15 @@ class FastForwardController:
                 for cur, dt, mode, bucket in cycles[name]:
                     ledger.add_charge(name, mode, bucket, cur * dt * n, dt * n)
 
+        # The skipped deliveries repeat the last window's, whole periods
+        # later. While the timestamp sample has room it holds every
+        # delivery so far, so it takes them as exact simulation would.
+        times = eng.result_times
+        room = eng.keep_result_times - len(times)
+        if room > 0:
+            window = times[-frames_per_period:]
+            skipped = (ts + k * period_s for k in range(1, n + 1) for ts in window)
+            times.extend(itertools.islice(skipped, room))
         eng.results_count += n * frames_per_period
         eng._frame_seq += n * delta[0]
         eng.late_results += n * delta[1]

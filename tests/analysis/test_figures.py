@@ -83,6 +83,27 @@ class TestDischargeCurves:
             assert len(fracs) >= 2
             assert all(b <= a + 1e-9 for a, b in zip(fracs, fracs[1:]))
 
+    def test_fast_mode_folds_jumps(self):
+        """Each ``ff.epoch`` adds a post-jump sample, so a run whose
+        steady state is skipped still draws its whole discharge."""
+        from repro.core.experiments import PAPER_EXPERIMENTS, run_experiment
+        from repro.obs.events import discharge_curves
+
+        run = run_experiment(
+            PAPER_EXPERIMENTS["2"],
+            telemetry=True,
+            monitor_interval_s=300.0,
+            mode="fast",
+        )
+        (epoch,) = run.obs.events.of_kind("ff.epoch")
+        curves = discharge_curves(run.obs.events.records)
+        assert set(curves) == {"node1", "node2"}
+        for node, samples in curves.items():
+            assert (epoch.data["t1"], epoch.data["charge_fraction"][node]) in samples
+            fracs = [frac for _, frac in samples]
+            assert len(fracs) >= 2
+            assert all(b <= a + 1e-9 for a, b in zip(fracs, fracs[1:]))
+
     def test_requires_monitors(self):
         from repro.core.experiments import PAPER_EXPERIMENTS, run_experiment
         from repro.obs.events import discharge_curves

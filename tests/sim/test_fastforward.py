@@ -28,6 +28,7 @@ from repro.hw.battery.kibam import PAPER_KIBAM_PARAMETERS
 from repro.hw.link import TransactionTiming
 from repro.obs.checks import paper_monitors, replay
 from repro.obs.energy import verify_conservation
+from repro.pipeline.engine import PipelineEngine
 
 from tests.conftest import tiny_battery_factory
 
@@ -123,6 +124,33 @@ class TestPipelineEquivalence:
         assert fast.frames == exact.frames
         assert _rel(fast.t_hours, exact.t_hours) < 1e-3
         assert fast.pipeline.ff_jumps >= 1
+
+
+class TestResultTimestamps:
+    """Deliveries a jump skips still land in ``result_times_s``.
+
+    2C runs with rotation period 5, as above, so its tiny-battery run
+    jumps. A 64-entry sample cap makes the cap fall inside the jumped
+    span.
+    """
+
+    @pytest.mark.parametrize("keep", [64, PipelineEngine.keep_result_times])
+    @pytest.mark.parametrize("mode", ["exact", "fast"])
+    @pytest.mark.parametrize("label", ["1", "1A", "2", "2A", "2C"])
+    def test_mean_result_period_matches_exact(
+        self, label, mode, keep, monkeypatch
+    ):
+        monkeypatch.setattr(PipelineEngine, "keep_result_times", keep)
+        spec = PAPER_EXPERIMENTS[label]
+        if spec.rotation_period is not None:
+            spec = dataclasses.replace(spec, rotation_period=5)
+        exact = run_experiment(spec, mode="exact", **TINY).pipeline
+        run = run_experiment(spec, mode=mode, **TINY).pipeline
+        assert (mode == "fast") == (run.ff_frames_skipped > 0)
+        assert len(run.result_times_s) == min(run.frames_completed, keep)
+        assert _rel(
+            run.mean_result_period_s(), exact.mean_result_period_s()
+        ) < 1e-9
 
 
 class TestPaperSuiteJumpCounts:
@@ -302,12 +330,20 @@ class TestFullScaleIdentity:
         for label, run in fast.items():
             assert _rel(run.t_hours, exact[label].t_hours) < 1e-3, label
 
+    @pytest.mark.parametrize("label", ["1", "1A", "2", "2A", "2C"])
+    def test_mean_result_period_identical(self, suites, label):
+        exact, fast = suites
+        assert _rel(
+            fast[label].pipeline.mean_result_period_s(),
+            exact[label].pipeline.mean_result_period_s(),
+        ) < 1e-9
+
     def test_fig10_ordering_holds_in_fast_mode(self, suites):
         _, fast = suites
         t = {k: r.t_hours for k, r in fast.items()}
         assert t["2C"] > t["2B"] > t["2A"] > t["2"]
 
-    @pytest.mark.parametrize("extra", [[], ["--exact"]])
+    @pytest.mark.parametrize("extra", [["--fast"], []])
     def test_check_paper_green_in_both_modes(self, extra):
         from repro.cli import main
 

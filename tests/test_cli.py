@@ -136,13 +136,84 @@ class TestRun:
         assert "unknown experiment" in capsys.readouterr().err
 
     def test_fast_run_prints_metrics(self, capsys, tmp_path):
+        import json
+
         target = tmp_path / "out.json"
         code = main(["run", "1", "--fast", "--export", str(target)])
         assert code == 0
         out = capsys.readouterr().out
         assert "experiment results" in out
-        assert "quarter-capacity" in out
-        assert target.exists()
+        # Paper-scale cells: experiment 1's full-capacity frame count.
+        (row,) = json.loads(target.read_text())
+        assert row["frames"] == 9509
+
+
+class _Stop(Exception):
+    """Raised by the stubbed experiment runners once they have recorded
+    the call, so no subcommand simulates anything."""
+
+
+def _subcommands(parser, prefix=""):
+    """(name path, parser) for every subcommand, nested ones included."""
+    import argparse
+
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield prefix + name, sub
+                yield from _subcommands(sub, prefix + name + " ")
+
+
+class TestModeFlag:
+    """Exact is the default everywhere; ``--fast`` is ``mode="fast"``
+    on the paper's battery, never a smaller cell."""
+
+    COMMANDS = {
+        "run": ["run", "1", "--no-cache", "--no-registry"],
+        "suite": ["suite", "--no-cache", "--no-registry"],
+        "figures": ["figures", "fig10", "--no-cache", "--no-registry"],
+        "metrics": ["metrics", "1", "--no-cache", "--no-registry"],
+        "check": ["check", "2", "--no-registry"],
+        "report": ["report", "--no-cache", "--no-registry",
+                   "-o", "r.html"],
+        "explain energy": ["explain", "energy", "--label", "2"],
+    }
+
+    @pytest.mark.parametrize("fast", [False, True])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_flag_selects_mode_on_paper_battery(
+        self, command, fast, monkeypatch, tmp_path
+    ):
+        from repro import cli
+        from repro.core import experiments
+        from repro.hw.battery.kibam import PAPER_BATTERY
+
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append(kwargs)
+            raise _Stop
+
+        monkeypatch.setattr(cli, "run_paper_suite", record)
+        monkeypatch.setattr(experiments, "run_experiment", record)
+        monkeypatch.chdir(tmp_path)
+        argv = self.COMMANDS[command] + (["--fast"] if fast else [])
+        with pytest.raises(_Stop):
+            main(argv)
+        (kwargs,) = calls
+        assert kwargs["mode"] == ("fast" if fast else "exact")
+        assert kwargs.get("battery_factory", PAPER_BATTERY) is PAPER_BATTERY
+
+    def test_fast_only_where_experiments_run(self):
+        with_fast = {
+            name for name, sub in _subcommands(build_parser())
+            if "--fast" in sub._option_string_actions
+        }
+        assert with_fast == set(self.COMMANDS)
+
+    def test_no_exact_option(self):
+        for name, sub in _subcommands(build_parser()):
+            assert "--exact" not in sub._option_string_actions, name
 
 
 class TestSuite:
@@ -161,7 +232,7 @@ class TestSuite:
 
 class TestOptimize:
     def test_ranks_design_space(self, capsys):
-        assert main(["optimize", "--fast", "--stages", "2", "--top", "3"]) == 0
+        assert main(["optimize", "--stages", "2", "--top", "3"]) == 0
         out = capsys.readouterr().out
         assert "design space" in out
         assert "rotation" in out
@@ -349,8 +420,8 @@ class TestCheck:
         from repro.obs import RunRegistry, build_run_record
         from tests.conftest import tiny_battery_factory
 
-        # A tiny-battery baseline: a fresh quarter-capacity run of the
-        # same label must diverge far past any reasonable threshold.
+        # A tiny-battery baseline: a fresh paper-scale run of the same
+        # label must diverge far past any reasonable threshold.
         kw = dict(battery_factory=tiny_battery_factory, telemetry=True,
                   monitor_interval_s=60.0)
         run = run_experiment(PAPER_EXPERIMENTS["2"], **kw)

@@ -1,8 +1,9 @@
 """Smoke tests: the fast example scripts must run end to end.
 
-Only the examples that finish in a few seconds run here; the
-discharge-heavy demos (quickstart, rotation study, recovery) are
-exercised indirectly by the benchmark suite and documented in README.
+Only the examples that finish in a few seconds run here (the
+quickstart fast-forwards); the discharge-heavy demos (rotation study,
+recovery, variable workload) are exercised indirectly by the benchmark
+suite and documented in README.
 """
 
 import pathlib
@@ -19,6 +20,7 @@ FAST_EXAMPLES = [
     ("battery_models_demo.py", []),
     ("atr_image_demo.py", ["3"]),
     ("video_decode_demo.py", ["IBBP"]),
+    ("quickstart.py", ["--fast"]),
 ]
 
 

@@ -133,17 +133,28 @@ def figure10_results(runs: dict[str, ExperimentRun]) -> FigureData:
         m for m in summarize_runs(runs) if runs[m.label].spec.io_enabled
     ]
     rows = []
+    table_rows = []
     for m in metrics:
         paper = runs[m.label].spec.paper
-        rows.append(
+        row = {
+            **m.as_row(),
+            "paper_T_hours": paper.t_hours if paper else None,
+            "paper_Rnorm_percent": paper.rnorm_percent if paper else None,
+        }
+        rows.append(row)
+        # The table formats the unrounded values, as the bar charts do:
+        # formatting the rows' 3-place roundings to 2 places rounds
+        # twice (1A's 7.965028 h would print 7.96 here and 7.97 below).
+        table_rows.append(
             {
-                **m.as_row(),
-                "paper_T_hours": paper.t_hours if paper else None,
-                "paper_Rnorm_percent": paper.rnorm_percent if paper else None,
+                **row,
+                "T_hours": m.t_hours,
+                "Tnorm_hours": m.tnorm_hours,
+                "Rnorm_percent": None if m.rnorm is None else m.rnorm * 100,
             }
         )
     table_text = format_table(
-        rows,
+        table_rows,
         title="Fig. 10 — experiment results (measured vs paper)",
         float_fmt=".2f",
     )

@@ -121,6 +121,10 @@ class KiBaM(Battery):
         self._y1 = params.c * total
         self._y2 = (1.0 - params.c) * total
         self._dead = False
+        # The rate constant and well split, read once: ``draw`` runs per
+        # segment, and ``k_prime_per_second`` is a computed property.
+        self._kp = params.k_prime_per_second
+        self._c = params.c
         # dt -> (ex, one_minus_ex, r): the duration-dependent factors of
         # the closed form, computed exactly as _step computes them so the
         # fast path below is bit-identical to reference stepping.
@@ -209,9 +213,12 @@ class KiBaM(Battery):
         ):
             super().draw(current_ma, dt_s)
             return
-        ex, one_minus_ex, r = self._dt_factors(dt_s)
-        kp = self.params.k_prime_per_second
-        c = self.params.c
+        factors = self._factors.get(dt_s)
+        if factors is None:
+            factors = self._dt_factors(dt_s)
+        ex, one_minus_ex, r = factors
+        kp = self._kp
+        c = self._c
         y2 = self._y2
         y0 = y1 + y2
         self._y1 = y1 * ex + (y0 * kp * c - current_ma) * one_minus_ex / kp - current_ma * c * r

@@ -130,7 +130,7 @@ PAPER_LINK_TIMING = TransactionTiming()
 PAPER_LINK_TIMING_JITTERED = TransactionTiming(startup_s=0.075, startup_jitter_s=0.025)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class Transfer:
     """One in-flight (or completed) transaction.
 
@@ -164,7 +164,7 @@ class Transfer:
         return self.start_s + self.duration_s
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class _Offer:
     """A queued side of a rendezvous (pending send or recv)."""
 
@@ -232,6 +232,11 @@ class SerialLink:
         self.transfer_count: dict[str, int] = {a: 0, b: 0}
         #: Total payload bytes moved per direction (diagnostics).
         self.bytes_moved: dict[str, int] = {a: 0, b: 0}
+        # payload bytes -> transaction duration. Only a deterministic
+        # timing is memoised: a jittered or lossy one draws from the RNG
+        # on every transaction, and those draws must all happen.
+        deterministic = timing.startup_jitter_s == 0 and timing.corruption_prob == 0
+        self._durations: dict[int, float] | None = {} if deterministic else None
 
     # -- public API ---------------------------------------------------------
     def peer_of(self, endpoint: str) -> str:
@@ -245,10 +250,11 @@ class SerialLink:
         Returns an event that fires with the :class:`Transfer` at
         *transaction start*; wait on ``transfer.done`` for completion.
         """
-        self._check_endpoint(frm)
+        if frm != self.a and frm != self.b:
+            raise self._not_an_endpoint(frm)
         if payload_bytes < 0:
             raise LinkError(f"payload must be non-negative: {payload_bytes}")
-        offer = _Offer(event=Event(self.sim), message=message, payload_bytes=payload_bytes)
+        offer = _Offer(Event(self.sim), message, payload_bytes)
         self._sends[frm].append(offer)
         self._try_match(frm)
         return offer.event
@@ -259,10 +265,15 @@ class SerialLink:
         Returns an event that fires with the :class:`Transfer` at
         transaction start (same object the sender sees).
         """
-        self._check_endpoint(to)
-        offer = _Offer(event=Event(self.sim))
-        self._recvs[self.peer_of(to)].append(offer)
-        self._try_match(self.peer_of(to))
+        if to == self.a:
+            direction = self.b
+        elif to == self.b:
+            direction = self.a
+        else:
+            raise self._not_an_endpoint(to)
+        offer = _Offer(Event(self.sim))
+        self._recvs[direction].append(offer)
+        self._try_match(direction)
         return offer.event
 
     def cancel(self, grant: Event) -> bool:
@@ -287,7 +298,10 @@ class SerialLink:
     # -- internals --------------------------------------------------------
     def _check_endpoint(self, name: str) -> None:
         if name not in (self.a, self.b):
-            raise LinkError(f"{name!r} is not an endpoint of link {self.a!r}<->{self.b!r}")
+            raise self._not_an_endpoint(name)
+
+    def _not_an_endpoint(self, name: str) -> LinkError:
+        return LinkError(f"{name!r} is not an endpoint of link {self.a!r}<->{self.b!r}")
 
     def _try_match(self, direction: str) -> None:
         """Match the oldest live send with the oldest live recv, if both exist.
@@ -306,13 +320,17 @@ class SerialLink:
                 continue
             send = sends.popleft()
             recv = recvs.popleft()
-            duration = self.timing.duration(send.payload_bytes, self.rng)
+            durations = self._durations
+            if durations is None:
+                duration = self.timing.duration(send.payload_bytes, self.rng)
+            else:
+                duration = durations.get(send.payload_bytes)
+                if duration is None:
+                    duration = durations[send.payload_bytes] = self.timing.duration(
+                        send.payload_bytes
+                    )
             transfer = Transfer(
-                message=send.message,
-                payload_bytes=send.payload_bytes,
-                start_s=self.sim.now,
-                duration_s=duration,
-                done=Event(self.sim),
+                send.message, send.payload_bytes, self.sim._now, duration, Event(self.sim)
             )
             send.event.succeed(transfer)
             recv.event.succeed(transfer)
@@ -330,7 +348,7 @@ class SerialLink:
                 if frame_id is None:
                     self.obs.emit(
                         "link.xfer",
-                        self.sim.now,
+                        self.sim._now,
                         direction,
                         to=self.b if direction == self.a else self.a,
                         bytes=send.payload_bytes,
@@ -340,7 +358,7 @@ class SerialLink:
                 else:
                     self.obs.emit(
                         "link.xfer",
-                        self.sim.now,
+                        self.sim._now,
                         direction,
                         to=self.b if direction == self.a else self.a,
                         bytes=send.payload_bytes,

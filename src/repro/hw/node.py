@@ -4,9 +4,10 @@ A node bundles a DVS-capable CPU, a battery, and serial-link endpoints
 behind a *power-mode state machine*. The paper's §4.4 taxonomy — idle /
 communication / computation — maps one-to-one onto
 :class:`~repro.hw.power.PowerMode`; the battery is integrated lazily
-over the piecewise-constant segments between mode changes, and a death
-timer is (re)scheduled on every change so battery exhaustion interrupts
-the node at the exact simulated instant the available charge runs out.
+over the piecewise-constant segments between mode changes, and a lazy
+death timer (see :meth:`ItsyNode._schedule_death_timer`) makes battery
+exhaustion interrupt the node at the exact simulated instant the
+available charge runs out.
 """
 
 from __future__ import annotations
@@ -24,6 +25,14 @@ from repro.sim import Event, Process, Simulator, TraceRecorder
 #: events need the string form, and enum __str__ is a measurable cost
 #: on the per-segment path.
 _MODE_STR = {m: str(m) for m in PowerMode}
+
+# Mode constants for the per-event paths (set_state, compute, transfer):
+# a module global is one dict probe where ``PowerMode.IDLE`` is two
+# attribute lookups.
+_IDLE = PowerMode.IDLE
+_COMMUNICATION = PowerMode.COMMUNICATION
+_COMPUTATION = PowerMode.COMPUTATION
+_DEAD = PowerMode.DEAD
 
 __all__ = ["ItsyNode", "NodeDead"]
 
@@ -116,7 +125,16 @@ class ItsyNode:
         self.activity = "idle"
         self._detail = ""
         self._segment_start = sim.now
-        self._current_ma = power_model.current_ma(self.mode, self.level)
+        #: id(level) -> {mode value: current}, for every level of the
+        #: node's own DVS table, fixed at construction. Neither key needs
+        #: a Python-level ``__hash__`` (the enum's and the frozen
+        #: dataclass's both are), and the table's levels stay alive with
+        #: the node, so their ids cannot be reused by other objects.
+        self._currents: dict[int, dict[str, float]] = {
+            id(level): {mode._value_: power_model.current_ma(mode, level) for mode in PowerMode}
+            for level in dvs_table.levels
+        }
+        self._current_ma = self._currents[id(self.level)][self.mode._value_]
 
         #: Fires (once) with a :class:`NodeDead` when the battery dies.
         self.died: Event = sim.event()
@@ -129,9 +147,9 @@ class ItsyNode:
         # targets after timers are armed.
         self._armed_at = float("inf")
         self._armed_timer: Event | None = None
-        self._current_cache: dict[tuple[PowerMode, FrequencyLevel], float] = {}
         self._attached: list[Process] = []
-        self._open_offers: list[tuple[SerialLink, Event]] = []
+        #: Unmatched link offers by grant event, withdrawn on death.
+        self._open_offers: dict[Event, SerialLink] = {}
         #: Completed frames this node has fully processed (diagnostics).
         self.frames_processed = 0
         #: DVS level changes performed (the paper treats them as free;
@@ -183,9 +201,14 @@ class ItsyNode:
         """Transition to ``mode`` (and optionally a new DVS level) *now*.
 
         Integrates the battery over the segment just ended, records it
-        in the trace, and reschedules the death timer for the new draw.
+        in the trace, and re-arms the death timer if the new draw could
+        outrun the pending one. This is the per-event hot path of exact
+        simulation, so the current comes from the construction-time
+        table, a zero-length segment is not closed at all, and the
+        lazy death-timer test of :meth:`_schedule_death_timer` is
+        inlined.
         """
-        if self.is_dead:
+        if self.mode is _DEAD:
             raise SimulationError(f"node {self.name!r} is dead; cannot set state")
         if level is None:
             level = self.level
@@ -198,23 +221,32 @@ class ItsyNode:
             if self.obs is not None:
                 self.obs.emit(
                     "dvs.switch",
-                    self.sim.now,
+                    self.sim._now,
                     self.name,
                     from_mhz=self.level.mhz,
                     to_mhz=level.mhz,
                     mode=_MODE_STR[mode],
                 )
-        self._close_segment()
+        if self.sim._now > self._segment_start:
+            self._close_segment()
         self.mode = mode
         self.level = level
         self.activity = activity if activity is not None else _MODE_STR[mode]
         self._detail = detail
-        key = (mode, level)
-        current = self._current_cache.get(key)
-        if current is None:
-            current = self._current_cache[key] = self.power_model.current_ma(mode, level)
+        row = self._currents.get(id(level))
+        if row is not None:
+            current = row[mode._value_]
+        else:
+            # An equal level that is not the table's own object draws the
+            # same current. It is computed, not cached: its id may be
+            # reused by another object once it is freed.
+            current = self.power_model.current_ma(mode, level)
         self._current_ma = current
-        self._schedule_death_timer()
+        # _schedule_death_timer, inlined; an infinite bound gives an
+        # infinite target, which never undercuts a pending timer.
+        target = self._segment_start + self.battery.time_to_death_lower_bound(current)
+        if target < self._armed_at:
+            self._arm_death_timer(target)
 
     def _segment_bucket(self) -> str:
         """Attribution bucket of the *current* (closing) segment.
@@ -239,7 +271,7 @@ class ItsyNode:
 
     def _close_segment(self) -> None:
         """Integrate battery/trace over [segment_start, now]."""
-        now = self.sim.now
+        now = self.sim._now
         dt = now - self._segment_start
         if dt > 0:
             self.battery.draw(self._current_ma, dt)
@@ -308,22 +340,49 @@ class ItsyNode:
         kill the node before the earliest already-pending timer fires
         (``_armed_at``). State changes far from death therefore cost no
         timer events at all — a timer that fires early simply re-checks
-        the battery under the then-current draw and re-arms. Safety
-        invariant: whenever the node can die, some pending timer fires
-        at or before ``_segment_start + time_to_death_lower_bound()``,
-        which never exceeds the true death instant.
+        the battery under the then-current draw and re-arms.
+        :meth:`set_state` inlines this test.
+
+        Why skipping is safe. Write ``s`` for ``_segment_start``, ``I``
+        for the segment's current, ``LB(I)`` for
+        ``battery.time_to_death_lower_bound(I)`` evaluated on the
+        battery state at ``s`` (the state is integrated lazily, so it
+        does not change while the segment is open), and ``D`` for the
+        instant the battery would empty if the segment lasted forever.
+        The invariant is: while the segment is open and ``D`` is finite,
+        a pending timer fires at ``_armed_at <= D``.
+
+        1. ``LB`` is a lower bound, so ``s + LB(I) <= D``.
+        2. A state change that finds ``s + LB(I) >= _armed_at`` keeps the
+           pending timer, and ``_armed_at <= s + LB(I) <= D`` holds.
+           Otherwise it arms a timer at ``s + LB(I) <= D``. Right after
+           any state change, then, ``_armed_at <= s + LB(I)``.
+        3. ``_armed_at`` is the earliest pending timer: a timer is armed
+           only below the current ``_armed_at``, and ``_armed_at`` is
+           reset to infinity only when the timer it names fires.
+        4. A timer that fires early (``now < s + LB(I)``) re-arms at
+           ``s + LB(I)`` unless an earlier one is pending. One that fires
+           once the bound has passed solves for ``D`` exactly and either
+           kills the node (``D <= now``) or re-arms at ``D`` unless an
+           earlier one is pending.
+        5. A warp shifts ``s``, ``D`` and every pending timer by the same
+           delta, then re-runs this test against the drained battery.
+
+        So whenever the node can die, some pending timer fires at or
+        before its true death instant, where :meth:`_on_death_timer`
+        finds it. Step 4's exact re-arm may leave ``_armed_at`` above
+        ``s + LB(I)`` between state changes; step 2 restores the
+        stronger bound at the next one.
         """
-        bound = self.battery.time_to_death_lower_bound(self._current_ma)
-        if bound == float("inf"):
-            return
-        target = self._segment_start + bound
-        if target >= self._armed_at:
-            return  # a pending timer already fires soon enough
-        self._arm_death_timer(target)
+        target = self._segment_start + self.battery.time_to_death_lower_bound(
+            self._current_ma
+        )
+        if target < self._armed_at:
+            self._arm_death_timer(target)
 
     def _arm_death_timer(self, target: float) -> None:
         self._armed_at = target
-        timer = self.sim.timeout(max(0.0, target - self.sim.now))
+        timer = self.sim.timeout(max(0.0, target - self.sim._now))
         self._armed_timer = timer
         timer.add_callback(self._on_death_timer)
 
@@ -338,15 +397,16 @@ class ItsyNode:
         # armed timer often fires early because the draw dropped after
         # it was armed — and root-solve only when the bound says death
         # is due under the present draw.
+        now = self.sim._now
         bound = self.battery.time_to_death_lower_bound(self._current_ma)
         target = self._segment_start + bound
-        if target > self.sim.now + 1e-9:
+        if target > now + 1e-9:
             if target < self._armed_at:
                 self._arm_death_timer(target)
             return
         exact = self.battery.time_to_death(self._current_ma)
         death_at = self._segment_start + exact
-        if death_at > self.sim.now + 1e-9:
+        if death_at > now + 1e-9:
             if death_at < self._armed_at:
                 self._arm_death_timer(death_at)
             return
@@ -376,7 +436,7 @@ class ItsyNode:
         self.death_time_s = self.sim.now
         # Withdraw pending link offers so live peers cannot rendezvous
         # with a corpse.
-        for link, offer in self._open_offers:
+        for offer, link in self._open_offers.items():
             link.cancel(offer)
         self._open_offers.clear()
         if self.obs is not None:
@@ -393,6 +453,28 @@ class ItsyNode:
                 process.interrupt(cause)
 
     # -- behaviour helpers (generators for process bodies) ---------------
+    def _offer(
+        self, link: SerialLink, grant: Event, activity: str, frame: int | None
+    ) -> None:
+        """Register an open link offer; count (and report) a stall if the
+        partner is not ready yet."""
+        self._open_offers[grant] = link
+        if not grant.triggered:
+            self.io_stalls += 1
+            if self.obs is not None:
+                if frame is None:
+                    self.obs.emit(
+                        "link.stall", self.sim._now, self.name, activity=activity
+                    )
+                else:
+                    self.obs.emit(
+                        "link.stall",
+                        self.sim._now,
+                        self.name,
+                        activity=activity,
+                        frame=frame,
+                    )
+
     def compute(
         self,
         seconds_at_max: float,
@@ -407,9 +489,9 @@ class ItsyNode:
             yield from node.compute(0.162, level)
         """
         scaled = self.dvs_table.scale_time(seconds_at_max, level)
-        self.set_state(PowerMode.COMPUTATION, level, activity, detail)
+        self.set_state(_COMPUTATION, level, activity, detail)
         yield self.sim.timeout(scaled)
-        self.set_state(PowerMode.IDLE, level, "idle")
+        self.set_state(_IDLE, level, "idle")
 
     def transfer(
         self,
@@ -430,33 +512,16 @@ class ItsyNode:
         rendezvous serves (send sides do; receive sides are waiting for
         a frame they have not seen yet).
         """
-        self._open_offers.append((link, grant))
-        if not grant.triggered:
-            self.io_stalls += 1
-            if self.obs is not None:
-                if frame is None:
-                    self.obs.emit(
-                        "link.stall", self.sim.now, self.name, activity=activity
-                    )
-                else:
-                    self.obs.emit(
-                        "link.stall",
-                        self.sim.now,
-                        self.name,
-                        activity=activity,
-                        frame=frame,
-                    )
-        self.set_state(PowerMode.IDLE, self.level, "wait", detail)
+        self._offer(link, grant, activity, frame)
+        self.set_state(_IDLE, self.level, "wait", detail)
         try:
             transfer: Transfer = yield grant
         finally:
-            try:
-                self._open_offers.remove((link, grant))
-            except ValueError:
-                pass  # already cleared by death handling
-        self.set_state(PowerMode.COMMUNICATION, io_level, activity, detail)
+            # Already gone if death handling cleared the offers.
+            self._open_offers.pop(grant, None)
+        self.set_state(_COMMUNICATION, io_level, activity, detail)
         yield transfer.done
-        self.set_state(PowerMode.IDLE, io_level, "idle")
+        self.set_state(_IDLE, io_level, "idle")
         return transfer
 
     def transfer_or_timeout(
@@ -476,38 +541,21 @@ class ItsyNode:
         withdrawn). This is the primitive the §5.4 failure-detection
         protocol is built on.
         """
-        self._open_offers.append((link, grant))
-        if not grant.triggered:
-            self.io_stalls += 1
-            if self.obs is not None:
-                if frame is None:
-                    self.obs.emit(
-                        "link.stall", self.sim.now, self.name, activity=activity
-                    )
-                else:
-                    self.obs.emit(
-                        "link.stall",
-                        self.sim.now,
-                        self.name,
-                        activity=activity,
-                        frame=frame,
-                    )
-        self.set_state(PowerMode.IDLE, self.level, "wait", detail)
+        self._offer(link, grant, activity, frame)
+        self.set_state(_IDLE, self.level, "wait", detail)
         timer = self.sim.timeout(timeout_s)
         try:
             yield self.sim.any_of([grant, timer])
         finally:
-            try:
-                self._open_offers.remove((link, grant))
-            except ValueError:
-                pass  # already cleared by death handling
+            # Already gone if death handling cleared the offers.
+            self._open_offers.pop(grant, None)
         if not grant.triggered:
             link.cancel(grant)
             return None
         transfer: Transfer = grant.value
-        self.set_state(PowerMode.COMMUNICATION, io_level, activity, detail)
+        self.set_state(_COMMUNICATION, io_level, activity, detail)
         yield transfer.done
-        self.set_state(PowerMode.IDLE, io_level, "idle")
+        self.set_state(_IDLE, io_level, "idle")
         return transfer
 
     def comm_delay(

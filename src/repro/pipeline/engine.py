@@ -429,6 +429,12 @@ class PipelineEngine:
             {} if config.fast_forward else None
         )
         self._ff = None
+        # (node name, role) -> (link, peer), resolved on first use: the
+        # hub validates names and builds a key on every lookup, and the
+        # ring never changes. The first use creates the link, so links
+        # are still created, and tabulated, in first-use order.
+        self._upstream_hops: dict[tuple[str, int], tuple[SerialLink, str]] = {}
+        self._downstream_hops: dict[tuple[str, int], tuple[SerialLink, str]] = {}
 
     # -- validation -------------------------------------------------------
     def _validate(self) -> None:
@@ -633,7 +639,7 @@ class PipelineEngine:
                     # Nobody can take frames; wait for a takeover.
                     yield self._stage0_changed
                     continue
-                link = self.hub.host_link(target)
+                link, _ = self._upstream(target, 0)  # the holder's host link
                 grant = link.offer_send(frame, input_bytes, frm=HOST_NAME)
                 changed = self._stage0_changed
                 yield self.sim.any_of([grant, changed])
@@ -748,21 +754,31 @@ class PipelineEngine:
     # -- node behaviour ------------------------------------------------------
     def _upstream(self, node_name: str, role: int) -> tuple[SerialLink, str]:
         """Link and peer a role receives its input on (physical ring)."""
-        if role == 0:
-            return self.hub.host_link(node_name), HOST_NAME
-        names = self.config.node_names
-        i = names.index(node_name)
-        peer = names[(i - 1) % len(names)]
-        return self.hub.link(peer, node_name), peer
+        key = (node_name, role)
+        hop = self._upstream_hops.get(key)
+        if hop is None:
+            if role == 0:
+                hop = self.hub.host_link(node_name), HOST_NAME
+            else:
+                names = self.config.node_names
+                peer = names[(names.index(node_name) - 1) % len(names)]
+                hop = self.hub.link(peer, node_name), peer
+            self._upstream_hops[key] = hop
+        return hop
 
     def _downstream(self, node_name: str, role: int) -> tuple[SerialLink, str]:
         """Link and peer a role sends its output on (physical ring)."""
-        if role == len(self.config.roles) - 1:
-            return self.hub.host_link(node_name), HOST_NAME
-        names = self.config.node_names
-        i = names.index(node_name)
-        peer = names[(i + 1) % len(names)]
-        return self.hub.link(node_name, peer), peer
+        key = (node_name, role)
+        hop = self._downstream_hops.get(key)
+        if hop is None:
+            if role == len(self.config.roles) - 1:
+                hop = self.hub.host_link(node_name), HOST_NAME
+            else:
+                names = self.config.node_names
+                peer = names[(names.index(node_name) + 1) % len(names)]
+                hop = self.hub.link(node_name, peer), peer
+            self._downstream_hops[key] = hop
+        return hop
 
     def _proc_blocks(
         self,

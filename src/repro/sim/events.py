@@ -8,6 +8,7 @@ events to suspend until they fire.
 
 from __future__ import annotations
 
+import heapq
 import typing as t
 
 from repro.errors import SimulationError
@@ -19,6 +20,8 @@ __all__ = ["Event", "Timeout", "AnyOf", "AllOf"]
 
 # Sentinel distinguishing "not yet triggered" from a triggered None value.
 _PENDING = object()
+
+_heappush = heapq.heappush
 
 
 class Event:
@@ -88,11 +91,20 @@ class Event:
 
     # -- triggering ------------------------------------------------------
     def succeed(self, value: t.Any = None, *, delay: float = 0.0) -> "Event":
-        """Trigger the event with ``value`` after ``delay`` sim-seconds."""
-        if self.triggered:
+        """Trigger the event with ``value`` after ``delay`` sim-seconds.
+
+        Pushes onto the simulator's heap directly, exactly as
+        :meth:`Simulator.schedule` would: this runs several times per
+        simulated frame.
+        """
+        if self._value is not _PENDING or self._exception is not None:
             raise SimulationError("event already triggered")
         self._value = value
-        self.sim.schedule(self, delay=delay)
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        sim = self.sim
+        sim._seq += 1
+        _heappush(sim._heap, (sim._now + delay, sim._seq, self))
         return self
 
     def fail(self, exception: BaseException, *, delay: float = 0.0) -> "Event":
@@ -144,10 +156,15 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: t.Any = None):
         if delay < 0:
             raise SimulationError(f"timeout delay must be >= 0, got {delay}")
-        super().__init__(sim)
-        self.delay = delay
+        # Event.__init__ and Simulator.schedule, inlined: every compute
+        # step, transfer and death timer builds one.
+        self.sim = sim
+        self.callbacks = []
         self._value = value
-        sim.schedule(self, delay=delay)
+        self._exception = None
+        self.delay = delay
+        sim._seq += 1
+        _heappush(sim._heap, (sim._now + delay, sim._seq, self))
 
 
 class _Condition(Event):

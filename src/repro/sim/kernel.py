@@ -177,7 +177,8 @@ class Simulator:
 
             if isinstance(until, Event):
                 stop = until
-                while not stop.processed:
+                # ``stop.processed``, without a property call per event.
+                while stop.callbacks is not None:
                     if not heap:
                         raise SimulationError(
                             "event queue drained before the 'until' event fired"

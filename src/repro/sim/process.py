@@ -127,7 +127,12 @@ class Process(Event):
             self.fail(SimulationError("yielded event belongs to a different simulator"))
             return
         self._waiting_on = target
-        target.add_callback(self._resume)
+        # Event.add_callback, inlined: this runs once per resume.
+        callbacks = target.callbacks
+        if callbacks is None:
+            self._resume(target)
+        else:
+            callbacks.append(self._resume)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.triggered else "alive"

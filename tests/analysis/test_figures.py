@@ -8,7 +8,7 @@ from repro.analysis.figures import (
     figure8_partitioning,
     figure10_results,
 )
-from repro.core.experiments import run_paper_suite
+from repro.core.experiments import PAPER_EXPERIMENTS, ExperimentRun, run_paper_suite
 from tests.conftest import tiny_battery_factory
 
 
@@ -143,3 +143,30 @@ class TestFigure10:
         text = figure10_results(runs).text
         assert "absolute battery life" in text
         assert "normalized battery life" in text
+
+    def test_table_and_bars_agree_for_1a(self):
+        # Paper-scale exact lifetimes of experiments 1 and 1A. 1A's
+        # 7.965028 h once printed 7.96 in the table (rounded to 3 places,
+        # then to 2) and 7.97 in the bars.
+        runs = {
+            label: ExperimentRun(
+                spec=PAPER_EXPERIMENTS[label],
+                frames=frames,
+                t_hours=t_hours,
+                death_times_s={},
+            )
+            for label, frames, t_hours in (
+                ("1", 9509, 6.075194444444444),
+                ("1A", 12467, 7.965027777777777),
+            )
+        }
+        fig = figure10_results(runs)
+        table, absolute, normalized = fig.text.split("\n\n")
+        row = next(line for line in table.splitlines() if line.startswith("1A "))
+        cells = [cell.strip() for cell in row.split("|")]
+        assert cells[3:5] == ["7.97", "7.97"]  # T_hours, Tnorm_hours
+        for chart in (absolute, normalized):
+            bar = next(line for line in chart.splitlines() if line.startswith("1A "))
+            assert "7.97 h" in bar
+        # The structured rows (and so CSV exports) keep their 3 places.
+        assert fig.rows[1]["T_hours"] == 7.965

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 
@@ -205,6 +206,32 @@ class TestChromeTrace:
         payload = json.loads(path.read_text())
         assert validate_chrome_trace(payload) == []
         assert payload["displayTimeUnit"] == "ms"
+
+    def test_written_bytes_match_streaming_encoder(self, tmp_path):
+        # The writer encodes in one shot; the bytes must be those the
+        # streaming json.dump wrote, on a real experiment-2 trace.
+        from repro.core.experiments import PAPER_EXPERIMENTS, run_experiment
+        from tests.conftest import tiny_battery_factory
+
+        run = run_experiment(
+            PAPER_EXPERIMENTS["2"],
+            battery_factory=tiny_battery_factory,
+            trace=True,
+            telemetry=True,
+            max_frames=12,
+        )
+        path = write_chrome_trace(
+            tmp_path / "t.json", trace=run.trace, events=run.obs.events, label="2"
+        )
+        streamed = io.StringIO()
+        json.dump(
+            chrome_trace(trace=run.trace, events=run.obs.events, label="2"),
+            streamed,
+            separators=(",", ":"),
+        )
+        streamed.write("\n")
+        assert len(json.loads(path.read_text())["traceEvents"]) > 100
+        assert path.read_bytes() == streamed.getvalue().encode("utf-8")
 
     def test_slices_are_microseconds(self):
         payload = chrome_trace(trace=_make_trace())

@@ -535,9 +535,9 @@ def _predict(
     by_index: dict[int, _Candidate] = {}
 
     def evaluate(indices: list[int]) -> list[float | None]:
-        batch = [space.config_at(i) for i in indices]
         found = _prescreen(
-            space, batch, report, ladder.disqualified, structures, drains
+            space, space.configs_at(indices), report, ladder.disqualified,
+            structures, drains,
         )
         got = {c.config.index: c for c in found}
         by_index.update(got)

@@ -26,9 +26,13 @@ truth.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
+import operator
 import typing as t
+
+import numpy as np
 
 from repro.apps.atr.profile import PAPER_PROFILE, TaskProfile
 from repro.core.policies import (
@@ -74,6 +78,8 @@ POLICY_FAMILIES = ("baseline", "slowest", "dvs_io")
 
 #: Battery chemistries the ``chemistry`` axis ranges over.
 CHEMISTRIES = ("kibam", "linear", "peukert")
+
+_AXIS_POSITION = {name: pos for pos, name in enumerate(AXES)}
 
 _DEFAULTS: dict[str, tuple] = {
     "policy": ("dvs_io",),
@@ -317,25 +323,58 @@ class SpaceSpec:
                     f"cut {cut!r} invalid for a {n}-block profile"
                 )
 
+    @functools.cached_property
+    def _values(self) -> tuple[tuple, ...]:
+        # Per-axis value tuples in AXES order. Cached outside the
+        # dataclass fields: cache keys and fingerprints encode fields
+        # only, so nothing derived here can move them.
+        declared = {axis.name: axis.values for axis in self.axes}
+        return tuple(declared.get(name, _DEFAULTS[name]) for name in AXES)
+
+    @functools.cached_property
+    def _radices(self) -> tuple[int, ...]:
+        return tuple(len(values) for values in self._values)
+
+    @functools.cached_property
+    def _places(self) -> tuple[int, ...]:
+        places = [1] * len(AXES)
+        for pos in range(len(AXES) - 2, -1, -1):
+            places[pos] = places[pos + 1] * self._radices[pos + 1]
+        return tuple(places)
+
+    @functools.cached_property
+    def _size(self) -> int:
+        return self._places[0] * self._radices[0]
+
     def axis_values(self, name: str) -> tuple:
         """The declared values for one axis, or its pinned default."""
-        if name not in AXES:
+        pos = _AXIS_POSITION.get(name)
+        if pos is None:
             raise ConfigurationError(f"unknown axis {name!r}")
-        for axis in self.axes:
-            if axis.name == name:
-                return axis.values
-        return _DEFAULTS[name]
+        return self._values[pos]
 
     def size(self) -> int:
         """Number of configs the full cross product enumerates."""
-        out = 1
-        for name in AXES:
-            out *= len(self.axis_values(name))
-        return out
+        return self._size
 
     def radices(self) -> tuple[int, ...]:
         """Axis cardinalities in :data:`AXES` order (the mixed radix)."""
-        return tuple(len(self.axis_values(name)) for name in AXES)
+        return self._radices
+
+    def place_values(self) -> tuple[int, ...]:
+        """Each axis's place value: ``index == sum(digit * place)``.
+
+        Moving axis ``a`` from digit ``d`` to ``v`` moves the index by
+        ``(v - d) * place[a]`` — how the guided sampler reaches
+        neighbours without re-encoding digit tuples.
+        """
+        return self._places
+
+    def _check_range(self, index: int) -> None:
+        if not 0 <= index < self._size:
+            raise ConfigurationError(
+                f"config index {index} outside space of {self._size} configs"
+            )
 
     def digits_at(self, index: int) -> tuple[int, ...]:
         """Per-axis value indices for one enumeration index, O(1).
@@ -344,32 +383,40 @@ class SpaceSpec:
         a mixed-radix number with the last axis as the least-significant
         digit; decoding is plain ``divmod`` — no materialization.
         """
-        n = self.size()
-        if not 0 <= index < n:
-            raise ConfigurationError(
-                f"config index {index} outside space of {n} configs"
-            )
-        digits = [0] * len(AXES)
-        rem = index
-        for pos in range(len(AXES) - 1, -1, -1):
-            rem, digits[pos] = divmod(rem, len(self.axis_values(AXES[pos])))
-        return tuple(digits)
+        self._check_range(index)
+        return tuple(
+            index // place % radix
+            for place, radix in zip(self._places, self._radices)
+        )
+
+    def digits_array(self, indices: t.Sequence[int]) -> np.ndarray:
+        """:meth:`digits_at` over many indices: an ``(n, len(AXES))`` array.
+
+        Row ``k`` equals ``digits_at(indices[k])``; one vectorized
+        ``divmod`` per axis instead of one Python decode per index.
+        """
+        flat = np.asarray(indices, dtype=np.int64).reshape(-1)
+        if flat.size:
+            for bound in (int(flat.min()), int(flat.max())):
+                self._check_range(bound)
+        return flat[:, None] // np.array(self._places) % np.array(self._radices)
+
+    def _config(self, index: int, digits: t.Iterable[int]) -> ExploreConfig:
+        return ExploreConfig(index, *map(operator.getitem, self._values, digits))
 
     def config_at(self, index: int) -> ExploreConfig:
         """The config at one enumeration index, without enumerating.
 
         ``space.config_at(i)`` equals ``space.configs()[i]`` for every
-        valid ``i`` (tests pin this) — it is how the guided sampler and
-        ``--resume`` touch 10^6+ spaces one config at a time.
+        valid ``i`` (tests pin this) — it is how ``--resume`` touches
+        10^6+ spaces one config at a time.
         """
-        digits = self.digits_at(index)
-        return ExploreConfig(
-            index,
-            *(
-                self.axis_values(name)[digit]
-                for name, digit in zip(AXES, digits)
-            ),
-        )
+        return self._config(index, self.digits_at(index))
+
+    def configs_at(self, indices: t.Sequence[int]) -> list[ExploreConfig]:
+        """``[config_at(i) for i in indices]``, decoded in one array pass."""
+        rows = self.digits_array(indices).tolist()
+        return [self._config(i, row) for i, row in zip(indices, rows)]
 
     def indices(self, limit: int | None = None) -> list[int]:
         """The enumeration indices :meth:`configs` would return.
@@ -394,10 +441,9 @@ class SpaceSpec:
         enumeration, keeping each config's original index), so a capped
         exploration of a huge space is still reproducible.
         """
-        values = [self.axis_values(name) for name in AXES]
         configs = [
             ExploreConfig(index, *combo)
-            for index, combo in enumerate(itertools.product(*values))
+            for index, combo in enumerate(itertools.product(*self._values))
         ]
         if limit is not None and 0 < limit < len(configs):
             configs = [configs[i] for i in self.indices(limit)]

@@ -5,7 +5,7 @@ wall at 10^6+ — not because the analytic score is slow, but because
 materializing every :class:`~repro.explore.space.ExploreConfig` costs
 memory and time proportional to the whole space. The guided sampler
 keeps the space *implicit*: configs exist only as enumeration indices
-(decoded on demand via :meth:`SpaceSpec.config_at`), and a cheap
+(decoded a batch at a time by :meth:`SpaceSpec.digits_array`), and a cheap
 surrogate model decides which indices are worth scoring with the real
 rung-0 evaluator.
 
@@ -33,7 +33,10 @@ Determinism contract: no wall clock, no RNG. Every proposal is a pure
 function of (space, keep, prior scores), ties break on enumeration
 index, and the permutation stride is derived from the universe size
 alone — so serial, ``--jobs N``, cache-replayed, and resumed runs
-propose byte-identical batches in byte-identical order.
+propose byte-identical batches in byte-identical order. The model's
+arithmetic runs in one fixed, left-to-right float order with no
+reductions, so its rankings do not depend on the interpreter's
+``sum()`` either (DESIGN.md §14).
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ from __future__ import annotations
 import dataclasses
 import math
 import typing as t
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.explore.budget import promote
@@ -98,72 +103,114 @@ class GuidedReport:
 class Surrogate:
     """Quantized per-axis + pairwise-interaction effect model.
 
-    Fit incrementally from ``(digits, score)`` observations; predicts
+    Fit from ``(digits, score)`` observations; predicts
     ``mean + sum(axis deviations) + sum(pair deviations)`` with unseen
-    cells contributing zero deviation. Disqualified configs enter as
-    score 0.0 — below every feasible score (scores are positive
-    lifetimes), steering proposals away from infeasible regions.
+    cells contributing nothing. Disqualified configs enter as score 0.0
+    — below every feasible score (scores are positive lifetimes),
+    steering proposals away from infeasible regions.
+
+    State is dense: per axis, ``(sum, count)`` arrays over its values;
+    per axis pair ``(a, b)``, one flattened ``ra * rb`` array pair with
+    cell ``va * rb + vb``. A pair's cells never outnumber the space's
+    configs. Every method works on a whole ``(n, len(AXES))`` digit
+    matrix and keeps the float order of a one-row, left-to-right
+    evaluation (DESIGN.md §14): cell sums accumulate in observation
+    order, and no reduction (``sum()``, ``np.sum``) regroups terms.
     """
 
     def __init__(self, space: SpaceSpec):
         self.radices = space.radices()
         self.n = 0
         self.total = 0.0
-        # axis -> value -> (sum, count)
-        self.axis_sum = [[0.0] * r for r in self.radices]
-        self.axis_cnt = [[0] * r for r in self.radices]
-        # (axis_a, axis_b) -> {(va, vb): (sum, count)}
-        self.pairs: dict[tuple[int, int], dict[tuple[int, int], list]] = {
-            (a, b): {}
+        self.axis_sum = [np.zeros(r) for r in self.radices]
+        self.axis_cnt = [np.zeros(r, dtype=np.int64) for r in self.radices]
+        self.pairs = [
+            (a, b)
             for a in range(len(self.radices))
             for b in range(a + 1, len(self.radices))
-        }
+        ]
+        self.pair_sum = [
+            np.zeros(self.radices[a] * self.radices[b]) for a, b in self.pairs
+        ]
+        self.pair_cnt = [
+            np.zeros(self.radices[a] * self.radices[b], dtype=np.int64)
+            for a, b in self.pairs
+        ]
 
-    def observe(self, digits: tuple[int, ...], score: float) -> None:
-        self.n += 1
-        self.total += score
-        for axis, v in enumerate(digits):
-            self.axis_sum[axis][v] += score
-            self.axis_cnt[axis][v] += 1
-        for (a, b), cells in self.pairs.items():
-            cell = cells.setdefault((digits[a], digits[b]), [0.0, 0])
-            cell[0] += score
-            cell[1] += 1
+    def _cells(self, rows: np.ndarray, pair: int) -> np.ndarray:
+        a, b = self.pairs[pair]
+        return rows[:, a] * self.radices[b] + rows[:, b]
+
+    def observe_rows(self, rows: np.ndarray, scores: t.Sequence[float]) -> None:
+        """Fold in one score per digit row, in row order."""
+        for score in scores:
+            self.total += score
+        self.n += len(scores)
+        values = np.asarray(scores, dtype=float)
+        for axis in range(len(self.radices)):
+            np.add.at(self.axis_sum[axis], rows[:, axis], values)
+            np.add.at(self.axis_cnt[axis], rows[:, axis], 1)
+        for pair in range(len(self.pairs)):
+            cells = self._cells(rows, pair)
+            np.add.at(self.pair_sum[pair], cells, values)
+            np.add.at(self.pair_cnt[pair], cells, 1)
+
+    def observe(self, digits: t.Sequence[int], score: float) -> None:
+        self.observe_rows(np.array([digits]), [score])
 
     @property
     def mean(self) -> float:
         return self.total / self.n if self.n else 0.0
 
-    def _axis_dev(self, axis: int, v: int) -> float:
-        cnt = self.axis_cnt[axis][v]
-        if cnt == 0:
-            return 0.0
-        return self.axis_sum[axis][v] / cnt - self.mean
-
-    def predict(self, digits: tuple[int, ...]) -> float:
-        """Predicted rung-0 score for one config's digit tuple."""
+    def _axis_devs(self) -> list[np.ndarray]:
+        """Per axis, each value's marginal mean minus the global mean."""
         mean = self.mean
-        out = mean
-        devs = [self._axis_dev(axis, v) for axis, v in enumerate(digits)]
-        out += sum(devs)
-        for (a, b), cells in self.pairs.items():
-            cell = cells.get((digits[a], digits[b]))
-            if cell is None or cell[1] == 0:
-                continue
-            out += cell[0] / cell[1] - mean - devs[a] - devs[b]
+        out = []
+        for sums, counts in zip(self.axis_sum, self.axis_cnt):
+            seen = counts > 0
+            dev = np.zeros(len(sums))
+            dev[seen] = sums[seen] / counts[seen] - mean
+            out.append(dev)
         return out
 
-    def uncertainty(self, digits: tuple[int, ...]) -> float:
-        """How thinly sampled this config's cells are, in score units.
+    def predict_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Predicted rung-0 score per digit row."""
+        mean = self.mean
+        devs = [
+            table[rows[:, axis]] for axis, table in enumerate(self._axis_devs())
+        ]
+        marginal = np.zeros(len(rows))
+        for dev in devs:
+            marginal = marginal + dev
+        out = mean + marginal
+        for pair, (a, b) in enumerate(self.pairs):
+            cells = self._cells(rows, pair)
+            counts = self.pair_cnt[pair][cells]
+            seen = counts > 0
+            term = self.pair_sum[pair][cells] / np.maximum(counts, 1)
+            term = ((term - mean) - devs[a]) - devs[b]
+            np.add(out, term, out=out, where=seen)
+        return out
+
+    def predict(self, digits: t.Sequence[int]) -> float:
+        """Predicted rung-0 score for one config's digit tuple."""
+        return float(self.predict_rows(np.array([digits]))[0])
+
+    def uncertainty_rows(self, rows: np.ndarray) -> np.ndarray:
+        """How thinly sampled each row's cells are, in score units.
 
         ``1/sqrt(1+count)`` per axis cell, scaled by the score mean so
         the bonus stays commensurate with predictions as scores grow.
         """
-        thin = sum(
-            1.0 / math.sqrt(1.0 + self.axis_cnt[axis][v])
-            for axis, v in enumerate(digits)
-        )
+        thin = np.zeros(len(rows))
+        for axis, counts in enumerate(self.axis_cnt):
+            thin = thin + 1.0 / np.sqrt(1.0 + counts[rows[:, axis]])
         return thin * abs(self.mean) / len(self.radices)
+
+    def gain_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The exploit beam's ranking key: prediction plus a thin-cell bonus."""
+        bonus = _EXPLORE_BONUS * self.uncertainty_rows(rows)
+        return self.predict_rows(rows) + bonus
 
     def top_axis_values(self, width: int) -> list[list[int]]:
         """Per axis, the ``width`` best value indices by marginal mean.
@@ -173,16 +220,9 @@ class Surrogate:
         is responsible for eventually seeing everything.
         """
         out: list[list[int]] = []
-        for axis, r in enumerate(self.radices):
-            ranked = sorted(
-                range(r),
-                key=lambda v: (
-                    0 if self.axis_cnt[axis][v] else 1,
-                    -self._axis_dev(axis, v),
-                    v,
-                ),
-            )
-            out.append(ranked[: max(1, width)])
+        for dev, counts in zip(self._axis_devs(), self.axis_cnt):
+            ranked = np.lexsort((np.arange(len(dev)), -dev, counts == 0))
+            out.append(ranked[: max(1, width)].tolist())
         return out
 
 
@@ -199,12 +239,39 @@ def _stall_set(
     watches exactly the set that will promote.
     """
     chosen = promote(
-        scores.items(),
+        _stratum_heads(scores, deadline_of, keep),
         keep,
         deadline=lambda entry: deadline_of[entry[0]],
         rank=lambda entry: (-entry[1], entry[0]),
     )
     return tuple(sorted(index for index, _ in chosen))
+
+
+def _stratum_heads(
+    scores: t.Mapping[int, float],
+    deadline_of: t.Mapping[int, float],
+    keep: int,
+) -> list[tuple[int, float]]:
+    """The ``keep`` best ``(index, score)`` entries of each deadline stratum.
+
+    Best is promotion's own order, ``(-score, index)``. Promoting from
+    these heads chooses what promoting from all of ``scores`` would: no
+    stratum's budget exceeds ``keep``, so promotion never reads past a
+    head, and :func:`~repro.explore.budget.allocate_budgets` caps a
+    stratum at its size only while that size is below ``keep``.
+    """
+    count = len(scores)
+    index = np.fromiter(scores, dtype=np.int64, count=count)
+    score = np.fromiter(scores.values(), dtype=float, count=count)
+    deadline = np.fromiter(
+        map(deadline_of.__getitem__, scores), dtype=float, count=count
+    )
+    order = np.lexsort((index, -score))
+    heads: list[tuple[int, float]] = []
+    for value in np.unique(deadline):
+        head = order[deadline[order] == value][:keep]
+        heads.extend(zip(index[head].tolist(), score[head].tolist()))
+    return heads
 
 
 def _walk_stride(n: int) -> int:
@@ -222,23 +289,27 @@ def _walk_stride(n: int) -> int:
     return stride % n or 1
 
 
-def _neighbors(
-    digits: tuple[int, ...], radices: tuple[int, ...]
-) -> t.Iterator[tuple[int, ...]]:
-    """Every Hamming-1 variant: one axis moved to any other value."""
-    for axis, r in enumerate(radices):
-        if r < 2:
+def _hamming1(
+    indices: np.ndarray,
+    rows: np.ndarray,
+    radices: t.Sequence[int],
+    places: t.Sequence[int],
+) -> np.ndarray:
+    """Every Hamming-1 variant's index: one axis moved to any other value.
+
+    ``rows`` holds the digits of ``indices``; moving axis ``a`` from
+    ``d`` to ``v`` is ``index + (v - d) * places[a]``, so no digit tuple
+    is re-encoded.
+    """
+    out = [np.empty(0, dtype=np.int64)]
+    for axis, (radix, place) in enumerate(zip(radices, places)):
+        if radix < 2:
             continue
-        for v in range(r):
-            if v != digits[axis]:
-                yield digits[:axis] + (v,) + digits[axis + 1 :]
-
-
-def _index_of(digits: t.Sequence[int], radices: t.Sequence[int]) -> int:
-    out = 0
-    for digit, radix in zip(digits, radices):
-        out = out * radix + digit
-    return out
+        values = np.arange(radix)
+        digits = rows[:, axis, None]
+        moved = indices[:, None] + (values - digits) * place
+        out.append(moved[values != digits])
+    return np.concatenate(out)
 
 
 def guided_sample(
@@ -278,6 +349,7 @@ def guided_sample(
     if probe < 1:
         raise ConfigurationError(f"probe must be >= 1, got {probe}")
     radices = space.radices()
+    places = space.place_values()
     full = space.size()
     if limit is not None and 0 < limit < full:
         universe = space.indices(limit)
@@ -289,7 +361,6 @@ def guided_sample(
     report = GuidedReport(universe=n)
     model = Surrogate(space)
     scores: dict[int, float] = {}
-    digits_of: dict[int, tuple[int, ...]] = {}
     deadline_of: dict[int, float] = {}
     deadlines = space.axis_values("deadline_s")
     evaluated: set[int] = set()
@@ -297,19 +368,33 @@ def guided_sample(
     def universe_at(pos: int) -> int:
         return universe[pos] if universe is not None else pos
 
+    def admissible(index: int) -> bool:
+        return index not in evaluated and index in in_universe
+
+    def neighbors(indices: t.Sequence[int]) -> list[int]:
+        rows = space.digits_array(indices)
+        moved = _hamming1(
+            np.array(indices, dtype=np.int64), rows, radices, places
+        )
+        return list(filter(admissible, moved.tolist()))
+
     def run_batch(indices: list[int]) -> None:
         fresh = [i for i in indices if i not in evaluated]
         if not fresh:
             return
         report.proposals += len(fresh)
-        for index, score in zip(fresh, evaluate(fresh)):
-            evaluated.add(index)
-            digits = space.digits_at(index)
-            digits_of[index] = digits
-            deadline_of[index] = deadlines[digits[_DEADLINE_AXIS]]
-            model.observe(digits, score if score is not None else 0.0)
+        found = evaluate(fresh)
+        rows = space.digits_array(fresh)
+        evaluated.update(fresh)
+        for index, score, digit in zip(
+            fresh, found, rows[:, _DEADLINE_AXIS].tolist()
+        ):
+            deadline_of[index] = deadlines[digit]
             if score is not None:
                 scores[index] = score
+        model.observe_rows(
+            rows, [score if score is not None else 0.0 for score in found]
+        )
         report.probed = len(evaluated)
 
     # -- initial probe: a strided walk plus per-axis value sweeps -------
@@ -325,19 +410,9 @@ def guided_sample(
         return out
 
     first = walk(min(probe, n))
-    anchors = [
-        space.digits_at(universe_at(0)),
-        space.digits_at(universe_at(n // 2)),
-        space.digits_at(universe_at(n - 1)),
-    ]
-    sweeps: list[int] = []
-    for anchor in anchors:
-        for axis, r in enumerate(radices):
-            for v in range(r):
-                index = _index_of(anchor[:axis] + (v,) + anchor[axis + 1 :], radices)
-                if index in in_universe:
-                    sweeps.append(index)
-    run_batch(sorted(set(first) | set(sweeps)))
+    # Each anchor plus every value of every axis around it.
+    anchors = [universe_at(0), universe_at(n // 2), universe_at(n - 1)]
+    run_batch(sorted(set(first) | set(anchors) | set(neighbors(anchors))))
 
     # -- propose / score until the top set is stable and closed ---------
     prev_top: tuple[int, ...] | None = None
@@ -345,12 +420,7 @@ def guided_sample(
     while True:
         report.rounds += 1
         top = _stall_set(scores, deadline_of, keep)
-        closure: set[int] = set()
-        for index in top:
-            for neighbor in _neighbors(digits_of[index], radices):
-                ni = _index_of(neighbor, radices)
-                if ni not in evaluated and ni in in_universe:
-                    closure.add(ni)
+        closure = set(neighbors(top))
         stable = stable + 1 if top == prev_top else 0
         prev_top = top
         if not closure and stable >= _PATIENCE:
@@ -363,29 +433,23 @@ def guided_sample(
             report.stop_reason = "max-rounds"
             break
 
-        proposals: set[int] = set(closure)
+        proposals: set[int] = closure
         # exploit: beam over top axis values, ranked by prediction+bonus
-        beam = model.top_axis_values(_BEAM_WIDTH)
-        candidates: list[tuple[float, int]] = []
-        partial: list[list[int]] = [[]]
-        for axis_values in beam:
-            partial = [p + [v] for p in partial for v in axis_values]
-        for combo in partial:
-            digits = tuple(combo)
-            index = _index_of(digits, radices)
-            if index in evaluated or index not in in_universe:
-                continue
-            gain = model.predict(digits) + _EXPLORE_BONUS * model.uncertainty(
-                digits
-            )
-            candidates.append((-gain, index))
-        candidates.sort()
-        proposals.update(index for _, index in candidates[: probe // 2])
+        grids = np.meshgrid(*model.top_axis_values(_BEAM_WIDTH), indexing="ij")
+        beam = np.stack([grid.ravel() for grid in grids], axis=1)
+        combos = beam @ np.array(places)
+        open_ = np.fromiter(
+            map(admissible, combos.tolist()), dtype=bool, count=len(combos)
+        )
+        combos = combos[open_]
+        gain = model.gain_rows(beam[open_])
+        best = np.lexsort((combos, -gain))[: probe // 2]
+        proposals.update(combos[best].tolist())
         # explore: the next slice of the permutation walk
         proposals.update(walk(probe // 2))
-        fresh = sorted(i for i in proposals if i not in evaluated)
-        if not fresh:
+        batch = sorted(i for i in proposals if i not in evaluated)
+        if not batch:
             report.stop_reason = "exhausted"
             break
-        run_batch(fresh)
+        run_batch(batch)
     return scores, report

@@ -181,7 +181,9 @@ class Telemetry:
         #: test counts and holds at zero.
         self.energy = EnergyLedger()
 
-    def emit(self, kind: str, ts: float, actor: str = "", **data: t.Any) -> None:
+    def emit(
+        self, kind: str, ts: float, actor: str = "", /, **data: t.Any
+    ) -> None:
         """Publish one event to the bus (no-op when events are off)."""
         self.events.emit(kind, ts, actor, **data)
 

@@ -225,7 +225,9 @@ class EventLog:
             if kinds is None or kind in kinds:
                 yield TelemetryEvent(kind, ts, actor, data)
 
-    def emit(self, kind: str, ts: float, actor: str = "", **data: t.Any) -> None:
+    def emit(
+        self, kind: str, ts: float, actor: str = "", /, **data: t.Any
+    ) -> None:
         """Publish one event (no-op when disabled; counted when full)."""
         if not self.enabled:
             return

@@ -1,6 +1,11 @@
 """SpaceSpec: axes, validation, deterministic enumeration, resolution."""
 
+import dataclasses
+import pickle
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core.policies import (
     BaselinePolicy,
@@ -8,11 +13,54 @@ from repro.core.policies import (
     SlowestFeasiblePolicy,
 )
 from repro.errors import ConfigurationError
-from repro.explore import AXES, Axis, ConfigBattery, SpaceSpec, default_space
+from repro.explore import (
+    AXES,
+    CHEMISTRIES,
+    POLICY_FAMILIES,
+    Axis,
+    ConfigBattery,
+    SpaceSpec,
+    default_space,
+)
+from repro.explore.halving import explore_fingerprint
 from repro.hw.battery import KiBaM
 from repro.hw.battery.linear import LinearBattery
 from repro.hw.battery.peukert import PeukertBattery
 from repro.hw.power import PAPER_POWER_MODEL
+
+#: Candidate values per axis for random spaces (all valid, all distinct).
+_VOCABULARY = {
+    "policy": POLICY_FAMILIES,
+    "cut": ((), (1,), (2,), (3,)),
+    "rotation_period": (None, 25, 50, 100),
+    "bandwidth_bps": (40_000.0, 80_000.0, 120_000.0, 160_000.0),
+    "chemistry": CHEMISTRIES,
+    "capacity_mah": (200.0, 400.0, 600.0, 800.0),
+    "io_activity": (0.05, 0.2, 0.4, 0.6),
+    "deadline_s": (1.8, 2.3, 3.0, 4.0),
+}
+
+
+@st.composite
+def spaces(draw, max_size: int = 2000) -> SpaceSpec:
+    """Random spaces of at most ``max_size`` configs, axes in any order.
+
+    An axis may be left out (it pins to one default value) or declared
+    with a single value, so 1-value axes are common.
+    """
+    axes = []
+    size = 1
+    for name in draw(st.permutations(AXES)):
+        room = min(len(_VOCABULARY[name]), max_size // size)
+        if not draw(st.booleans()):
+            continue
+        values = draw(st.lists(
+            st.sampled_from(_VOCABULARY[name]),
+            min_size=1, max_size=room, unique=True,
+        ))
+        size *= len(values)
+        axes.append(Axis.choice(name, *values))
+    return SpaceSpec(axes=tuple(axes))
 
 
 class TestAxis:
@@ -186,6 +234,55 @@ class TestIndexedAccess:
             space.digits_at(1)
         with pytest.raises(ConfigurationError, match="outside"):
             space.digits_at(-1)
+
+    @given(space=spaces(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_digits_array_matches_scalar_decode_and_enumeration(
+        self, space, data
+    ):
+        n = space.size()
+        full = space.configs()
+        rows = space.digits_array(range(n))
+        assert rows.shape == (n, len(AXES))
+        for i, config in enumerate(full):
+            digits = tuple(
+                space.axis_values(name).index(getattr(config, name))
+                for name in AXES
+            )
+            assert tuple(rows[i].tolist()) == space.digits_at(i) == digits
+            assert space.config_at(i) == config
+        assert space.configs_at(range(n)) == full
+        picks = data.draw(st.lists(st.integers(0, n - 1), max_size=20))
+        assert space.digits_array(picks).tolist() == [
+            list(space.digits_at(i)) for i in picks
+        ]
+        bad = data.draw(
+            st.one_of(st.integers(n, n + 10**6), st.integers(-(10**6), -1))
+        )
+        with pytest.raises(ConfigurationError, match="outside"):
+            space.digits_array(picks + [bad])
+        with pytest.raises(ConfigurationError, match="outside"):
+            space.digits_at(bad)
+        assert space.digits_array([]).shape == (0, len(AXES))
+
+    def test_decode_cache_stays_out_of_fields_and_fingerprints(self):
+        # Decoding caches radices and values on the instance; the
+        # dataclass fields (what cache keys encode) must not change.
+        assert [f.name for f in dataclasses.fields(SpaceSpec)] == [
+            "axes", "max_hours", "profile",
+        ]
+        want = (
+            "c38f938bca9dbe75884abc213c35b8c38858861b35fb753a9e39aaab3eec353e"
+        )
+        space = default_space()
+        assert explore_fingerprint(space, (512, 16, 1), None, guided=True) == want
+        space.digits_array(range(0, space.size(), 97))
+        space.config_at(5)
+        space.place_values()
+        assert explore_fingerprint(space, (512, 16, 1), None, guided=True) == want
+        copy = pickle.loads(pickle.dumps(space))
+        assert copy == space
+        assert explore_fingerprint(copy, (512, 16, 1), None, guided=True) == want
 
     def test_indices_match_limited_enumeration(self):
         space = SpaceSpec(axes=(Axis.grid("capacity_mah", 100.0, 1000.0, 10),))

@@ -10,15 +10,22 @@ guided ladder lands the exact frontier the exhaustive driver confirms.
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.explore import AXES, default_space, explore
+from repro.explore import (
+    AXES,
+    POLICY_FAMILIES,
+    Axis,
+    SpaceSpec,
+    default_space,
+    explore,
+)
 from repro.explore.halving import RUNGS, RungReport, _prescreen
 from repro.explore.surrogate import (
     Surrogate,
-    _index_of,
-    _neighbors,
+    _hamming1,
     _stall_set,
     _walk_stride,
     guided_sample,
@@ -56,24 +63,47 @@ class TestWalkStride:
         assert _walk_stride(103_680) == _walk_stride(103_680)
 
 
+def _space(*radices):
+    """A space whose first axes (policy, cut, rotation) have these radices."""
+    values = {
+        "policy": POLICY_FAMILIES,
+        "cut": ((), (1,), (2,)),
+        "rotation_period": (None, 25, 50, 100),
+    }
+    return SpaceSpec(axes=tuple(
+        Axis.choice(name, *values[name][:radix])
+        for name, radix in zip(values, radices)
+    ))
+
+
 class TestNeighbors:
     def test_hamming_one_count(self):
-        radices = (3, 1, 4)
-        digits = (1, 0, 2)
-        got = list(_neighbors(digits, radices))
+        space = _space(3, 1, 4)
+        assert space.radices()[:3] == (3, 1, 4)
+        digits = (1, 0, 2, 0, 0, 0, 0, 0)
+        index = int(np.dot(digits, space.place_values()))
+        assert space.digits_at(index) == digits
+        moved = _hamming1(
+            np.array([index]),
+            space.digits_array([index]),
+            space.radices(),
+            space.place_values(),
+        )
+        got = [space.digits_at(i) for i in moved.tolist()]
         assert len(got) == (3 - 1) + (4 - 1)
         for other in got:
             assert sum(a != b for a, b in zip(other, digits)) == 1
         assert len(set(got)) == len(got)
 
     def test_index_round_trip(self):
-        radices = (3, 2, 4)
+        space = _space(3, 2, 4)
         space_size = 3 * 2 * 4
+        places = space.place_values()
         seen = set()
         for a in range(3):
             for b in range(2):
                 for c in range(4):
-                    seen.add(_index_of((a, b, c), radices))
+                    seen.add(a * places[0] + b * places[1] + c * places[2])
         assert seen == set(range(space_size))
 
 
@@ -161,11 +191,16 @@ class TestStratifiedTop:
             )
             if c.config.index in scores
         ]
-        radices = space.radices()
         for cand in RUNGS[0].promotion(candidates, keep):
-            digits = space.digits_at(cand.config.index)
-            for neighbor in _neighbors(digits, radices):
-                assert _index_of(neighbor, radices) in seen
+            index = cand.config.index
+            moved = _hamming1(
+                np.array([index]),
+                space.digits_array([index]),
+                space.radices(),
+                space.place_values(),
+            )
+            for neighbor in moved.tolist():
+                assert neighbor in seen
 
 
 class TestGuidedSample:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs import NULL_LOG, EventLog, TelemetryEvent
+from repro.obs import NULL_LOG, EventLog, Telemetry, TelemetryEvent
 
 
 class TestTelemetryEvent:
@@ -40,6 +40,16 @@ class TestEventLog:
         assert ev.ts == 2.0
         assert ev.actor == "node1"
         assert ev.data == {"from_mhz": 59.0, "to_mhz": 103.2}
+
+    def test_data_fields_may_share_parameter_names(self):
+        # kind/ts/actor are positional-only, so a payload field may
+        # reuse their names (record() always allowed it).
+        log, telemetry = EventLog(), Telemetry()
+        log.emit("link.xfer", 1.0, "node1", kind="x", ts=None, actor=2)
+        telemetry.emit("link.xfer", 1.0, "node1", kind="x", ts=None, actor=2)
+        for (ev,) in (log.records, telemetry.events.records):
+            assert (ev.kind, ev.ts, ev.actor) == ("link.xfer", 1.0, "node1")
+            assert ev.data == {"kind": "x", "ts": None, "actor": 2}
 
     def test_capacity_drops_and_counts(self):
         log = EventLog(max_events=3)

@@ -22,9 +22,9 @@ Package map:
 - :mod:`repro.hw` — the Itsy substrate: SA-1100 DVS table, power
   model, batteries (KiBaM / linear / Peukert), serial links, nodes.
 - :mod:`repro.apps.atr` — the ATR workload: a real numpy implementation
-  (with multi-scale matching and multi-frame tracking) and the Fig. 6
-  task profile; :mod:`repro.apps.video` and :mod:`repro.apps.sensor`
-  provide contrast workloads.
+  (with multi-scale matching) and the Fig. 6 task profile;
+  :mod:`repro.apps.video` and :mod:`repro.apps.sensor` provide contrast
+  workloads.
 - :mod:`repro.pipeline` — partitioned pipeline execution, node
   rotation, power-failure recovery.
 - :mod:`repro.core` — policies, partitioning analysis, metrics,
@@ -46,7 +46,6 @@ from repro.errors import (
 from repro.sim import Simulator, TraceRecorder
 from repro.hw import (
     PAPER_BATTERY,
-    RakhmatovBattery,
     SA1100_TABLE,
     VoltageAwareBattery,
     DVSTable,
@@ -66,7 +65,6 @@ from repro.hw.link import PAPER_LINK_TIMING
 from repro.hw.power import PAPER_POWER_MODEL
 from repro.apps.atr import (
     ATRPipeline,
-    ATRTracker,
     PAPER_PROFILE,
     PAPER_PROFILE_RAW,
     SceneSpec,
@@ -148,7 +146,6 @@ __all__ = [
     "PAPER_BATTERY",
     "LinearBattery",
     "PeukertBattery",
-    "RakhmatovBattery",
     "VoltageAwareBattery",
     "SerialLink",
     "TransactionTiming",
@@ -163,7 +160,6 @@ __all__ = [
     "PAPER_PROFILE",
     "PAPER_PROFILE_RAW",
     "measure_profile",
-    "ATRTracker",
     # pipeline
     "Partition",
     "enumerate_partitions",

@@ -39,7 +39,6 @@ from repro.apps.atr.profile import (
     measure_profile,
 )
 from repro.apps.atr.reference import ATRPipeline, ATRResult, Detection
-from repro.apps.atr.tracking import ATRTracker, Track
 from repro.apps.atr.templates import TEMPLATE_BANK, Template
 
 __all__ = [
@@ -57,8 +56,6 @@ __all__ = [
     "ATRPipeline",
     "ATRResult",
     "Detection",
-    "ATRTracker",
-    "Track",
     "MultiScaleATR",
     "TemplateVariant",
     "expand_bank",

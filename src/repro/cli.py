@@ -417,7 +417,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         if args.resume == "latest":
             record = registry.latest_explore_cursor(
                 fingerprint=explore_fingerprint(
-                    space, tuple(args.keep), args.limit, guided=args.guided
+                    space, tuple(args.keep), args.limit
                 )
             )
         else:
@@ -431,8 +431,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         print(f"resuming {record.session_id[:12]} "
               f"(snapshot after rung {record.rung!r})")
     n = space.size() if args.limit is None else min(space.size(), args.limit)
-    mode = "guided" if args.guided else "exhaustive"
-    print(f"exploring {n:,} of {space.size():,} configs, {mode} "
+    print(f"exploring {n:,} of {space.size():,} configs "
           f"(keep {args.keep[0]}/{args.keep[1]}/{args.keep[2]}, "
           f"jobs {args.jobs})")
 
@@ -456,7 +455,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         limit=args.limit,
         progress=progress,
         flight=flight,
-        guided=args.guided,
         probe=args.probe,
         resume=resume_cursor,
     )
@@ -491,11 +489,10 @@ def _cmd_explore(args: argparse.Namespace) -> int:
           f"({result.configs_per_sec:,.0f} configs/s); "
           f"{result.pruned_before_sim_fraction:.2%} pruned before any "
           "full simulation")
-    if result.sampler is not None:
-        s = result.sampler
-        print(f"guided sampler: probed {s['probed']:,} of "
-              f"{s['universe']:,} configs in {s['rounds']} round(s), "
-              f"{s['proposals']:,} proposals, stopped: {s['stop_reason']}")
+    s = result.sampler
+    print(f"guided sampler: probed {s['probed']:,} of "
+          f"{s['universe']:,} configs in {s['rounds']} round(s), "
+          f"{s['proposals']:,} proposals, stopped: {s['stop_reason']}")
     if args.export:
         payload = result.frontier_payload()
         with open(args.export, "w", encoding="utf-8") as fh:
@@ -1427,15 +1424,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument("--jobs", type=int, default=1, metavar="N",
                            help="fan rung work over N worker processes "
                                 "(bit-identical to serial; default 1)")
-    p_explore.add_argument("--guided", action="store_true",
-                           help="model-guided rung-0 sampling instead of "
-                                "exhaustive enumeration (deterministic; "
-                                "reaches the same frontier on spaces the "
-                                "sampler can exhaust)")
     p_explore.add_argument("--probe", type=int, default=2048, metavar="N",
-                           help="--guided only: size of the initial "
-                                "probe and of every proposal round "
-                                "(default 2048)")
+                           help="size of the rung-0 sampler's initial "
+                                "probe and of every proposal round; a "
+                                "probe at least the space size scores "
+                                "every config (default 2048)")
     p_explore.add_argument("--resume", metavar="RUN", default=None,
                            help="resume a killed exploration from its "
                                 "latest registry cursor: a session-id "

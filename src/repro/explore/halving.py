@@ -43,13 +43,13 @@ link budget at rung 0, death-within-horizon at rung 1, the full
 :func:`repro.obs.checks.paper_monitors` replay at rungs 2/3), all
 speaking the same :class:`~repro.obs.checks.Verdict` vocabulary.
 
-Rung 0 has two drivers. The exhaustive driver enumerates and scores the
-whole space — right up to ~10^5 configs. Past that, ``guided=True``
-switches to the model-guided sampler (:mod:`repro.explore.surrogate`),
-which keeps the space implicit and proposes batches from a quantized
-effect surrogate until the set rung 0 promotes is stable and closed
-under single-axis moves; every score still comes from the same
-analytic prescreen, so both drivers feed identical numbers forward.
+Rung 0 is driven by the model-guided sampler
+(:mod:`repro.explore.surrogate`), which keeps the space implicit and
+proposes batches from a quantized effect surrogate until the set rung 0
+promotes is stable and closed under single-axis moves. It never scores:
+every number comes from the analytic prescreen, and a probe at least
+the size of the space scores every config, which is the brute-force
+reference the tests compare against.
 
 Determinism contract
 --------------------
@@ -189,9 +189,8 @@ class ExploreResult:
     survivors: tuple[FrontierMember, ...]
     disqualified: dict[str, int]
     wall_s: float
-    #: Guided-sampler accounting (:meth:`GuidedReport.content` form), or
-    #: None for the exhaustive rung-0 driver.
-    sampler: dict[str, t.Any] | None = None
+    #: Guided-sampler accounting (:meth:`GuidedReport.content` form).
+    sampler: dict[str, t.Any]
     #: How many rungs were replayed from a resume cursor (telemetry).
     resumed_rungs: int = 0
 
@@ -213,9 +212,9 @@ class ExploreResult:
     def frontier_payload(self) -> dict[str, t.Any]:
         """The deterministic export: byte-identical across modes.
 
-        ``sampler`` is deterministic guided-mode accounting (None for
-        the exhaustive driver); the ``frontier`` array is the portion
-        the two drivers are expected to agree on byte-for-byte.
+        ``sampler`` is the deterministic rung-0 sampler accounting; the
+        ``frontier`` array is what serial, ``--jobs N``, cache-replayed
+        and resumed runs agree on byte-for-byte.
         """
         return {
             "space": {"size": self.n_configs, "fingerprint": self.fingerprint},
@@ -252,10 +251,9 @@ class _Ladder:
     space: SpaceSpec
     keep: tuple[int, int, int]
     limit: int | None
-    mode: str  # "guided" or "full": the rung-0 driver
+    mode: str  # the rung-0 driver, recorded in cursors: always "guided"
     fingerprint: str
     n_configs: int
-    configs: list[ExploreConfig] | None  # the enumerated space; None if guided
     probe: int
     chunk_size: int
     executor: SweepExecutor  # holds the result cache, if any
@@ -526,10 +524,8 @@ def _prescreen(
 def _predict(
     ladder: _Ladder, candidates: list[_Candidate], report: RungReport
 ) -> list[_Candidate]:
-    """Rung 0: prescreen the enumerated space, or what the sampler probes."""
+    """Rung 0: prescreen what the guided sampler probes."""
     space = ladder.space
-    if ladder.configs is not None:
-        return _prescreen(space, ladder.configs, report, ladder.disqualified)
     structures: dict[tuple, tuple] = {}
     drains: dict[tuple, tuple[float, float, float, float]] = {}
     by_index: dict[int, _Candidate] = {}
@@ -935,19 +931,15 @@ def explore_fingerprint(
     space: SpaceSpec,
     keep: tuple[int, int, int],
     limit: int | None,
-    *,
-    guided: bool = False,
 ) -> str:
     """The session fingerprint :func:`explore` files registry rows under.
 
     Exposed so callers (the CLI's ``--resume latest``) can locate a
-    prior session's cursor without re-running anything. Guided and
-    exhaustive sessions fingerprint differently on purpose: their rung-0
-    telemetry differs even though their frontiers agree.
+    prior session's cursor without re-running anything. The trailing
+    ``"guided"`` names the rung-0 driver; it keeps the keys of sessions
+    recorded by earlier builds valid.
     """
-    if guided:
-        return stable_key("explore", space, tuple(keep), limit, "guided")
-    return stable_key("explore", space, tuple(keep), limit)
+    return stable_key("explore", space, tuple(keep), limit, "guided")
 
 
 def explore(
@@ -960,7 +952,7 @@ def explore(
     limit: int | None = None,
     progress: t.Callable[[RungReport], None] | None = None,
     flight: t.Any = None,
-    guided: bool = False,
+    guided: bool = True,
     probe: int = 2048,
     resume: dict[str, t.Any] | None = None,
 ) -> ExploreResult:
@@ -984,7 +976,7 @@ def explore(
         Configs per rung-1 cohort chunk (one cache entry each).
     limit:
         Deterministically subsample the space to at most this many
-        configs before rung 0.
+        configs (at least one) before rung 0.
     progress:
         Called with each rung's :class:`RungReport` as it completes.
     flight:
@@ -993,13 +985,13 @@ def explore(
         recorder phase per rung so live progress shows the halving
         ladder.
     guided:
-        Drive rung 0 with the model-guided sampler instead of
-        exhaustive enumeration — the space is never materialized, so
-        10^6+ spaces reach the ladder in bounded memory. Scores still
-        come from the same analytic prescreen.
+        Must be True: the model-guided sampler is the only rung-0
+        driver. The space is never materialized, so 10^6+ spaces reach
+        the ladder in bounded memory.
     probe:
-        Guided mode only: size of the initial stratified probe batch
-        and of each subsequent proposal round.
+        Size of the sampler's initial stratified probe batch and of
+        each subsequent proposal round. A probe at least the size of
+        the space scores every config.
     resume:
         A cursor from a previous session's explore snapshot (see
         ``RunRegistry.latest_explore_cursor``). Completed rungs are
@@ -1014,24 +1006,23 @@ def explore(
         )
     if chunk_size < 1:
         raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-    started = time.perf_counter()
-    if guided:
-        configs: list[ExploreConfig] | None = None
-        n_configs = (
-            len(space.indices(limit)) if limit is not None else space.size()
+    if limit is not None and limit < 1:
+        raise ConfigurationError(f"limit must be >= 1, got {limit}")
+    if not guided:
+        raise ConfigurationError(
+            "the exhaustive rung-0 driver was removed; the guided sampler "
+            "scores every config when probe >= the space size"
         )
-    else:
-        configs = space.configs(limit=limit)
-        n_configs = len(configs)
+    started = time.perf_counter()
+    n_configs = len(space.indices(limit)) if limit is not None else space.size()
     executor = SweepExecutor(jobs=jobs, cache=cache, flight=flight)
     ladder = _Ladder(
         space=space,
         keep=tuple(keep),
         limit=limit,
-        mode="guided" if guided else "full",
-        fingerprint=explore_fingerprint(space, keep, limit, guided=guided),
+        mode="guided",
+        fingerprint=explore_fingerprint(space, keep, limit),
         n_configs=n_configs,
-        configs=configs,
         probe=probe,
         chunk_size=chunk_size,
         executor=executor,

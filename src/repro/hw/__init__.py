@@ -22,7 +22,6 @@ from repro.hw.battery import (
     KiBaMParameters,
     LinearBattery,
     PeukertBattery,
-    RakhmatovBattery,
     VoltageAwareBattery,
 )
 from repro.hw.link import SerialLink, TransactionTiming
@@ -41,7 +40,6 @@ __all__ = [
     "PAPER_BATTERY",
     "LinearBattery",
     "PeukertBattery",
-    "RakhmatovBattery",
     "VoltageAwareBattery",
     "SerialLink",
     "TransactionTiming",

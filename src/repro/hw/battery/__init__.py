@@ -14,16 +14,13 @@ phenomena, both visible in its measurements:
 closed-form solution for piecewise-constant loads, so discharge runs
 spanning simulated days cost microseconds. :class:`LinearBattery`
 (ideal charge bucket) and :class:`PeukertBattery` (rate-capacity only,
-no recovery) serve as ablation baselines, and
-:class:`RakhmatovBattery` (the diffusion model KiBaM approximates)
-checks that conclusions do not hinge on the choice of approximation.
+no recovery) serve as ablation baselines.
 """
 
 from repro.hw.battery.base import Battery
 from repro.hw.battery.kibam import KiBaM, KiBaMParameters, PAPER_BATTERY
 from repro.hw.battery.linear import LinearBattery
 from repro.hw.battery.peukert import PeukertBattery
-from repro.hw.battery.rakhmatov import RakhmatovBattery
 from repro.hw.battery.voltage import LIION_OCV, OcvCurve, VoltageAwareBattery
 
 __all__ = [
@@ -33,7 +30,6 @@ __all__ = [
     "PAPER_BATTERY",
     "LinearBattery",
     "PeukertBattery",
-    "RakhmatovBattery",
     "VoltageAwareBattery",
     "OcvCurve",
     "LIION_OCV",

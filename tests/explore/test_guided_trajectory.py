@@ -45,9 +45,8 @@ def _rung0(space, monkeypatch):
         keep=KEEP,
         limit=None,
         mode="guided",
-        fingerprint=explore_fingerprint(space, KEEP, None, guided=True),
+        fingerprint=explore_fingerprint(space, KEEP, None),
         n_configs=space.size(),
-        configs=None,
         probe=2048,
         chunk_size=256,
         executor=SweepExecutor(jobs=1),

@@ -86,6 +86,16 @@ class TestExploreEndToEnd:
         with pytest.raises(ConfigurationError, match="chunk_size"):
             explore(small_space(), keep=(8, 4, 2), chunk_size=0)
 
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_limit_below_one_rejected(self, limit, tmp_path):
+        # Not silently read as "no limit": nothing is scored or recorded.
+        registry = RunRegistry(tmp_path / "runs.sqlite")
+        with pytest.raises(ConfigurationError, match="limit must be >= 1"):
+            explore(
+                small_space(), keep=(8, 4, 2), limit=limit, registry=registry
+            )
+        assert registry.list_explore_sessions() == []
+
 
 class TestDeterminism:
     def test_frontier_identical_serial_parallel_replay(self, tmp_path):

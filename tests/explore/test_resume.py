@@ -32,8 +32,9 @@ CHUNK = 2
 NAMES = [rung.name for rung in RUNGS]
 
 #: A version-1 cursor exactly as the registry stored it after rung
-#: "cohort" of ``explore(small_space(), keep=KEEP, chunk_size=CHUNK)``,
-#: written by the ladder before its rungs became a table.
+#: "cohort" of ``explore(small_space(), keep=KEEP, chunk_size=CHUNK,
+#: guided=True)``, written by the build that still had the exhaustive
+#: rung-0 driver beside the guided one.
 V1_COHORT_CURSOR = {
     "candidates": [
         [96, 0.20926352690955133, 0.0, 0.20926352690955133, 327, 0, ""],
@@ -44,7 +45,7 @@ V1_COHORT_CURSOR = {
     "disqualified": {},
     "keep": [8, 4, 2],
     "limit": None,
-    "mode": "full",
+    "mode": "guided",
     "n_configs": 120,
     "rung": "cohort",
     "rungs": [
@@ -53,7 +54,13 @@ V1_COHORT_CURSOR = {
         {"disqualified": 0, "entered": 8, "evaluated": 8,
          "name": "cohort", "promoted": 4},
     ],
-    "sampler": None,
+    "sampler": {
+        "probed": 120,
+        "proposals": 120,
+        "rounds": 1,
+        "stop_reason": "exhausted",
+        "universe": 120,
+    },
     "version": 1,
 }
 
@@ -284,7 +291,16 @@ class TestCursorValidation:
             explore(
                 small_space(), keep=(9, 4, 2), resume=cursor
             )
-        with pytest.raises(ConfigurationError, match="guided|mode"):
+        with pytest.raises(ConfigurationError, match="limit"):
+            explore(small_space(), keep=KEEP, limit=100, resume=cursor)
+
+    def test_exhaustive_driver_cursor_refused(self):
+        # A session stored by a build that still had the exhaustive
+        # rung-0 driver cannot resume: its rung-0 accounting differs.
+        from repro.errors import ConfigurationError
+
+        cursor = dict(V1_COHORT_CURSOR, mode="full", sampler=None)
+        with pytest.raises(ConfigurationError, match="mode"):
             explore(
-                small_space(), keep=KEEP, guided=True, resume=cursor
+                small_space(), keep=KEEP, chunk_size=CHUNK, resume=cursor
             )

@@ -275,14 +275,14 @@ class TestIndexedAccess:
             "c38f938bca9dbe75884abc213c35b8c38858861b35fb753a9e39aaab3eec353e"
         )
         space = default_space()
-        assert explore_fingerprint(space, (512, 16, 1), None, guided=True) == want
+        assert explore_fingerprint(space, (512, 16, 1), None) == want
         space.digits_array(range(0, space.size(), 97))
         space.config_at(5)
         space.place_values()
-        assert explore_fingerprint(space, (512, 16, 1), None, guided=True) == want
+        assert explore_fingerprint(space, (512, 16, 1), None) == want
         copy = pickle.loads(pickle.dumps(space))
         assert copy == space
-        assert explore_fingerprint(copy, (512, 16, 1), None, guided=True) == want
+        assert explore_fingerprint(copy, (512, 16, 1), None) == want
 
     def test_indices_match_limited_enumeration(self):
         space = SpaceSpec(axes=(Axis.grid("capacity_mah", 100.0, 1000.0, 10),))

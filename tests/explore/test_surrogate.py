@@ -1,10 +1,11 @@
-"""Model-guided rung-0 sampling: determinism and exhaustive parity.
+"""Model-guided rung-0 sampling: determinism and brute-force parity.
 
 The load-bearing claim is that the sampler is *steering*, never
 *scoring*: every number that enters promotion comes from the true
 analytic prescreen, so on any space the sampler manages to exhaust —
 and on the spaces below where its stall criterion fires early — the
-guided ladder lands the exact frontier the exhaustive driver confirms.
+guided ladder lands the exact frontier a brute-force enumeration
+confirms.
 """
 
 import json
@@ -258,14 +259,21 @@ class TestGuidedVersusExhaustive:
     def test_full_ladder_frontier_identical(self):
         space = small_space()
         keep = (8, 4, 2)
-        a = explore(space, keep=keep)
-        b = explore(space, keep=keep, guided=True, probe=16)
+        # A probe the size of the space scores every config: brute force.
+        brute = explore(space, keep=keep, probe=space.size())
+        guided = explore(space, keep=keep, probe=16)
         blob = lambda r: json.dumps(
             r.frontier_payload()["frontier"], sort_keys=True
         )
-        assert blob(a) == blob(b)
-        assert b.sampler is not None
-        assert a.sampler is None
+        assert blob(brute) == blob(guided)
+        assert brute.sampler["stop_reason"] == "exhausted"
+        assert brute.sampler["probed"] == brute.sampler["universe"]
+        assert brute.sampler["universe"] == space.size()
+        assert guided.sampler["stop_reason"] == "stable"
+
+    def test_exhaustive_driver_removed(self):
+        with pytest.raises(ConfigurationError, match="exhaustive"):
+            explore(small_space(), keep=(8, 4, 2), guided=False)
 
     def test_default_space_rung0_promotion_identical(self):
         # The acceptance surface on the real 104k space, kept to the

@@ -12,7 +12,6 @@ from repro.hw.battery import (
     KiBaMParameters,
     LinearBattery,
     PeukertBattery,
-    RakhmatovBattery,
 )
 
 CAPACITY = 60.0
@@ -25,12 +24,10 @@ def fresh(kind):
         return LinearBattery(CAPACITY)
     if kind == "peukert":
         return PeukertBattery(CAPACITY, reference_ma=60.0, exponent=1.2)
-    if kind == "rakhmatov":
-        return RakhmatovBattery(CAPACITY, beta_per_sqrt_s=0.02)
     raise ValueError(kind)
 
 
-MODELS = ["kibam", "linear", "peukert", "rakhmatov"]
+MODELS = ["kibam", "linear", "peukert"]
 
 
 @pytest.mark.parametrize("kind", MODELS)

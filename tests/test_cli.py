@@ -583,19 +583,34 @@ class TestExplore:
             "--io-points", "2", "--keep", "8", "2", "1",
             "--no-cache", "--no-registry",
         ]
-        exhaustive = tmp_path / "exhaustive.json"
+        # The default probe (2048) covers this 288-config space, so the
+        # first run scores every config: the brute-force reference.
+        brute = tmp_path / "brute.json"
         guided = tmp_path / "guided.json"
-        assert main(args + ["--export", str(exhaustive)]) == 0
-        assert main(args + ["--guided", "--export", str(guided)]) == 0
+        assert main(args + ["--export", str(brute)]) == 0
+        assert main(args + ["--probe", "16", "--export", str(guided)]) == 0
         out = capsys.readouterr().out
         assert "guided sampler: probed" in out
-        a = json.loads(exhaustive.read_text())
+        a = json.loads(brute.read_text())
         b = json.loads(guided.read_text())
         assert json.dumps(a["frontier"], sort_keys=True) == json.dumps(
             b["frontier"], sort_keys=True
         )
-        assert b["sampler"]["probed"] >= 1
-        assert a["sampler"] is None
+        assert a["sampler"]["stop_reason"] == "exhausted"
+        assert a["sampler"]["probed"] == a["sampler"]["universe"] == 288
+        assert b["sampler"]["stop_reason"] == "stable"
+
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_limit_below_one_rejected(self, limit, capsys):
+        code = main([
+            "explore", "--bandwidth-points", "1", "--capacity-points", "1",
+            "--io-points", "1", "--keep", "4", "2", "1",
+            "--no-cache", "--no-registry", "--limit", limit,
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"limit must be >= 1, got {limit}" in captured.err
+        assert "rung predict" not in captured.out
 
     def test_resume_latest_round_trip(self, tmp_path, capsys):
         import json

@@ -398,7 +398,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     import time
 
     from repro.explore import default_space, explore
-    from repro.explore.halving import explore_fingerprint
+    from repro.explore.halving import check_explore_args, explore_fingerprint
 
     space = default_space(
         bandwidth_points=args.bandwidth_points,
@@ -407,6 +407,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         chemistries=tuple(args.chemistries),
         deadlines=tuple(args.deadlines),
     )
+    check_explore_args(tuple(args.keep), args.chunk, args.limit, args.probe)
     cache = _cache(args)
     registry = None if args.no_registry else _registry(args)
     resume_cursor = None

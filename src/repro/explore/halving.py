@@ -85,7 +85,7 @@ from repro.exec import SweepExecutor
 from repro.exec.cache import ResultCache, stable_key
 from repro.explore.budget import promote, rank_disagreement
 from repro.explore.pareto import OBJECTIVES, pareto_indices, pareto_layers
-from repro.explore.space import ExploreConfig, SpaceSpec
+from repro.explore.space import ExploreConfig, SpaceSpec, check_limit
 from repro.explore.surrogate import guided_sample
 from repro.hw.battery.peukert import peukert_rate
 from repro.hw.power import PowerMode
@@ -104,6 +104,7 @@ __all__ = [
     "RungReport",
     "FrontierMember",
     "ExploreResult",
+    "check_explore_args",
     "explore",
     "explore_fingerprint",
 ]
@@ -244,6 +245,11 @@ class _Candidate:
 # shared ladder state
 # ---------------------------------------------------------------------------
 
+#: Resume-cursor format. Since 2, candidate run ids hash the columnar
+#: event digest (:meth:`repro.obs.events.EventLog.digest`).
+CURSOR_VERSION = 2
+
+
 @dataclasses.dataclass
 class _Ladder:
     """One exploration's shared state: what every rung function reads."""
@@ -275,7 +281,7 @@ class _Ladder:
         bit-identical state.
         """
         return {
-            "version": 1,
+            "version": CURSOR_VERSION,
             "mode": self.mode,
             "keep": list(self.keep),
             "limit": self.limit,
@@ -313,6 +319,18 @@ class _Ladder:
                 "resume cursor must be a dict with rung state (got "
                 f"{type(resume).__name__})"
             )
+        version, rung = resume.get("version"), resume["rung"]
+        # Version 1 predates the columnar event digest: its simulated
+        # rungs carry run_ids this build would not reproduce, while the
+        # rungs before them carry none.
+        if version != CURSOR_VERSION and not (
+            version == 1 and rung in ("predict", "cohort")
+        ):
+            raise ConfigurationError(
+                f"resume cursor version {version!r} after rung {rung!r} "
+                f"cannot resume under cursor version {CURSOR_VERSION}; "
+                "start the exploration afresh"
+            )
         for field, want in (
             ("mode", self.mode),
             ("keep", list(self.keep)),
@@ -325,8 +343,7 @@ class _Ladder:
                     f"resume cursor disagrees on {field}: cursor has "
                     f"{got!r}, this invocation has {want!r}"
                 )
-        names = [rung.name for rung in RUNGS]
-        rung = resume["rung"]
+        names = [r.name for r in RUNGS]
         if rung not in names:
             raise ConfigurationError(
                 f"resume cursor names unknown rung {rung!r}"
@@ -942,6 +959,34 @@ def explore_fingerprint(
     return stable_key("explore", space, tuple(keep), limit, "guided")
 
 
+def check_explore_args(
+    keep: t.Sequence[int],
+    chunk_size: int,
+    limit: int | None,
+    probe: int,
+    guided: bool = True,
+) -> None:
+    """Refuse :func:`explore` arguments that name no valid session.
+
+    :func:`explore` runs this before any work; the CLI runs it before
+    printing its header.
+    """
+    if len(keep) != 3 or any(k < 1 for k in keep):
+        raise ConfigurationError(
+            f"keep must be three positive budgets, got {keep!r}"
+        )
+    if chunk_size < 1:
+        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
+    check_limit(limit)
+    if probe < 1:
+        raise ConfigurationError(f"probe must be >= 1, got {probe}")
+    if not guided:
+        raise ConfigurationError(
+            "the exhaustive rung-0 driver was removed; the guided sampler "
+            "scores every config when probe >= the space size"
+        )
+
+
 def explore(
     space: SpaceSpec,
     keep: tuple[int, int, int] = (512, 16, 6),
@@ -1000,19 +1045,7 @@ def explore(
         most the killed chunk repeats, and the final frontier is
         byte-identical to an uninterrupted run.
     """
-    if len(keep) != 3 or any(k < 1 for k in keep):
-        raise ConfigurationError(
-            f"keep must be three positive budgets, got {keep!r}"
-        )
-    if chunk_size < 1:
-        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-    if limit is not None and limit < 1:
-        raise ConfigurationError(f"limit must be >= 1, got {limit}")
-    if not guided:
-        raise ConfigurationError(
-            "the exhaustive rung-0 driver was removed; the guided sampler "
-            "scores every config when probe >= the space size"
-        )
+    check_explore_args(keep, chunk_size, limit, probe, guided)
     started = time.perf_counter()
     n_configs = len(space.indices(limit)) if limit is not None else space.size()
     executor = SweepExecutor(jobs=jobs, cache=cache, flight=flight)

@@ -57,6 +57,7 @@ __all__ = [
     "SpaceSpec",
     "ExploreConfig",
     "ConfigBattery",
+    "check_limit",
     "default_space",
 ]
 
@@ -138,6 +139,12 @@ class Axis:
     def choice(cls, name: str, *values: t.Any) -> "Axis":
         """An explicit, ordered set of values."""
         return cls(name, tuple(values))
+
+
+def check_limit(limit: int | None) -> None:
+    """Refuse a subsample ``limit`` below one; ``None`` is the whole space."""
+    if limit is not None and limit < 1:
+        raise ConfigurationError(f"limit must be >= 1, got {limit}")
 
 
 def _check_axis_values(name: str, values: tuple) -> None:
@@ -425,8 +432,9 @@ class SpaceSpec:
         evenly strided subsample — computed arithmetically, so callers
         can reason about a capped huge space without building it.
         """
+        check_limit(limit)
         n = self.size()
-        if limit is not None and 0 < limit < n:
+        if limit is not None and limit < n:
             return sorted(
                 {round(i * (n - 1) / (limit - 1)) for i in range(limit)}
                 if limit > 1
@@ -441,11 +449,12 @@ class SpaceSpec:
         enumeration, keeping each config's original index), so a capped
         exploration of a huge space is still reproducible.
         """
+        check_limit(limit)
         configs = [
             ExploreConfig(index, *combo)
             for index, combo in enumerate(itertools.product(*self._values))
         ]
-        if limit is not None and 0 < limit < len(configs):
+        if limit is not None and limit < len(configs):
             configs = [configs[i] for i in self.indices(limit)]
         return configs
 

@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.explore.budget import promote
-from repro.explore.space import AXES, SpaceSpec
+from repro.explore.space import AXES, SpaceSpec, check_limit
 
 __all__ = [
     "GuidedReport",
@@ -348,10 +348,11 @@ def guided_sample(
         raise ConfigurationError(f"keep must be >= 1, got {keep}")
     if probe < 1:
         raise ConfigurationError(f"probe must be >= 1, got {probe}")
+    check_limit(limit)
     radices = space.radices()
     places = space.place_values()
     full = space.size()
-    if limit is not None and 0 < limit < full:
+    if limit is not None and limit < full:
         universe = space.indices(limit)
         in_universe: t.Container[int] = set(universe)
     else:

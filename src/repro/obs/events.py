@@ -16,15 +16,6 @@ contract deterministically: a run with events off stores, buffers and
 drops no records and makes no energy-ledger adds, while its metrics
 stay live. Wall time is left to the end-to-end benchmark.
 
-Storage
--------
-Emitted events go to a columnar buffer (parallel ``kind``/``ts``/
-``actor``/``data`` lists), not to per-event objects; they become
-:class:`TelemetryEvent` records only when read as such. The buffer
-adds no objects for the cyclic collector to track, and
-:meth:`EventLog.digest` and :meth:`EventLog.stream` read it without
-materializing anything.
-
 Event kinds are dotted strings, namespaced by layer:
 
 =====================  ====================================================
@@ -63,11 +54,15 @@ exporters.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import itertools
 import json
 import typing as t
+from operator import attrgetter, itemgetter
+
+import numpy as np
 
 __all__ = ["TelemetryEvent", "EventLog", "NULL_LOG", "discharge_curves"]
 
@@ -95,22 +90,14 @@ class TelemetryEvent:
 
     def as_dict(self) -> dict[str, t.Any]:
         """JSON-stable dict form (see :func:`from_dict`)."""
-        return {
-            "kind": self.kind,
-            "ts": self.ts,
-            "actor": self.actor,
-            "data": dict(self.data),
-        }
+        return {"kind": self.kind, "ts": self.ts, "actor": self.actor,
+                "data": dict(self.data)}
 
     @classmethod
     def from_dict(cls, payload: t.Mapping[str, t.Any]) -> "TelemetryEvent":
         """Rebuild an event from :meth:`as_dict` output (bit-identical)."""
-        return cls(
-            kind=payload["kind"],
-            ts=payload["ts"],
-            actor=payload.get("actor", ""),
-            data=dict(payload.get("data", {})),
-        )
+        return cls(payload["kind"], payload["ts"], payload.get("actor", ""),
+                   dict(payload.get("data", {})))
 
 
 class EventLog:
@@ -119,13 +106,11 @@ class EventLog:
     Parameters
     ----------
     enabled:
-        ``False`` makes the log a null sink: it is falsy and
-        :meth:`emit` is a no-op, so wired-in instrumentation costs one
-        branch per site.
+        ``False`` makes the log a null sink: it is falsy and :meth:`emit`
+        is a no-op, so wired-in instrumentation costs one branch.
     max_events:
         Hard cap on stored records; further emissions are counted in
-        :attr:`dropped` instead of stored, bounding memory on very long
-        runs.
+        :attr:`dropped` instead, bounding memory on very long runs.
 
     Notes
     -----
@@ -139,23 +124,18 @@ class EventLog:
     ``--jobs 4`` runs.
 
     Streaming subscribers (:meth:`attach`) observe every published
-    event online, *including* events the storage cap drops — a monitor
-    that checks invariants over a very long run must not go blind when
-    the log fills. Taps are live-run machinery: they are not pickled
-    with the log and not part of its serialized form.
+    event online, *including* those the storage cap drops, so a monitor
+    never goes blind when the log fills. Taps are live-run machinery:
+    not pickled with the log and not part of its serialized form.
 
     Internally, the stored stream is a prefix of materialized
-    :class:`TelemetryEvent` objects followed by a columnar buffer: four
-    parallel ``kind``/``ts``/``actor``/``data`` lists. :meth:`emit`
-    appends to the columns; an event is materialized only when the log
-    is *read* as objects (``records``, iteration, queries). Frozen
-    dataclass construction is the single largest cost of full telemetry
-    on a hot run, and a per-event container would stay tracked by the
-    cyclic collector for the life of the log: a tuple holding a dict is
-    never untracked, while a ``data`` dict of atomic values in a list
-    is not tracked at all. :meth:`digest` and :meth:`stream` read the
-    columns without materializing them. Attaching a tap forces eager
-    construction, since taps must observe real events online.
+    :class:`TelemetryEvent` objects followed by four parallel
+    ``kind``/``ts``/``actor``/``data`` column lists. :meth:`emit` appends
+    to the columns; events are built only when read as objects. Dataclass
+    construction is the largest cost of full telemetry, and a per-event
+    container would stay tracked by the cyclic collector (a ``data``
+    dict of atomic values is not). :meth:`digest` and :meth:`stream`
+    read the columns as they are. A tap forces eager construction.
     """
 
     __slots__ = (
@@ -193,10 +173,8 @@ class EventLog:
         self._clear_columns()
 
     def _clear_columns(self) -> None:
-        self._kinds.clear()
-        self._ts.clear()
-        self._actors.clear()
-        self._data.clear()
+        for column in (self._kinds, self._ts, self._actors, self._data):
+            column.clear()
 
     def __bool__(self) -> bool:
         return self.enabled
@@ -213,10 +191,8 @@ class EventLog:
         """Stored events in order (only ``kinds``, if given), uncached.
 
         Buffered events are built one at a time and dropped after use,
-        so a single pass over a long log (a monitor replay) does not
-        leave the log holding an object per event the way
-        :attr:`records` does; with ``kinds``, events of other kinds are
-        never built at all.
+        so a pass over a long log (a monitor replay) leaves no object per
+        event behind; events of other ``kinds`` are never built at all.
         """
         for event in self._records:
             if kinds is None or event.kind in kinds:
@@ -231,19 +207,9 @@ class EventLog:
         """Publish one event (no-op when disabled; counted when full)."""
         if not self.enabled:
             return
-        taps = self._taps
-        if taps:
-            event = TelemetryEvent(kind, ts, actor, data)
-            if len(self._records) + len(self._kinds) < self.max_events:
-                if self._kinds:
-                    self._flush()
-                self._records.append(event)
-            else:
-                self.dropped += 1
-            for tap in taps:
-                tap.observe(event)
-            return
-        if len(self._records) + len(self._kinds) < self.max_events:
+        if self._taps:
+            self.record(TelemetryEvent(kind, ts, actor, data))
+        elif len(self._records) + len(self._kinds) < self.max_events:
             self._kinds.append(kind)
             self._ts.append(ts)
             self._actors.append(actor)
@@ -276,11 +242,8 @@ class EventLog:
         *inconclusive* verdicts and summaries can flag the gap.
 
         No-op when nothing was dropped; re-sealing refreshes the
-        terminal record in place instead of appending another. Attached
-        taps are *not* notified: a live tap observed every published
-        event (including the dropped ones), so its view is complete —
-        the terminal record exists for readers of the stored log, whose
-        view is not.
+        terminal record in place. Attached taps are *not* notified: a
+        live tap observed every published event, dropped ones included.
         """
         if not self.enabled or not self.dropped:
             return
@@ -301,10 +264,8 @@ class EventLog:
     def attach(self, tap: t.Any) -> t.Any:
         """Subscribe ``tap`` (anything with ``observe(event)``) to the bus.
 
-        Every subsequently published event is forwarded to the tap
-        online, even events the storage cap drops. Returns the tap, so
-        ``monitor = log.attach(FrameDeadlineMonitor(...))`` reads
-        naturally.
+        Every later event reaches the tap online, even ones the storage
+        cap drops. Returns the tap: ``m = log.attach(Monitor(...))``.
         """
         if not hasattr(tap, "observe"):
             raise TypeError(f"tap {tap!r} has no observe(event) method")
@@ -313,10 +274,8 @@ class EventLog:
 
     def detach(self, tap: t.Any) -> None:
         """Unsubscribe a previously attached tap (no-op if absent)."""
-        try:
+        if tap in self._taps:
             self._taps.remove(tap)
-        except ValueError:
-            pass
 
     # -- queries ---------------------------------------------------------
     def of_kind(self, kind: str) -> list[TelemetryEvent]:
@@ -329,22 +288,15 @@ class EventLog:
         Reads the columns directly — summarizing a run must not force
         every buffered event to materialize.
         """
-        counts: dict[str, int] = {}
-        for event in self._records:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        for kind in self._kinds:
-            counts[kind] = counts.get(kind, 0) + 1
-        return dict(sorted(counts.items()))
+        kinds = itertools.chain((e.kind for e in self._records), self._kinds)
+        return dict(sorted(collections.Counter(kinds).items()))
 
     def actors(self) -> list[str]:
         """Distinct actors in first-seen order (excluding "")."""
-        seen: dict[str, None] = {}
-        for event in self._records:
-            if event.actor and event.actor not in seen:
-                seen[event.actor] = None
-        for actor in self._actors:
-            if actor and actor not in seen:
-                seen[actor] = None
+        seen = dict.fromkeys(
+            itertools.chain((e.actor for e in self._records), self._actors)
+        )
+        seen.pop("", None)
         return list(seen)
 
     def clear(self) -> None:
@@ -364,40 +316,51 @@ class EventLog:
         }
 
     def digest(self) -> str:
-        """SHA-256 hex digest of the canonical JSON of :meth:`as_dict`.
+        """SHA-256 hex digest of a typed, columnar encoding of the log.
 
-        Byte-for-byte the digest of ``json.dumps(log.as_dict(),
-        sort_keys=True, separators=(",", ":"))``, computed in chunks of
-        :data:`_DIGEST_CHUNK` records straight from the stored prefix and
-        the columns: no record is materialized and the whole document is
-        never held in memory. Only a chunk's transient dicts are built,
-        and reference counting frees them.
+        Equal exactly when the canonical JSON of :meth:`as_dict` is equal
+        (kinds and data keys being strings), however the log was built
+        or shipped. After a domain tag, a header (canonical JSON of
+        ``enabled``, ``max_events``, ``dropped``, stored count), then per
+        positional chunk of :data:`_CHUNK` events: the shape table (kind
+        plus sorted data keys), then the shape ids, ``ts``, actors and one
+        column per shape and key, each a :func:`_column`. Every piece is
+        length-prefixed.
         """
-        encode = _CANONICAL.encode
-        head = encode({
-            "enabled": self.enabled,
-            "max_events": self.max_events,
-            "dropped": self.dropped,
-            "records": [],
-        })
-        # "records" sorts last, so the header ends in '"records":[]}':
-        # hash it up to the '[', then the records, then the closing ']}'.
-        sha = hashlib.sha256(head[:-2].encode("utf-8"))
-        rows = itertools.chain(
-            (e.as_dict() for e in self._records),
-            (
-                {"kind": kind, "ts": ts, "actor": actor, "data": data}
-                for kind, ts, actor, data in zip(
-                    self._kinds, self._ts, self._actors, self._data
-                )
-            ),
-        )
-        sep = ""
-        while chunk := list(itertools.islice(rows, _DIGEST_CHUNK)):
-            sha.update((sep + encode(chunk)[1:-1]).encode("utf-8"))
-            sep = ","
-        sha.update(b"]}")
+        sha = hashlib.sha256(b"repro-events/2")
+
+        def put(piece: bytes) -> None:
+            sha.update(len(piece).to_bytes(8, "little"))
+            sha.update(piece)
+
+        header = [self.enabled, self.max_events, self.dropped, len(self)]
+        put(_CANONICAL.encode(header).encode())
+        for kinds, stamps, actors, datas in self._chunks():
+            ids = _ShapeIds()
+            sids = list(map(ids.__getitem__, zip(kinds, map(tuple, datas))))
+            buckets: list[list[dict]] = [[] for _ in ids.shapes]
+            for data, sid in zip(datas, sids):
+                buckets[sid].append(data)
+            columns = [sids, stamps, actors]
+            for (_, keys), bucket in zip(ids.shapes, buckets):
+                columns.extend(list(map(itemgetter(k), bucket)) for k in keys)
+            put(_CANONICAL.encode(list(ids.shapes)).encode())
+            for column in columns:
+                for piece in _column(column):
+                    put(piece)
         return sha.hexdigest()
+
+    def _chunks(self) -> t.Iterator[tuple[list, list, list, list]]:
+        """Stored events as ``(kinds, ts, actors, data)`` lists per chunk."""
+        split = len(self._records)
+        columns = (self._kinds, self._ts, self._actors, self._data)
+        for lo in range(0, len(self), _CHUNK):
+            hi, part = lo + _CHUNK, self._records[lo:lo + _CHUNK]
+            start, stop = max(lo - split, 0), max(hi - split, 0)
+            yield tuple(
+                [*map(attrgetter(field), part), *column[start:stop]]
+                for field, column in zip(("kind", "ts", "actor", "data"), columns)
+            )
 
     @classmethod
     def from_dict(cls, payload: t.Mapping[str, t.Any]) -> "EventLog":
@@ -437,14 +400,50 @@ class EventLog:
         return f"<EventLog {state} n={len(self)} dropped={self.dropped}>"
 
 
-#: Records per encoder call in :meth:`EventLog.digest`: large enough that
-#: per-call overhead vanishes, small enough that a chunk's transient
-#: dicts and text stay a few hundred kilobytes.
-_DIGEST_CHUNK = 2048
+#: Stored events per :meth:`EventLog.digest` chunk: per-chunk overhead
+#: vanishes, and a chunk's columns stay a few hundred kilobytes.
+_CHUNK = 8192
 
-#: The canonical JSON form that :meth:`EventLog.digest` hashes; the same
-#: settings as ``repro.obs.store._canonical_json``.
+#: Canonical JSON, the same settings as ``repro.obs.store._canonical_json``.
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+class _ShapeIds(dict):
+    """``(kind, data keys)`` -> shape id within one digest chunk.
+
+    :attr:`shapes` holds each kind plus *sorted* keys in first-seen
+    order. Only a new key order sorts, and no per-event tuple is kept.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.shapes: dict[tuple[str, tuple[str, ...]], int] = {}
+
+    def __missing__(self, raw: tuple[str, tuple[str, ...]]) -> int:
+        shape = (raw[0], tuple(sorted(raw[1])))
+        self[raw] = sid = self.shapes.setdefault(shape, len(self.shapes))
+        return sid
+
+
+def _column(values: list) -> tuple[bytes, ...]:
+    """A type tag, then the payload: ``<f8`` floats (one NaN), ``<i8``
+    ints (no bools), strings as a JSON table plus ``<u4`` ids, else JSON.
+    """
+    types = set(map(type, values))
+    if all(issubclass(tp, float) for tp in types):
+        array = np.array(values, dtype="<f8")
+        array[np.isnan(array)] = np.nan
+        return b"f", array.tobytes()
+    if bool not in types and all(issubclass(tp, int) for tp in types):
+        try:
+            return b"i", np.array(values, dtype="<i8").tobytes()
+        except OverflowError:
+            pass
+    elif all(issubclass(tp, str) for tp in types):
+        table = dict(zip(dict.fromkeys(values), itertools.count()))
+        ids = np.array(list(map(table.__getitem__, values)), dtype="<u4")
+        return b"s", _CANONICAL.encode(list(table)).encode(), ids.tobytes()
+    return b"j", _CANONICAL.encode(values).encode()
 
 
 #: Shared always-off log for call sites that want an object, not None.

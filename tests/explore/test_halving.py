@@ -96,6 +96,17 @@ class TestExploreEndToEnd:
             )
         assert registry.list_explore_sessions() == []
 
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_space_subsample_limit_below_one_rejected(self, limit):
+        # Not read as "the whole space" by the enumeration either.
+        space = small_space()
+        with pytest.raises(ConfigurationError, match="limit must be >= 1"):
+            space.indices(limit)
+        with pytest.raises(ConfigurationError, match="limit must be >= 1"):
+            space.configs(limit)
+        assert len(space.indices(1)) == 1
+        assert space.indices(None) == list(range(space.size()))
+
 
 class TestDeterminism:
     def test_frontier_identical_serial_parallel_replay(self, tmp_path):

@@ -294,6 +294,33 @@ class TestCursorValidation:
         with pytest.raises(ConfigurationError, match="limit"):
             explore(small_space(), keep=KEEP, limit=100, resume=cursor)
 
+    def test_cursor_writes_version_two(self, tmp_path):
+        registry = RunRegistry(tmp_path / "runs.sqlite")
+        explore(small_space(), keep=KEEP, registry=registry, chunk_size=CHUNK)
+        assert registry.latest_explore_cursor().cursor["version"] == 2
+
+    @pytest.mark.parametrize("rung", ["fast", "exact"])
+    def test_version_one_cursor_past_a_simulated_rung_refused(self, rung):
+        # Its run_ids hash the old event digest: resuming would mix two
+        # run_id schemes into one frontier export.
+        from repro.errors import ConfigurationError
+
+        cursor = dict(V1_COHORT_CURSOR, rung=rung)
+        with pytest.raises(ConfigurationError, match="version"):
+            explore(small_space(), keep=KEEP, chunk_size=CHUNK, resume=cursor)
+
+    @pytest.mark.parametrize("version", ["missing", 0, 3, "2"])
+    def test_missing_or_unknown_version_refused(self, version):
+        from repro.errors import ConfigurationError
+
+        cursor = dict(V1_COHORT_CURSOR)
+        if version == "missing":
+            del cursor["version"]
+        else:
+            cursor["version"] = version
+        with pytest.raises(ConfigurationError, match="version"):
+            explore(small_space(), keep=KEEP, chunk_size=CHUNK, resume=cursor)
+
     def test_exhaustive_driver_cursor_refused(self):
         # A session stored by a build that still had the exhaustive
         # rung-0 driver cannot resume: its rung-0 accounting differs.

@@ -212,6 +212,12 @@ class TestGuidedSample:
         with pytest.raises(ConfigurationError, match="probe"):
             guided_sample(space, 4, _true_evaluator(space), probe=0)
 
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_rejects_limit_below_one(self, limit):
+        space = small_space()
+        with pytest.raises(ConfigurationError, match="limit must be >= 1"):
+            guided_sample(space, 4, _true_evaluator(space), limit=limit)
+
     def test_deterministic_across_runs(self):
         space = small_space()
         a_scores, a_report = guided_sample(

@@ -69,6 +69,30 @@ class TestRunRecord:
         other = build_run_record(run_2a, "different-fingerprint")
         assert other.run_id != a.run_id
 
+    @pytest.mark.parametrize("mode", ["exact", "fast"])
+    def test_run_id_survives_the_cache_payload_round_trip(self, mode):
+        # The cache stores _run_payload as JSON: tuples come back as
+        # lists and every event lands in the columns, yet the event
+        # digest, and so the run_id, must not move.
+        import json
+        import pickle
+
+        from repro.core.experiments import _run_from_payload, _run_payload
+
+        kwargs = dict(_KW, mode=mode, max_frames=None)
+        run = run_experiment(PAPER_EXPERIMENTS["2"], **kwargs)
+        if mode == "fast":
+            assert run.obs.events.counts_by_kind().get("ff.epoch")
+        fingerprint = experiment_fingerprint(PAPER_EXPERIMENTS["2"], kwargs)
+        payload = json.loads(json.dumps(_run_payload(run)))
+        replayed = _run_from_payload(run.spec, payload)
+        shipped = pickle.loads(pickle.dumps(run))
+        want = build_run_record(run, fingerprint)
+        for other in (replayed, shipped):
+            got = build_run_record(other, fingerprint)
+            assert got.event_digest == want.event_digest
+            assert got.run_id == want.run_id
+
     def test_no_telemetry_run_registers_without_events(self):
         run = run_experiment(
             PAPER_EXPERIMENTS["2"],

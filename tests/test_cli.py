@@ -612,6 +612,19 @@ class TestExplore:
         assert f"limit must be >= 1, got {limit}" in captured.err
         assert "rung predict" not in captured.out
 
+    @pytest.mark.parametrize("flag", ["--limit", "--probe", "--chunk"])
+    def test_bad_argument_prints_no_header(self, flag, capsys):
+        # The argument check runs before the "exploring N of M" header.
+        code = main([
+            "explore", "--bandwidth-points", "2", "--capacity-points", "3",
+            "--io-points", "3", "--keep", "4", "2", "1",
+            "--no-cache", "--no-registry", flag, "0",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "must be >= 1, got 0" in captured.err
+        assert "exploring" not in captured.out
+
     def test_resume_latest_round_trip(self, tmp_path, capsys):
         import json
 

@@ -47,7 +47,7 @@ from repro.batch.kibam import CohortCell, KiBaMCohort
 from repro.batch.stepper import CohortStepper
 from repro.core.policies import BaselinePolicy, DVSDuringIOPolicy, SlowestFeasiblePolicy
 from repro.core.prediction import role_duty_cycle
-from repro.errors import CalibrationError, ConfigurationError
+from repro.errors import CalibrationError, ConfigurationError, decoding
 from repro.exec import SweepExecutor
 from repro.exec.cache import ResultCache
 from repro.hw.battery.kibam import (
@@ -518,8 +518,15 @@ def _chunk_job(item: tuple) -> dict[str, t.Any]:
         "cycles": [list(c) for c in result.cycles],
         "epochs": result.epochs,
         "root_solves": result.root_solves,
-        "obs": obs.as_dict(),
+        "obs": obs,
     }
+
+
+def _chunk_from_payload(item: tuple, payload: t.Any) -> dict[str, t.Any]:
+    """A cached chunk, its telemetry rebuilt (stale forms raise
+    :class:`~repro.errors.PayloadFormatError`, a cache miss)."""
+    with decoding("cached batch chunk"):
+        return {**payload, "obs": Telemetry.from_dict(payload["obs"])}
 
 
 def batch_sweep(
@@ -562,8 +569,8 @@ def batch_sweep(
         _chunk_job,
         items,
         keys=keys,
-        encode=lambda payload: payload,
-        decode=lambda item, payload: payload,
+        encode=lambda payload: {**payload, "obs": payload["obs"].as_dict()},
+        decode=_chunk_from_payload,
     )
     outcomes: list[ScenarioOutcome] = []
     cycles: list[tuple[int, int, int, int]] = []
@@ -577,8 +584,8 @@ def batch_sweep(
         cycles.extend(tuple(int(c) for c in row) for row in payload["cycles"])
         epochs += int(payload["epochs"])
         root_solves += int(payload["root_solves"])
-        if obs is not None and payload.get("obs") is not None:
-            child = Telemetry.from_dict(payload["obs"])
+        if obs is not None:
+            child = payload["obs"]
             for event in child.events.records:
                 obs.events.record(event)
             obs.metrics.merge(child.metrics)

@@ -39,7 +39,7 @@ from repro.core.policies import (
     PinnedLevelsPolicy,
     SlowestFeasiblePolicy,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, decoding
 from repro.hw.battery import Battery, PAPER_BATTERY
 from repro.hw.dvs import SA1100_TABLE, DVSTable
 from repro.hw.link import PAPER_LINK_TIMING, TransactionTiming
@@ -586,49 +586,54 @@ def _run_payload(run: ExperimentRun) -> dict[str, t.Any]:
 
 
 def _run_from_payload(spec: ExperimentSpec, payload: dict[str, t.Any]) -> ExperimentRun:
-    """Rebuild a run from :func:`_run_payload` output."""
-    trace = None
-    if payload.get("trace") is not None:
-        trace = TraceRecorder.from_dict(payload["trace"])
-    obs = None
-    if payload.get("obs") is not None:
-        obs = Telemetry.from_dict(payload["obs"])
-    pipeline = None
-    pd = payload["pipeline"]
-    if pd is not None:
-        pipeline = PipelineResult(
-            frames_completed=pd["frames_completed"],
-            result_times_s=list(pd["result_times_s"]),
-            end_time_s=pd["end_time_s"],
-            end_reason=pd["end_reason"],
-            death_times_s=dict(pd["death_times_s"]),
-            delivered_mah=dict(pd["delivered_mah"]),
-            remaining_mah=dict(pd["remaining_mah"]),
-            migrations=[(when, name) for when, name in pd["migrations"]],
+    """Rebuild a run from :func:`_run_payload` output.
+
+    Raises :class:`~repro.errors.PayloadFormatError` for any other
+    payload, which the executor counts as a cache miss.
+    """
+    with decoding("cached run"):
+        trace = None
+        if payload.get("trace") is not None:
+            trace = TraceRecorder.from_dict(payload["trace"])
+        obs = None
+        if payload.get("obs") is not None:
+            obs = Telemetry.from_dict(payload["obs"])
+        pipeline = None
+        pd = payload["pipeline"]
+        if pd is not None:
+            pipeline = PipelineResult(
+                frames_completed=pd["frames_completed"],
+                result_times_s=list(pd["result_times_s"]),
+                end_time_s=pd["end_time_s"],
+                end_reason=pd["end_reason"],
+                death_times_s=dict(pd["death_times_s"]),
+                delivered_mah=dict(pd["delivered_mah"]),
+                remaining_mah=dict(pd["remaining_mah"]),
+                migrations=[(when, name) for when, name in pd["migrations"]],
+                trace=trace,
+                obs=obs,
+                last_result_s=pd["last_result_s"],
+                late_results=pd["late_results"],
+                max_lateness_s=pd["max_lateness_s"],
+                frames_processed=dict(pd["frames_processed"]),
+                level_switches=dict(pd["level_switches"]),
+                link_transactions=dict(pd["link_transactions"]),
+                link_bytes=dict(pd["link_bytes"]),
+                stage_stalls=dict(pd["stage_stalls"]),
+                events_processed=pd["events_processed"],
+                ff_jumps=pd.get("ff_jumps", 0),
+                ff_frames_skipped=pd.get("ff_frames_skipped", 0),
+            )
+        return ExperimentRun(
+            spec=spec,
+            frames=payload["frames"],
+            t_hours=payload["t_hours"],
+            death_times_s=dict(payload["death_times_s"]),
+            pipeline=pipeline,
             trace=trace,
             obs=obs,
-            last_result_s=pd["last_result_s"],
-            late_results=pd["late_results"],
-            max_lateness_s=pd["max_lateness_s"],
-            frames_processed=dict(pd["frames_processed"]),
-            level_switches=dict(pd["level_switches"]),
-            link_transactions=dict(pd["link_transactions"]),
-            link_bytes=dict(pd["link_bytes"]),
-            stage_stalls=dict(pd["stage_stalls"]),
-            events_processed=pd["events_processed"],
-            ff_jumps=pd.get("ff_jumps", 0),
-            ff_frames_skipped=pd.get("ff_frames_skipped", 0),
+            sim_events=payload.get("sim_events", 0),
         )
-    return ExperimentRun(
-        spec=spec,
-        frames=payload["frames"],
-        t_hours=payload["t_hours"],
-        death_times_s=dict(payload["death_times_s"]),
-        pipeline=pipeline,
-        trace=trace,
-        obs=obs,
-        sim_events=payload.get("sim_events", 0),
-    )
 
 
 def _suite_job(task: tuple[str, dict[str, t.Any]]) -> ExperimentRun:

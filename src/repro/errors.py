@@ -8,6 +8,10 @@ single ``except`` clause while letting genuine programming errors
 
 from __future__ import annotations
 
+import contextlib
+import typing as t
+import zlib
+
 __all__ = [
     "ReproError",
     "SimulationError",
@@ -18,6 +22,8 @@ __all__ = [
     "LinkError",
     "CalibrationError",
     "ConfigurationError",
+    "PayloadFormatError",
+    "decoding",
 ]
 
 
@@ -91,3 +97,22 @@ class CalibrationError(ReproError):
 
 class ConfigurationError(ReproError):
     """An experiment or component configuration is inconsistent."""
+
+
+class PayloadFormatError(ReproError):
+    """A stored payload is not in the form this version writes.
+
+    Raised for an older format, an unknown codec tag, a truncated or
+    corrupted blob, or JSON of the wrong shape. A cached result that
+    raises it is treated as a miss and recomputed.
+    """
+
+
+@contextlib.contextmanager
+def decoding(what: str) -> t.Iterator[None]:
+    """Re-raise the errors a malformed payload causes as one
+    :class:`PayloadFormatError` naming ``what``."""
+    try:
+        yield
+    except (LookupError, TypeError, ValueError, AttributeError, zlib.error) as exc:
+        raise PayloadFormatError(f"{what}: {type(exc).__name__}: {exc}") from exc

@@ -6,8 +6,10 @@ power models, plain kwargs — plus a code-version salt. Two runs with
 identical configuration hash to the same key; any change to the
 configuration (or to the salt, bumped when simulation semantics change)
 produces a different key and therefore a miss. Values are JSON
-payloads stored one-file-per-key under a cache directory, so the cache
-is transparent, diffable, and safe to delete at any time.
+payloads stored one-file-per-key under a cache directory, safe to
+delete at any time. A run's events are one compressed column blob in
+its payload (:meth:`repro.obs.events.EventLog.as_dict`); to read them,
+export the run with ``repro trace --export jsonl``.
 
 The encoding is intentionally *structural*: dataclasses encode as
 their type plus field values, generic objects as their type plus public
@@ -32,8 +34,11 @@ __all__ = ["CACHE_SALT", "canonical", "stable_key", "ResultCache"]
 
 #: Bumped whenever a change alters simulation results without altering
 #: any configuration object (kernel semantics, battery integration,
-#: protocol fixes), or the cached run payload's format. Stale entries
-#: then miss instead of lying.
+#: protocol fixes). Stale entries then miss instead of lying. Payload
+#: formats identify themselves instead: a hit whose payload does not
+#: decode (:class:`~repro.errors.PayloadFormatError`) is recounted as a
+#: miss and recomputed, and the salt, which flight-journal rows carry in
+#: their cache keys, stays put.
 CACHE_SALT = "substrate-3"
 
 _PRIMITIVES = (str, int, bool, type(None))
@@ -184,6 +189,19 @@ class ResultCache:
         except OSError:  # pragma: no cover - racing cleanup
             pass
         return None
+
+    def reject(self, key: str) -> None:
+        """Undo a :meth:`get` hit whose payload did not decode.
+
+        The lookup is recounted as a miss and the entry unlinked, so the
+        caller recomputes and rewrites it, as for a corrupted entry.
+        """
+        self.hits -= 1
+        self.misses += 1
+        try:
+            self.path_for(key).unlink()
+        except OSError:  # pragma: no cover - racing cleanup
+            pass
 
     def put(self, key: str, payload: t.Any) -> None:
         """Store ``payload`` (JSON-serializable) under ``key``.

@@ -40,7 +40,7 @@ import typing as t
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.errors import ReproError
+from repro.errors import PayloadFormatError, ReproError
 from repro.exec.cache import ResultCache
 
 try:  # POSIX-only; measurements degrade to zero elsewhere
@@ -352,7 +352,10 @@ class SweepExecutor:
         decode:
             ``(item, payload) -> result`` for loading; receives the
             original item so reconstruction can reuse unserializable
-            parts of the input (e.g. the spec object itself).
+            parts of the input (e.g. the spec object itself). A
+            :class:`~repro.errors.PayloadFormatError` from it makes the
+            hit a miss: the entry is dropped, the item executed and
+            its entry rewritten.
         on_result:
             Optional ``(item, result) -> None`` observer, called once
             per item **in input order** after all results are settled —
@@ -399,10 +402,14 @@ class SweepExecutor:
             if key is not None:
                 payload = cache.get(key)
                 if payload is not None:
-                    results[i] = decode(item, payload)  # type: ignore[misc]
-                    settled[i] = True
-                    journal.item_cache_hit(ctx, i)
-                    continue
+                    try:
+                        results[i] = decode(item, payload)  # type: ignore[misc]
+                    except PayloadFormatError:
+                        cache.reject(key)  # an older format: recompute
+                    else:
+                        settled[i] = True
+                        journal.item_cache_hit(ctx, i)
+                        continue
             pending.append(i)
 
         # Cache writes land per item as each result settles — not in

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import typing as t
 
+from repro.errors import decoding
 from repro.obs.checks import (
     ChargeMonotonicMonitor,
     FrameDeadlineMonitor,
@@ -198,10 +199,13 @@ class Telemetry:
 
     @classmethod
     def from_dict(cls, payload: t.Mapping[str, t.Any]) -> "Telemetry":
+        """Rebuild from :meth:`as_dict` output; any other payload raises
+        :class:`~repro.errors.PayloadFormatError`."""
         obs = cls()
-        obs.events = EventLog.from_dict(payload.get("events", {}))
-        obs.metrics = MetricsRegistry.from_dict(payload.get("metrics", {}))
-        obs.energy = EnergyLedger.from_dict(payload.get("energy", {}))
+        with decoding("telemetry"):
+            obs.events = EventLog.from_dict(payload["events"])
+            obs.metrics = MetricsRegistry.from_dict(payload["metrics"])
+            obs.energy = EnergyLedger.from_dict(payload["energy"])
         return obs
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

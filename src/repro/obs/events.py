@@ -9,12 +9,11 @@ of the testbed (sim kernel, links, nodes, pipeline protocols) publishes
 
 Null-sink contract
 ------------------
-Emitters guard every publication with ``if obs:`` — a disabled log (or
-``None``) is falsy, so the cost of leaving instrumentation wired into a
-hot loop is one truthiness check. The tier-1 null-sink test pins the
-contract deterministically: a run with events off stores, buffers and
-drops no records and makes no energy-ledger adds, while its metrics
-stay live. Wall time is left to the end-to-end benchmark.
+Emitters guard every publication with ``if obs:``: a disabled log (or
+``None``) is falsy, so wired-in instrumentation costs one truthiness
+check. The tier-1 null-sink test pins it: a run with events off stores,
+buffers and drops no records and makes no energy-ledger adds, while its
+metrics stay live.
 
 Event kinds are dotted strings, namespaced by layer:
 
@@ -38,31 +37,31 @@ kind                   emitted by
 =====================  ====================================================
 
 ``ff.epoch`` is the coalesced record of one fast-forward jump
-(``mode="fast"`` runs only): the frames, periods, per-node drain, and
-per-sender link busy time that analytic epoch skipping removed from the
-event-by-event stream, plus each node's post-jump charge fraction.
-Monitors in :mod:`repro.obs.checks` fold these back into their counts
-so verdicts stay well-defined in fast mode.
-
-``battery.draw`` events are the run's discharge samples (the paper's
-power-monitor view): a node takes one when a battery segment closes at
-least ``monitor_interval_s`` after its previous sample.
-:func:`discharge_curves` turns them, and the post-jump charge of each
-``ff.epoch``, into per-node curves for the figures, reports and trace
-exporters.
+(``mode="fast"`` only): the frames, periods, per-node drain, per-sender
+link busy time and post-jump charge fractions that epoch skipping took
+out of the stream; :mod:`repro.obs.checks` monitors fold them back into
+their counts. ``battery.draw`` events are the discharge samples (the
+paper's power-monitor view), one per battery segment closing at least
+``monitor_interval_s`` after the node's previous sample.
+:func:`discharge_curves` turns them, and each ``ff.epoch``'s post-jump
+charge, into per-node curves for the figures, reports and exporters.
 """
 
 from __future__ import annotations
 
+import base64
 import collections
 import dataclasses
 import hashlib
 import itertools
 import json
 import typing as t
+import zlib
 from operator import attrgetter, itemgetter
 
 import numpy as np
+
+from repro.errors import decoding
 
 __all__ = ["TelemetryEvent", "EventLog", "NULL_LOG", "discharge_curves"]
 
@@ -115,33 +114,27 @@ class EventLog:
     Notes
     -----
     Truthiness is the null-sink check: ``bool(log)`` is ``enabled``, so
-    emitters write ``if obs: obs.emit(...)`` and pay nothing when
-    telemetry is off. (Hot-loop emitters normalize a falsy log to
-    ``None`` at construction so the per-emit branch is a C-level
-    ``None`` test, not a Python-level ``__bool__`` call.) The log
-    records *simulated* time only — no wall-clock field exists — which
-    is what makes event logs comparable across ``--jobs 1`` and
-    ``--jobs 4`` runs.
+    emitters write ``if obs: obs.emit(...)``. (Hot-loop emitters
+    normalize a falsy log to ``None``, so the per-emit branch is a
+    C-level ``None`` test.) The log holds *simulated* time only, which
+    makes event logs comparable across ``--jobs 1`` and ``--jobs 4``.
 
     Streaming subscribers (:meth:`attach`) observe every published
-    event online, *including* those the storage cap drops, so a monitor
-    never goes blind when the log fills. Taps are live-run machinery:
-    not pickled with the log and not part of its serialized form.
+    event online, *including* those the storage cap drops. Taps are
+    live-run machinery: neither pickled nor serialized with the log.
 
-    Internally, the stored stream is a prefix of materialized
-    :class:`TelemetryEvent` objects followed by four parallel
-    ``kind``/``ts``/``actor``/``data`` column lists. :meth:`emit` appends
-    to the columns; events are built only when read as objects. Dataclass
-    construction is the largest cost of full telemetry, and a per-event
-    container would stay tracked by the cyclic collector (a ``data``
-    dict of atomic values is not). :meth:`digest` and :meth:`stream`
-    read the columns as they are. A tap forces eager construction.
+    The stored stream is a prefix of materialized :class:`TelemetryEvent`
+    objects followed by four parallel ``kind``/``ts``/``actor``/``data``
+    column lists, which :meth:`emit` appends to: dataclass construction
+    is the largest cost of full telemetry, and a per-event container
+    would stay tracked by the cyclic collector (an atomic ``data`` dict
+    is not). Events are built only when read as objects; :meth:`digest`,
+    :meth:`as_dict` and :meth:`stream` read the columns as they are. A
+    tap forces eager construction.
     """
 
-    __slots__ = (
-        "enabled", "max_events", "_records",
-        "_kinds", "_ts", "_actors", "_data", "dropped", "_taps",
-    )
+    __slots__ = ("enabled", "max_events", "_records", "_kinds", "_ts", "_actors",
+                 "_data", "dropped", "_taps")
 
     def __init__(self, enabled: bool = True, max_events: int = 1_000_000):
         self.enabled = enabled
@@ -167,9 +160,7 @@ class EventLog:
         self._clear_columns()
 
     def _flush(self) -> None:
-        self._records.extend(
-            map(TelemetryEvent, self._kinds, self._ts, self._actors, self._data)
-        )
+        self._records += map(TelemetryEvent, self._kinds, self._ts, self._actors, self._data)
         self._clear_columns()
 
     def _clear_columns(self) -> None:
@@ -185,9 +176,7 @@ class EventLog:
     def __iter__(self) -> t.Iterator[TelemetryEvent]:
         return iter(self.records)
 
-    def stream(
-        self, kinds: t.Container[str] | None = None
-    ) -> t.Iterator[TelemetryEvent]:
+    def stream(self, kinds: t.Container[str] | None = None) -> t.Iterator[TelemetryEvent]:
         """Stored events in order (only ``kinds``, if given), uncached.
 
         Buffered events are built one at a time and dropped after use,
@@ -201,9 +190,7 @@ class EventLog:
             if kinds is None or kind in kinds:
                 yield TelemetryEvent(kind, ts, actor, data)
 
-    def emit(
-        self, kind: str, ts: float, actor: str = "", /, **data: t.Any
-    ) -> None:
+    def emit(self, kind: str, ts: float, actor: str = "", /, **data: t.Any) -> None:
         """Publish one event (no-op when disabled; counted when full)."""
         if not self.enabled:
             return
@@ -227,30 +214,24 @@ class EventLog:
             self._records.append(event)
         else:
             self.dropped += 1
-        if self._taps:
-            for tap in self._taps:
-                tap.observe(event)
+        for tap in self._taps:
+            tap.observe(event)
 
     def seal(self, ts: float) -> None:
         """Make a hit storage cap visible as a terminal record.
 
-        A full log silently counts further emissions in :attr:`dropped`;
-        consumers reading only the stored records would mistake the
-        truncated stream for a complete one. Sealing appends one
-        ``log.truncated`` event carrying the drop count (bypassing the
-        cap — one record of overhead), so replayed monitors can return
-        *inconclusive* verdicts and summaries can flag the gap.
-
-        No-op when nothing was dropped; re-sealing refreshes the
-        terminal record in place. Attached taps are *not* notified: a
-        live tap observed every published event, dropped ones included.
+        A full log counts further emissions in :attr:`dropped` silently,
+        so sealing appends one ``log.truncated`` event carrying that count
+        (bypassing the cap): replayed monitors then return *inconclusive*
+        verdicts and summaries flag the gap. No-op when nothing was
+        dropped; re-sealing refreshes the record in place. Taps are *not*
+        notified: a live tap saw every event, dropped ones included.
         """
         if not self.enabled or not self.dropped:
             return
         data = {"dropped": self.dropped}
         if self._kinds and self._kinds[-1] == "log.truncated":
-            self._ts[-1] = ts
-            self._data[-1] = data
+            self._ts[-1], self._data[-1] = ts, data
             return
         if not self._kinds and self._records and self._records[-1].kind == "log.truncated":
             self._records[-1] = TelemetryEvent("log.truncated", ts, "", data)
@@ -262,11 +243,8 @@ class EventLog:
 
     # -- streaming subscribers -------------------------------------------
     def attach(self, tap: t.Any) -> t.Any:
-        """Subscribe ``tap`` (anything with ``observe(event)``) to the bus.
-
-        Every later event reaches the tap online, even ones the storage
-        cap drops. Returns the tap: ``m = log.attach(Monitor(...))``.
-        """
+        """Subscribe ``tap`` (anything with ``observe(event)``) to every
+        later event, even ones the cap drops; returns it."""
         if not hasattr(tap, "observe"):
             raise TypeError(f"tap {tap!r} has no observe(event) method")
         self._taps.append(tap)
@@ -283,11 +261,8 @@ class EventLog:
         return [e for e in self.records if e.kind == kind]
 
     def counts_by_kind(self) -> dict[str, int]:
-        """kind -> number of records, sorted by kind (deterministic).
-
-        Reads the columns directly — summarizing a run must not force
-        every buffered event to materialize.
-        """
+        """kind -> number of records, sorted by kind; read from the
+        columns, so summarizing a run materializes no event."""
         kinds = itertools.chain((e.kind for e in self._records), self._kinds)
         return dict(sorted(collections.Counter(kinds).items()))
 
@@ -307,47 +282,43 @@ class EventLog:
 
     # -- serialization ---------------------------------------------------
     def as_dict(self) -> dict[str, t.Any]:
-        """JSON payload that :meth:`from_dict` restores bit-identically."""
-        return {
-            "enabled": self.enabled,
-            "max_events": self.max_events,
-            "dropped": self.dropped,
-            "records": [e.as_dict() for e in self.records],
-        }
+        """JSON payload that :meth:`from_dict` restores bit-identically.
+
+        Per positional chunk, ``shapes`` holds the shape table (kinds,
+        each with its data keys as a JSON object in emission order) and
+        ``columns`` the :meth:`digest` columns (nested dicts in order),
+        framed, zlib-compressed and base64-encoded under :data:`_CODEC`.
+        Key order lives in JSON object order alone, so the canonical JSON
+        of two payloads is equal exactly when their digests are. A chunk
+        replays one key order per kind and key set, the first emitted;
+        every emitter here keeps one order.
+        """
+        shapes, framed = [], []
+        for chunk in self._chunks():
+            ids, columns = _encode_chunk(chunk, _ORDERED)
+            shapes.append([[kind, dict.fromkeys(keys)] for kind, keys in ids.first])
+            framed.append(_frame(columns))
+        blob = zlib.compress(b"".join(framed), 1)
+        return {"enabled": self.enabled, "max_events": self.max_events,
+                "dropped": self.dropped, "codec": _CODEC, "shapes": shapes,
+                "columns": base64.b64encode(blob).decode()}
 
     def digest(self) -> str:
         """SHA-256 hex digest of a typed, columnar encoding of the log.
 
-        Equal exactly when the canonical JSON of :meth:`as_dict` is equal
-        (kinds and data keys being strings), however the log was built
-        or shipped. After a domain tag, a header (canonical JSON of
-        ``enabled``, ``max_events``, ``dropped``, stored count), then per
-        positional chunk of :data:`_CHUNK` events: the shape table (kind
-        plus sorted data keys), then the shape ids, ``ts``, actors and one
-        column per shape and key, each a :func:`_column`. Every piece is
-        length-prefixed.
+        Equal exactly when the events are equal as JSON values (kinds and
+        data keys being strings, dict order ignored), however the log was
+        built or shipped. A domain tag, a header (``enabled``,
+        ``max_events``, ``dropped``, stored count), then per positional
+        chunk of :data:`_CHUNK` events the shape table (kind plus sorted
+        data keys) and the :func:`_encode_chunk` columns, all framed.
         """
         sha = hashlib.sha256(b"repro-events/2")
-
-        def put(piece: bytes) -> None:
-            sha.update(len(piece).to_bytes(8, "little"))
-            sha.update(piece)
-
         header = [self.enabled, self.max_events, self.dropped, len(self)]
-        put(_CANONICAL.encode(header).encode())
-        for kinds, stamps, actors, datas in self._chunks():
-            ids = _ShapeIds()
-            sids = list(map(ids.__getitem__, zip(kinds, map(tuple, datas))))
-            buckets: list[list[dict]] = [[] for _ in ids.shapes]
-            for data, sid in zip(datas, sids):
-                buckets[sid].append(data)
-            columns = [sids, stamps, actors]
-            for (_, keys), bucket in zip(ids.shapes, buckets):
-                columns.extend(list(map(itemgetter(k), bucket)) for k in keys)
-            put(_CANONICAL.encode(list(ids.shapes)).encode())
-            for column in columns:
-                for piece in _column(column):
-                    put(piece)
+        sha.update(_frame([_CANONICAL.encode(header).encode()]))
+        for chunk in self._chunks():
+            ids, columns = _encode_chunk(chunk, _CANONICAL)
+            sha.update(_frame([_CANONICAL.encode(list(ids.shapes)).encode(), *columns]))
         return sha.hexdigest()
 
     def _chunks(self) -> t.Iterator[tuple[list, list, list, list]]:
@@ -364,20 +335,27 @@ class EventLog:
 
     @classmethod
     def from_dict(cls, payload: t.Mapping[str, t.Any]) -> "EventLog":
-        """Rebuild a log (records included) from :meth:`as_dict` output.
-
-        The records land in the columns, like freshly emitted ones.
-        """
-        log = cls(
-            enabled=payload.get("enabled", True),
-            max_events=payload.get("max_events", 1_000_000),
-        )
-        for r in payload.get("records", []):
-            log._kinds.append(r["kind"])
-            log._ts.append(r["ts"])
-            log._actors.append(r.get("actor", ""))
-            log._data.append(dict(r.get("data", {})))
-        log.dropped = payload.get("dropped", 0)
+        """Rebuild a log from :meth:`as_dict` output, into the columns. Any
+        other payload (the older per-event ``records`` form, another codec,
+        a truncated blob, a wrong shape) raises ``PayloadFormatError``."""
+        with decoding("event log"):
+            if payload["codec"] != _CODEC:
+                raise ValueError(f"unknown codec {payload['codec']!r}")
+            log = cls(payload["enabled"], payload["max_events"])
+            log.dropped = payload["dropped"]
+            pieces = _split(zlib.decompress(base64.b64decode(payload["columns"])))
+            for shapes in payload["shapes"]:
+                sids, stamps, actors = (_uncolumn(pieces) for _ in range(3))
+                rows = [_rows(order, sids.count(sid), pieces)
+                        for sid, (_, order) in enumerate(shapes)]
+                if not len(sids) == len(stamps) == len(actors) == sum(map(len, rows)):
+                    raise ValueError("chunk columns do not match its shape table")
+                log._kinds += map([kind for kind, _ in shapes].__getitem__, sids)
+                log._ts += stamps
+                log._actors += actors
+                log._data += map(next, map(list(map(iter, rows)).__getitem__, sids))
+            if next(pieces, None) is not None:
+                raise ValueError("trailing pieces after the last chunk")
         return log
 
     # -- pickling ---------------------------------------------------------
@@ -385,10 +363,8 @@ class EventLog:
     # a log shipped home from a worker carries only its stored stream,
     # as it is: the materialized prefix and the columns.
     def __getstate__(self) -> tuple:
-        return (
-            self.enabled, self.max_events, self.dropped, self._records,
-            self._kinds, self._ts, self._actors, self._data,
-        )
+        return (self.enabled, self.max_events, self.dropped, self._records,
+                self._kinds, self._ts, self._actors, self._data)
 
     def __setstate__(self, state: tuple) -> None:
         (self.enabled, self.max_events, self.dropped, self._records,
@@ -407,25 +383,50 @@ _CHUNK = 8192
 #: Canonical JSON, the same settings as ``repro.obs.store._canonical_json``.
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
+#: :meth:`EventLog.as_dict`'s JSON columns, which keep nested dict order.
+_ORDERED = json.JSONEncoder(separators=(",", ":"))
+
+#: Tag of :meth:`EventLog.as_dict`'s column encoding.
+_CODEC = "repro-columns/1"
+
 
 class _ShapeIds(dict):
-    """``(kind, data keys)`` -> shape id within one digest chunk.
+    """``(kind, data keys)`` -> shape id within one chunk.
 
-    :attr:`shapes` holds each kind plus *sorted* keys in first-seen
-    order. Only a new key order sorts, and no per-event tuple is kept.
+    :attr:`shapes` holds each kind plus *sorted* keys in first-seen order
+    and :attr:`first` each as first emitted. Only a new key order sorts.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self.shapes: dict[tuple[str, tuple[str, ...]], int] = {}
+        self.first: list[tuple[str, tuple[str, ...]]] = []
 
     def __missing__(self, raw: tuple[str, tuple[str, ...]]) -> int:
         shape = (raw[0], tuple(sorted(raw[1])))
         self[raw] = sid = self.shapes.setdefault(shape, len(self.shapes))
+        if sid == len(self.first):
+            self.first.append(raw)
         return sid
 
 
-def _column(values: list) -> tuple[bytes, ...]:
+def _encode_chunk(chunk: tuple[list, list, list, list],
+                  encoder: json.JSONEncoder) -> tuple[_ShapeIds, list[bytes]]:
+    """One chunk's shapes and :func:`_column` pieces: the shape ids,
+    ``ts`` and actors, then one column per shape and sorted key."""
+    kinds, stamps, actors, datas = chunk
+    ids = _ShapeIds()
+    sids = list(map(ids.__getitem__, zip(kinds, map(tuple, datas))))
+    buckets: list[list[dict]] = [[] for _ in ids.shapes]
+    for data, sid in zip(datas, sids):
+        buckets[sid].append(data)
+    columns = [sids, stamps, actors]
+    for (_, keys), bucket in zip(ids.shapes, buckets):
+        columns.extend(list(map(itemgetter(k), bucket)) for k in keys)
+    return ids, [piece for column in columns for piece in _column(column, encoder)]
+
+
+def _column(values: list, encoder: json.JSONEncoder = _CANONICAL) -> tuple[bytes, ...]:
     """A type tag, then the payload: ``<f8`` floats (one NaN), ``<i8``
     ints (no bools), strings as a JSON table plus ``<u4`` ids, else JSON.
     """
@@ -443,7 +444,45 @@ def _column(values: list) -> tuple[bytes, ...]:
         table = dict(zip(dict.fromkeys(values), itertools.count()))
         ids = np.array(list(map(table.__getitem__, values)), dtype="<u4")
         return b"s", _CANONICAL.encode(list(table)).encode(), ids.tobytes()
-    return b"j", _CANONICAL.encode(values).encode()
+    return b"j", encoder.encode(values).encode()
+
+
+def _uncolumn(pieces: t.Iterator[memoryview]) -> list:
+    """The values of the next :func:`_column` in ``pieces``."""
+    tag, body = bytes(next(pieces, None)), next(pieces, None)
+    if tag in (b"f", b"i"):
+        return np.frombuffer(body, f"<{tag.decode()}8").tolist()
+    if tag == b"s":
+        ids = np.frombuffer(next(pieces, None), "<u4").tolist()
+        return list(map(json.loads(bytes(body)).__getitem__, ids))
+    if tag != b"j":
+        raise ValueError(f"unknown column tag {tag!r}")
+    return json.loads(bytes(body))
+
+
+def _rows(order: dict[str, None], n: int, pieces: t.Iterator[memoryview]) -> list[dict]:
+    """``n`` data dicts, keys in ``order``, from the next (sorted) columns."""
+    cols = {key: _uncolumn(pieces) for key in sorted(order)}
+    if any(len(column) != n for column in cols.values()):
+        raise ValueError("data column length differs from its shape's count")
+    # range(n) sizes a shape without keys; zip(order, row) drops the index.
+    return [dict(zip(order, row)) for row in zip(*map(cols.__getitem__, order), range(n))]
+
+
+def _frame(pieces: t.Iterable[bytes]) -> bytes:
+    """``pieces``, each prefixed by its ``<u8`` length."""
+    return b"".join(len(piece).to_bytes(8, "little") + piece for piece in pieces)
+
+
+def _split(blob: bytes) -> t.Iterator[memoryview]:
+    """The length-prefixed pieces of ``blob``, in order."""
+    view, at = memoryview(blob), 0
+    while at < len(view):
+        size, at = int.from_bytes(view[at:at + 8], "little"), at + 8
+        if at + size > len(view):
+            raise ValueError("truncated piece")
+        yield view[at:at + size]
+        at += size
 
 
 #: Shared always-off log for call sites that want an object, not None.

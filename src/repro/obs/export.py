@@ -93,7 +93,7 @@ def _jsonl_records(
         for segment in trace.all_segments():
             yield {"type": "segment", **segment.as_dict()}
     if events is not None:
-        for event in events.records:
+        for event in events.stream():
             yield {"type": "event", **event.as_dict()}
     if metrics is not None:
         yield {"type": "metrics", **metrics.as_dict()}

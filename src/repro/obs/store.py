@@ -28,6 +28,7 @@ file — or ``repro runs reset`` — clears all history.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -138,7 +139,16 @@ def _canonical_json(payload: t.Any) -> str:
 
 
 def git_revision(cwd: str | os.PathLike | None = None) -> str | None:
-    """The working tree's commit sha, or None outside a git checkout."""
+    """The working tree's commit sha, or None outside a git checkout.
+
+    Resolved once per process and directory: every registered run would
+    otherwise fork ``git``.
+    """
+    return _git_revision(os.path.abspath(os.curdir if cwd is None else cwd))
+
+
+@functools.lru_cache(maxsize=None)
+def _git_revision(cwd: str) -> str | None:
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -259,7 +269,7 @@ def build_run_record(
     if run.obs is not None:
         metrics = run.obs.metrics.as_dict()
         if run.obs.events:
-            # sha256 of _canonical_json(events.as_dict()), streamed.
+            # sha256 of the log's typed columns (EventLog.digest).
             event_digest = run.obs.events.digest()
             n_events = len(run.obs.events)
 

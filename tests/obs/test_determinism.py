@@ -82,6 +82,6 @@ def test_batch_sweep_telemetry_identical_cold_warm_and_parallel(tmp_path):
     warm, warm_obs = sweep(cache=cache)
     assert (cold.stats.executed, warm.stats.cache_hits) == (4, 4)
     _, parallel_obs = sweep(jobs=2)
-    assert cold_obs["events"]["records"]
+    assert len(Telemetry.from_dict(cold_obs).events)
     assert warm_obs == cold_obs
     assert parallel_obs == cold_obs

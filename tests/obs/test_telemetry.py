@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from repro.core.experiments import _run_payload, run_paper_suite
+from repro.errors import PayloadFormatError
+from repro.exec import ResultCache
 from repro.obs import Telemetry
 
+from tests.conftest import tiny_battery_factory
+
 #: ``Telemetry.as_dict()`` as an earlier release wrote it into cache
-#: entries, with a (always empty) ``"spans"`` list beside the three
-#: simulated-time collectors. Cache keys did not change when that key
-#: went away, so such entries are still live and must still decode.
+#: entries: one JSON object per event under ``"records"``, and an
+#: (always empty) ``"spans"`` list beside the three simulated-time
+#: collectors. Such entries are stale: they must recompute, not decode.
 _PAYLOAD_WITH_SPANS_KEY = json.loads(
     '{"energy": {"entries": [["node1", "computation", "fft", 36.558, 0.6]]}, '
     '"events": {"dropped": 0, "enabled": true, "max_events": 1000000, '
@@ -43,11 +50,21 @@ class TestTelemetryFacade:
 
 
 class TestOlderPayloads:
-    def test_payload_with_spans_key_decodes(self):
-        obs = Telemetry.from_dict(_PAYLOAD_WITH_SPANS_KEY)
-        expected = {
-            k: v for k, v in _PAYLOAD_WITH_SPANS_KEY.items() if k != "spans"
-        }
-        assert obs.as_dict() == expected
-        assert obs.events.counts_by_kind() == {"battery.draw": 1, "frame.emit": 1}
-        assert obs.metrics.counter("frames.completed").value == 1
+    def test_payload_with_spans_key_is_a_cache_miss(self, tmp_path):
+        with pytest.raises(PayloadFormatError):
+            Telemetry.from_dict(_PAYLOAD_WITH_SPANS_KEY)
+        kwargs = dict(battery_factory=tiny_battery_factory, max_frames=10,
+                      telemetry=True)
+        fresh = run_paper_suite(["2"], **kwargs)["2"]
+        run_paper_suite(["2"], cache=ResultCache(tmp_path), **kwargs)
+        (path,) = tmp_path.rglob("*.json")
+        entry = json.loads(path.read_text())
+        entry["payload"]["obs"] = _PAYLOAD_WITH_SPANS_KEY
+        path.write_text(json.dumps(entry))
+
+        cache = ResultCache(tmp_path)
+        replay = run_paper_suite(["2"], cache=cache, **kwargs)["2"]
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert _run_payload(replay) == _run_payload(fresh)
+        run_paper_suite(["2"], cache=cache, **kwargs)
+        assert (cache.hits, cache.misses) == (1, 1)  # rewritten

@@ -80,6 +80,7 @@ from repro.errors import (
     ConfigurationError,
     InfeasiblePartitionError,
     ScheduleError,
+    decoding,
 )
 from repro.exec import SweepExecutor
 from repro.exec.cache import ResultCache, stable_key
@@ -705,6 +706,16 @@ def _fold_cell_metrics(
         frames[pos] = counts[critical]
 
 
+def _cohort_from_payload(item: tuple, payload: t.Any) -> dict[str, t.Any]:
+    """A cached rung-1 chunk: one ``lifetime_s`` and one ``frames`` entry
+    per config, or :class:`~repro.errors.PayloadFormatError` (a miss)."""
+    n = len(item[0])
+    with decoding("cached cohort chunk"):
+        if len(payload["lifetime_s"]) != n or len(payload["frames"]) != n:
+            raise ValueError(f"expected {n} entries per column")
+    return payload
+
+
 def _cohort_rung(
     ladder: _Ladder, survivors: list[_Candidate], report: RungReport
 ) -> list[_Candidate]:
@@ -727,7 +738,7 @@ def _cohort_rung(
         items,
         keys=keys,
         encode=lambda payload: payload,
-        decode=lambda item, payload: payload,
+        decode=_cohort_from_payload,
     )
     out: list[_Candidate] = []
     pos = 0

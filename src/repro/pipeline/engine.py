@@ -11,9 +11,9 @@ the batteries give out:
   goes;
 - the **host sink** listens on every node's serial port and records
   final results;
-- a **watchdog** ends the run when all nodes are dead, when the
-  pipeline has stalled (a node died and nothing progresses — the
-  paper's experiments (2)/(2A)), or at a safety horizon.
+- the run ends on the event that ends it: the last node's ``died``
+  event, a stall (after a death, ``20 * D`` with no result — the
+  paper's experiments (2)/(2A)), or one timer at the safety horizon.
 
 Node rotation (§5.5) and power-failure recovery (§5.4) plug into the
 node loop; see :mod:`repro.pipeline.rotation` and
@@ -127,9 +127,6 @@ class PipelineConfig:
         Optional §5.4 recovery protocol configuration.
     max_frames:
         Stop after this many delivered results (None = run to death).
-    stall_timeout_s:
-        Watchdog: no progress for this long after a node death ends the
-        run (default 20 * D).
     horizon_s:
         Hard safety limit on simulated time.
     trace:
@@ -167,7 +164,6 @@ class PipelineConfig:
     rotation: RotationController | None = None
     recovery: RecoveryConfig | None = None
     max_frames: int | None = None
-    stall_timeout_s: float | None = None
     horizon_s: float = 100 * 24 * 3600.0
     trace: TraceRecorder | None = None
     monitor_interval_s: float | None = 300.0
@@ -254,8 +250,6 @@ class PipelineConfig:
                 "fast-forward coalesces whole epochs into analytic jumps; "
                 "timing traces need exact simulation"
             )
-        if self.stall_timeout_s is None:
-            self.stall_timeout_s = 20.0 * self.deadline_s
 
 
 @dataclasses.dataclass
@@ -269,7 +263,9 @@ class PipelineResult:
     result_times_s:
         Delivery timestamp of each result (capped at ``keep_result_times``).
     end_time_s:
-        Simulated time the watchdog ended the run.
+        When the run ended, the same in both modes: the last death, the
+        last result + 20 * D (a stall), exactly ``horizon_s``, or the
+        ``max_frames``-th delivery.
     end_reason:
         ``"all-dead"``, ``"stall"``, ``"max-frames"`` or ``"horizon"``.
     death_times_s:
@@ -410,13 +406,12 @@ class PipelineEngine:
         self.results_count = 0
         self.result_times: list[float] = []
         self._last_progress = 0.0
-        self._first_result_s: float | None = None
-        self._prev_result_s = 0.0
         self.late_results = 0
         self.max_lateness_s = 0.0
         self.migrations: list[tuple[float, str]] = []
-        self._stage0_holder: str | None = config.node_names[0]
-        self._stage0_changed: Event = self.sim.event()
+        self._stage0_holder = config.node_names[0]
+        self._source_offer: tuple[SerialLink, Event] | None = None
+        self._stall_watched = False
         # Source state lives on the engine (not in _source's locals) so
         # a fast-forward jump can advance the emission grid and frame
         # numbering along with the clock.
@@ -496,10 +491,14 @@ class PipelineEngine:
         return rec.per_frame_overhead_s(self.config.timing, acked)
 
     # -- stage-0 bookkeeping (who receives from the host) ------------------
-    def _set_stage0(self, node_name: str | None) -> None:
+    def _set_stage0(self, node_name: str) -> None:
+        """Hand role 0 over; an unmatched host offer is re-made to the new holder."""
+        if node_name == self._stage0_holder:
+            return
         self._stage0_holder = node_name
-        old, self._stage0_changed = self._stage0_changed, self.sim.event()
-        old.succeed(node_name)
+        offer = self._source_offer
+        if offer is not None and offer[0].cancel(offer[1]):
+            offer[1].succeed(None)
 
     # -- run --------------------------------------------------------------
     def run(self) -> PipelineResult:
@@ -517,7 +516,8 @@ class PipelineEngine:
         for i, name in enumerate(cfg.node_names):
             node = self.nodes[name]
             node.spawn(self._node_loop(node, i), name=f"loop-{name}")
-        self.sim.process(self._watchdog(), name="watchdog")
+            node.died.add_callback(self._on_death)
+        self._arm_horizon()
         self.sim.run(until=self.done)
 
         death_times = {
@@ -614,6 +614,29 @@ class PipelineEngine:
             self._end_reason = reason
             self.done.succeed(reason)
 
+    def _on_death(self, _died: Event) -> None:
+        """End the run when no node is left; else watch for a stall."""
+        if all(node.is_dead for node in self.nodes.values()):
+            self._finish("all-dead")
+        elif not self._stall_watched:
+            # Two nodes can die at the same instant: one watch suffices.
+            self._stall_watched = True
+            self.sim.process(self._stall_watch(), name="stall-watch")
+
+    def _stall_watch(self) -> t.Generator:
+        """End the run once ``20 * D`` pass with no result delivered."""
+        window, seen = 20.0 * self.config.deadline_s, None
+        while seen != self._last_progress:
+            seen = self._last_progress
+            yield self.sim.timeout(max(seen + window - self.sim.now, 0.0))
+        self._finish("stall")
+
+    def _arm_horizon(self) -> None:
+        """Arm the one timer that ends the run at ``horizon_s``. A warp
+        drags it along, so each fast-forward jump re-arms it."""
+        timer = self.sim.timeout(self.config.horizon_s - self.sim.now)
+        timer.add_callback(lambda _timer: self._finish("horizon"))
+
     # -- host processes -----------------------------------------------------
     def _source(self) -> t.Generator:
         """Emit one frame every D to the current role-0 holder."""
@@ -633,39 +656,31 @@ class PipelineEngine:
             frame = Frame(id=self._frame_seq, emitted_s=self.sim.now, scale=scale)
             if self._live_frames is not None:
                 self._live_frames[frame.id] = frame
-            while True:
+            transfer = None  # a handover (_set_stage0) fires the grant with None
+            while transfer is None:
                 target = self._stage0_holder
-                if target is None or self.nodes[target].is_dead:
-                    # Nobody can take frames; wait for a takeover.
-                    yield self._stage0_changed
-                    continue
                 link, _ = self._upstream(target, 0)  # the holder's host link
                 grant = link.offer_send(frame, input_bytes, frm=HOST_NAME)
-                changed = self._stage0_changed
-                yield self.sim.any_of([grant, changed])
-                if grant.triggered:
-                    transfer = grant.value
-                    yield transfer.done
-                    if cfg.trace is not None:
-                        cfg.trace.add(
-                            HOST_NAME,
-                            transfer.start_s,
-                            transfer.end_s,
-                            "send",
-                            detail=f"frame {frame.id} -> {target}",
-                        )
-                    if self._log:
-                        self._log.emit(
-                            "frame.emit",
-                            self.sim.now,
-                            HOST_NAME,
-                            frame=frame.id,
-                            to=target,
-                            scale=frame.scale,
-                        )
-                    break
-                # Stage 0 moved while we were offering: withdraw, retry.
-                link.cancel(grant)
+                self._source_offer = (link, grant)
+                transfer = yield grant
+            yield transfer.done
+            if cfg.trace is not None:
+                cfg.trace.add(
+                    HOST_NAME,
+                    transfer.start_s,
+                    transfer.end_s,
+                    "send",
+                    detail=f"frame {frame.id} -> {target}",
+                )
+            if self._log:
+                self._log.emit(
+                    "frame.emit",
+                    self.sim.now,
+                    HOST_NAME,
+                    frame=frame.id,
+                    to=target,
+                    scale=frame.scale,
+                )
             self._frame_seq += 1
             self._next_emit += cfg.deadline_s
 
@@ -691,8 +706,6 @@ class PipelineEngine:
         self._last_progress = self.sim.now
         if self._live_frames is not None:
             self._live_frames.pop(frame.id, None)
-        if self._first_result_s is None:
-            self._first_result_s = self.sim.now
         # The per-frame latency contract implied by §3/§4.5: a frame
         # entering an N-stage pipeline must leave within N * D of its
         # emission. Measuring against each frame's own emission time is
@@ -717,7 +730,6 @@ class PipelineEngine:
                     late=lateness > self.config.lateness_tolerance_s,
                 )
             self._latency_hist.observe(latency)
-        self._prev_result_s = self.sim.now
         if len(self.result_times) < self.keep_result_times:
             self.result_times.append(self.sim.now)
         if (
@@ -731,25 +743,6 @@ class PipelineEngine:
             # match, to warp from — the draw logs and battery states
             # are exactly aligned here by construction).
             self._ff.on_result()
-
-    def _watchdog(self) -> t.Generator:
-        """End the run on death-of-all, stall, or horizon."""
-        cfg = self.config
-        self._last_progress = self.sim.now
-        check = max(cfg.deadline_s, 1.0)
-        while not self.done.triggered:
-            yield self.sim.timeout(check)
-            if all(node.is_dead for node in self.nodes.values()):
-                self._finish("all-dead")
-                return
-            stalled_for = self.sim.now - self._last_progress
-            any_dead = any(node.is_dead for node in self.nodes.values())
-            if any_dead and stalled_for > cfg.stall_timeout_s:
-                self._finish("stall")
-                return
-            if self.sim.now >= cfg.horizon_s:
-                self._finish("horizon")
-                return
 
     # -- node behaviour ------------------------------------------------------
     def _upstream(self, node_name: str, role: int) -> tuple[SerialLink, str]:

@@ -297,6 +297,7 @@ class FastForwardController:
                 continue
             node.battery.advance_cycles(segments[name], n)
         sim.warp(span)
+        eng._arm_horizon()
         for name, node in self._node_list:
             if node.is_dead:
                 continue
@@ -323,7 +324,6 @@ class FastForwardController:
         eng.late_results += n * delta[1]
         eng._next_emit += span
         eng._last_progress += span
-        eng._prev_result_s += span
         if eng._live_frames:
             for frame in eng._live_frames.values():
                 frame.emitted_s += span

@@ -132,6 +132,31 @@ class TestDeterminism:
         assert reg_a.dump_rows() == reg_b.dump_rows()
         assert reg_a.dump_explore_rows() == reg_b.dump_explore_rows()
 
+    def test_wrong_shape_cohort_chunk_is_a_miss(self, tmp_path):
+        """A cached rung-1 chunk that does not decode is recomputed."""
+        space = small_space()
+        keep = (8, 4, 2)
+        blob = lambda r: json.dumps(r.frontier_payload(), sort_keys=True)
+        cold = explore(space, keep=keep)
+        explore(space, keep=keep, cache=ResultCache(tmp_path))
+
+        def cohort_entry():
+            for path in sorted(tmp_path.rglob("*.json")):
+                payload = json.loads(path.read_text())["payload"]
+                if isinstance(payload, dict) and "lifetime_s" in payload:
+                    return path
+            return None
+
+        path = cohort_entry()
+        entry = json.loads(path.read_text())
+        entry["payload"] = {"unexpected": 1}
+        path.write_text(json.dumps(entry))
+
+        replay = explore(space, keep=keep, cache=ResultCache(tmp_path))
+        assert blob(replay) == blob(cold)
+        assert replay.rungs[1].executed == 1
+        assert cohort_entry() == path  # rewritten in full
+
     def test_limit_subsample_deterministic(self):
         space = small_space()
         a = explore(space, keep=(8, 4, 2), limit=40)

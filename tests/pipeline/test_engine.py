@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps.atr.profile import PAPER_PROFILE
+from repro.core.experiments import PAPER_EXPERIMENTS
 from repro.core.policies import (
     BaselinePolicy,
     DVSDuringIOPolicy,
@@ -381,7 +382,33 @@ class TestTermination:
         cfg.horizon_s = 30.0
         result = PipelineEngine(cfg).run()
         assert result.end_reason == "horizon"
-        assert result.end_time_s <= 40.0
+        assert result.end_time_s == cfg.horizon_s
+
+    def test_horizon_after_a_fast_forward_jump(self):
+        """A jump drags the pending horizon timer along with the clock;
+        the engine re-arms it, so a fast run still ends at the horizon."""
+        spec = PAPER_EXPERIMENTS["2"]
+        exact, fast = (
+            PipelineEngine(
+                make_config(
+                    cuts=spec.cuts, policy=spec.policy, horizon_s=200.0,
+                    fast_forward=mode,
+                )
+            ).run()
+            for mode in (False, True)
+        )
+        assert fast.ff_jumps >= 1
+        for result in (exact, fast):
+            assert (result.end_reason, result.end_time_s) == ("horizon", 200.0)
+        assert fast.frames_completed == exact.frames_completed
+
+    def test_stall(self):
+        """Experiment (2): node2 dies first and node1's results have
+        nowhere to go, so the run ends 20 D after the last result."""
+        spec = PAPER_EXPERIMENTS["2"]
+        result = PipelineEngine(make_config(cuts=spec.cuts, policy=spec.policy)).run()
+        assert result.end_reason == "stall"
+        assert result.end_time_s == result.last_result_s + 20 * D
 
 
 class TestValidation:

@@ -53,8 +53,8 @@ TINY = {
         "frames": 96,
         "t_hours": "0.06133333333333333",
         "death_times_s": {"node1": "222.88219797111987"},
-        "events": 1274,
-        "trace_sha256": "033a4a5991f6a6c239a9c0f40994845a14e84095cc9614ee35c8d4480fed6334",
+        "events": 1075,
+        "trace_sha256": "baa1b4af71820ac7a576c99904bf26e9c8c4e5228dceea2a2bc4ccd24ea5787c",
         "link_transactions": {"host->node1": 97, "node1->host": 96},
         "stage_stalls": {"node1": 55},
         "level_switches": {"node1": 1},
@@ -64,8 +64,8 @@ TINY = {
         "frames": 113,
         "t_hours": "0.07219444444444444",
         "death_times_s": {"node1": "260.1998651636498"},
-        "events": 1493,
-        "trace_sha256": "7699611dc80328e01762bf46c95e8b447c594842baad4302e0e65eea05f45f8e",
+        "events": 1260,
+        "trace_sha256": "b39020d4b25e7ebfb3fe61f9ee0c75f7fb50f664e88169b89f30ceb8bb298382",
         "link_transactions": {"host->node1": 114, "node1->host": 113},
         "stage_stalls": {"node1": 70},
         "level_switches": {"node1": 226},
@@ -75,8 +75,8 @@ TINY = {
         "frames": 160,
         "t_hours": "0.10286111111111111",
         "death_times_s": {"node2": "370.4555554976656"},
-        "events": 2615,
-        "trace_sha256": "036b06041feb48cb4e220794a28994a102fa36674de061c3e4da62f349e02485",
+        "events": 2272,
+        "trace_sha256": "7f0576f8c9e282deeffe8eb0dccbcb52d8df6a2d86f62d172ada61a52fdb110e",
         "link_transactions": {
             "host->node1": 162,
             "node1->host": 0,
@@ -93,8 +93,8 @@ TINY = {
         "frames": 162,
         "t_hours": "0.10413888888888888",
         "death_times_s": {"node2": "374.8517389915723"},
-        "events": 2648,
-        "trace_sha256": "02061e67255e0d059c32e6ff58c8224e192fabb975d6859bd4b789af28c48d58",
+        "events": 2301,
+        "trace_sha256": "ece638bb5e3f6477cf777eb1e81320d2d0eb0f0bd95cefc8e5000f62e1a889a1",
         "link_transactions": {
             "host->node1": 164,
             "node1->host": 0,
@@ -111,8 +111,8 @@ TINY = {
         "frames": 196,
         "t_hours": "0.1258611111111111",
         "death_times_s": {"node1": "466.1419552836968", "node2": "357.2492138695642"},
-        "events": 5088,
-        "trace_sha256": "98e375a00f1ae3513a6a116d969a1804c79c37ac0a1ec1934ce1c576ae032564",
+        "events": 4684,
+        "trace_sha256": "a443f0a4bee2820c64bd57adde46e4b9a6cdf7d0d8a8da6b78f5b20f9cb97307",
         "link_transactions": {
             "host->node1": 199,
             "node1->host": 42,
@@ -129,8 +129,8 @@ TINY = {
         "frames": 199,
         "t_hours": "0.12777777777777777",
         "death_times_s": {"node1": "458.9231111087762", "node2": "462.02362223821115"},
-        "events": 3220,
-        "trace_sha256": "cb1eb73c53850d3fdaf2121fe2119ebd5e292ef416e1ccab0124b3563084bcb0",
+        "events": 2816,
+        "trace_sha256": "cbd681e997cfef05c577cf2ac490f509828abd25f296aa22329c461e92bd6b9f",
         "link_transactions": {
             "host->node1": 100,
             "node1->host": 99,
@@ -150,17 +150,17 @@ TINY = {
 PAPER = {
     "0A": (11244, 11218, "3.4280118926982417", {"node1": "12340.84281371367"}),
     "0B": (20561, 20507, "12.532124459220007", {"node1": "45115.648053192024"}),
-    "1": (123697, 9509, "6.075194444444444", {"node1": "21872.122927927827"}),
-    "1A": (162174, 12467, "7.965027777777777", {"node1": "28675.815811168977"}),
-    "2": (357031, 22307, "14.252333333333334", {"node2": "51308.84029005006"}),
-    "2A": (363497, 22711, "14.510444444444444", {"node2": "52238.50073938821"}),
+    "1": (104671, 9509, "6.075194444444444", {"node1": "21872.122927927827"}),
+    "1A": (137233, 12467, "7.965027777777777", {"node1": "28675.815811168977"}),
+    "2": (312394, 22307, "14.252333333333334", {"node2": "51308.84029005006"}),
+    "2A": (318052, 22711, "14.510444444444444", {"node2": "52238.50073938821"}),
     "2B": (
-        672365,
+        620965,
         25724,
         "16.435416666666665",
         {"node1": "59594.045160177244", "node2": "48528.02174457514"},
     ),
-    "2C": (490034, 30653, "19.5845", {"node2": "70505.31900566531"}),
+    "2C": (428399, 30653, "19.5845", {"node2": "70505.31900566531"}),
 }
 
 

@@ -83,6 +83,9 @@ class TestPipelineEquivalence:
         assert _rel(fast.t_hours, exact.t_hours) < 1e-3
         for name, t_exact in exact.death_times_s.items():
             assert _rel(fast.death_times_s[name], t_exact) < 1e-3
+        # Both modes end the run on the same event, at the same time.
+        assert fast.pipeline.end_reason == exact.pipeline.end_reason
+        assert _rel(fast.pipeline.end_time_s, exact.pipeline.end_time_s) <= 1e-9
 
     def test_jumps_actually_happen(self):
         _, fast = _pair("2")
@@ -337,6 +340,15 @@ class TestFullScaleIdentity:
             fast[label].pipeline.mean_result_period_s(),
             exact[label].pipeline.mean_result_period_s(),
         ) < 1e-9
+
+    def test_runs_end_alike(self, suites):
+        exact, fast = suites
+        for label, run in fast.items():
+            if run.pipeline is None:  # 0A/0B run no pipeline
+                continue
+            ref = exact[label].pipeline
+            assert run.pipeline.end_reason == ref.end_reason, label
+            assert _rel(run.pipeline.end_time_s, ref.end_time_s) <= 1e-9, label
 
     def test_fig10_ordering_holds_in_fast_mode(self, suites):
         _, fast = suites

@@ -586,8 +586,8 @@ def batch_sweep(
         root_solves += int(payload["root_solves"])
         if obs is not None:
             child = payload["obs"]
-            for event in child.events.records:
-                obs.events.record(event)
+            for event in child.events:
+                obs.events.emit(event.kind, event.ts, event.actor, **event.data)
             obs.metrics.merge(child.metrics)
     wall_s = time.perf_counter() - started
     stats = BatchStats(

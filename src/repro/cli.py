@@ -325,9 +325,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             out,
             columns=obs_export.SEGMENT_COLUMNS,
         )
-    n_events = len(run.obs.events.records)
     print(f"wrote {path} ({len(trace.all_segments())} segments, "
-          f"{n_events} events)")
+          f"{len(run.obs.events)} events)")
     if run.obs.events.dropped:
         print(f"warning: event log truncated — {run.obs.events.dropped} "
               "events dropped past the storage cap (lower --frames)",

@@ -23,6 +23,7 @@ __all__ = [
     "CalibrationError",
     "ConfigurationError",
     "PayloadFormatError",
+    "RegistryError",
     "decoding",
 ]
 
@@ -106,6 +107,11 @@ class PayloadFormatError(ReproError):
     corrupted blob, or JSON of the wrong shape. A cached result that
     raises it is treated as a miss and recomputed.
     """
+
+
+class RegistryError(ReproError):
+    """The run registry's SQLite file cannot be used: it is not a
+    database, it is torn, or it cannot be opened. Names the file."""
 
 
 @contextlib.contextmanager

@@ -152,7 +152,7 @@ def frame_ids(log: "EventLog") -> list[int]:
     epochs are absent by construction.
     """
     ids: set[int] = set()
-    for event in log.records:
+    for event in log:
         frame = event.data.get("frame")
         if frame is not None:
             ids.add(frame)
@@ -163,13 +163,13 @@ def late_frame_ids(log: "EventLog") -> list[int]:
     """Frames whose ``frame.result`` was flagged late, ascending."""
     return sorted(
         event.data["frame"]
-        for event in log.records
-        if event.kind == "frame.result" and event.data.get("late")
+        for event in log.stream({"frame.result"})
+        if event.data.get("late")
     )
 
 
 def _frame_events(log: "EventLog", frame_id: int) -> list["TelemetryEvent"]:
-    return [e for e in log.records if e.data.get("frame") == frame_id]
+    return [e for e in log if e.data.get("frame") == frame_id]
 
 
 def build_frame_trace(log: "EventLog", frame_id: int) -> FrameTrace:

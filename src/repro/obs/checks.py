@@ -1,4 +1,4 @@
-"""Streaming invariant monitors over the telemetry event bus.
+"""Invariant monitors, replayed over recorded telemetry event logs.
 
 The paper's claims are *behavioural*: frames land within the delay
 constraint D (§3), batteries only discharge, serial links are never
@@ -6,18 +6,11 @@ saturated past what the 115.2 kbps budget allows (§4.5), rotation
 equalizes discharge across nodes (§5.5), and the recovery protocol
 detects a dead node within its ack timeout (§5.4). Each claim here
 becomes an :class:`InvariantMonitor` — a small state machine that
-subscribes to the :class:`~repro.obs.events.EventLog` (via
-``log.attach(monitor)``) and evaluates its check *online*, event by
-event, keeping the first violating event as evidence.
-
-Monitors are deliberately dual-use:
-
-- **streaming** — attach to a live log before a run and every emitted
-  event flows through :meth:`~InvariantMonitor.observe`, including
-  events the storage cap drops;
-- **offline** — :func:`replay` feeds an already-recorded log through a
-  fresh monitor set, so cached/registered runs can be re-checked
-  without re-simulating.
+:func:`replay` feeds a recorded :class:`~repro.obs.events.EventLog`,
+event by event, keeping the first violating event as evidence. That is
+the one way monitors run: a live run and a run decoded from the cache or
+the registry are checked by the same pass over the same stored stream,
+without re-simulating.
 
 :func:`paper_monitors` builds the applicable set for one experiment
 spec, and :func:`check_paper_ordering` asserts the Fig. 10 headline —
@@ -111,18 +104,14 @@ class Verdict:
 
 
 class InvariantMonitor:
-    """Base class: an online check over a stream of telemetry events.
+    """Base class: a check over a stream of recorded telemetry events.
 
     Subclasses set :attr:`name`, declare the event kinds they care
     about in :attr:`kinds` (empty = all), implement :meth:`_observe`,
     and optionally :meth:`_final_detail` for the passing-verdict text.
     The base class handles kind filtering, counting, and first-violation
     bookkeeping: a subclass reports a violation by calling
-    :meth:`_violate`.
-
-    Instances satisfy the :class:`~repro.obs.events.EventLog` tap
-    protocol (``observe(event)``), so ``log.attach(monitor)`` streams
-    every emitted event through the check as the simulation runs.
+    :meth:`_violate`. :func:`replay` drives it with :meth:`observe`.
     """
 
     name = "invariant"
@@ -138,9 +127,9 @@ class InvariantMonitor:
         #: ``log.truncated`` record (see :meth:`EventLog.seal`).
         self.truncated_dropped = 0
 
-    # -- streaming interface --------------------------------------------
+    # -- event interface ------------------------------------------------
     def observe(self, event: TelemetryEvent) -> None:
-        """Inspect one event (the EventLog tap entry point)."""
+        """Inspect one event (what :func:`replay` calls per event)."""
         if event.kind == "log.truncated":
             # The stream is incomplete past the storage cap — every
             # monitor notes this regardless of its kinds filter, since
@@ -471,13 +460,14 @@ def replay(
 ) -> list[Verdict]:
     """Feed a recorded event stream through monitors; return verdicts.
 
-    Offline counterpart of ``log.attach(monitor)``: identical monitor
-    code paths, so a cached run re-checked later yields the same
-    verdicts a live tap would have produced. A log is read with
-    :meth:`~repro.obs.events.EventLog.stream`, so the pass leaves no
-    materialized records behind and builds only the events some
-    monitor inspects: the union of their :attr:`InvariantMonitor.kinds`
-    plus ``log.truncated``, which every monitor notes.
+    The only monitor driver: a run is checked after it ends, from its
+    stored log, so a cached run re-checked later yields the verdicts its
+    live run did; a sealed (truncated) log yields *inconclusive* ones
+    unless a violation was seen. A log is read with
+    :meth:`~repro.obs.events.EventLog.stream`, so the pass keeps no
+    event behind and builds only the events some monitor inspects: the
+    union of their :attr:`InvariantMonitor.kinds` plus ``log.truncated``,
+    which every monitor notes.
     """
     if isinstance(log, EventLog):
         kinds: set[str] | None = {"log.truncated"}
@@ -501,7 +491,7 @@ def static_verdict(monitor: str, ok: bool, detail: str) -> Verdict:
     The explore scheduler's cheap rungs (analytic prescreen, cohort
     pass) have no telemetry events to replay, but their constraint
     outcomes should speak the same :class:`Verdict` language the
-    streaming monitors do — one vocabulary for "why was this config
+    replayed monitors do — one vocabulary for "why was this config
     disqualified" across the whole fidelity ladder.
     """
     return Verdict(monitor=monitor, ok=ok, detail=detail)
@@ -514,7 +504,7 @@ def static_link_budget_verdict(
 
     In steady state each stage repeats its transfers once per frame
     period, so the worst per-sender busy fraction is just (transfer
-    seconds per frame) / deadline. Uses the streaming monitor's name
+    seconds per frame) / deadline. Uses the replayed monitor's name
     and default bound, so a config the prescreen disqualifies here is
     the same config the full simulation's monitor would have flagged.
     """

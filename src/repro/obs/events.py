@@ -57,7 +57,7 @@ import itertools
 import json
 import typing as t
 import zlib
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -100,7 +100,7 @@ class TelemetryEvent:
 
 
 class EventLog:
-    """Ordered, bounded collection of :class:`TelemetryEvent` records.
+    """Ordered, bounded store of telemetry events, kept as four columns.
 
     Parameters
     ----------
@@ -119,73 +119,43 @@ class EventLog:
     C-level ``None`` test.) The log holds *simulated* time only, which
     makes event logs comparable across ``--jobs 1`` and ``--jobs 4``.
 
-    Streaming subscribers (:meth:`attach`) observe every published
-    event online, *including* those the storage cap drops. Taps are
-    live-run machinery: neither pickled nor serialized with the log.
-
-    The stored stream is a prefix of materialized :class:`TelemetryEvent`
-    objects followed by four parallel ``kind``/``ts``/``actor``/``data``
-    column lists, which :meth:`emit` appends to: dataclass construction
-    is the largest cost of full telemetry, and a per-event container
-    would stay tracked by the cyclic collector (an atomic ``data`` dict
-    is not). Events are built only when read as objects; :meth:`digest`,
-    :meth:`as_dict` and :meth:`stream` read the columns as they are. A
-    tap forces eager construction.
+    The four parallel ``kind``/``ts``/``actor``/``data`` column lists
+    that :meth:`emit` appends to are the only store: dataclass
+    construction is the largest cost of full telemetry, and a per-event
+    container would stay tracked by the cyclic collector (an atomic
+    ``data`` dict is not). :meth:`stream` (and iteration) builds each
+    :class:`TelemetryEvent` as it is read and keeps none; :meth:`digest`,
+    :meth:`as_dict`, the summaries and a pickle read the columns as they
+    are. Monitors check a stored log with :func:`repro.obs.checks.replay`.
     """
 
-    __slots__ = ("enabled", "max_events", "_records", "_kinds", "_ts", "_actors",
-                 "_data", "dropped", "_taps")
+    __slots__ = ("enabled", "max_events", "_kinds", "_ts", "_actors", "_data", "dropped")
 
     def __init__(self, enabled: bool = True, max_events: int = 1_000_000):
         self.enabled = enabled
         self.max_events = max_events
-        self._records: list[TelemetryEvent] = []
         self._kinds: list[str] = []
         self._ts: list[float] = []
         self._actors: list[str] = []
         self._data: list[dict[str, t.Any]] = []
         self.dropped = 0
-        self._taps: list[t.Any] = []
-
-    @property
-    def records(self) -> list[TelemetryEvent]:
-        """All stored events, materializing any buffered ones."""
-        if self._kinds:
-            self._flush()
-        return self._records
-
-    @records.setter
-    def records(self, value: list[TelemetryEvent]) -> None:
-        self._records = value
-        self._clear_columns()
-
-    def _flush(self) -> None:
-        self._records += map(TelemetryEvent, self._kinds, self._ts, self._actors, self._data)
-        self._clear_columns()
-
-    def _clear_columns(self) -> None:
-        for column in (self._kinds, self._ts, self._actors, self._data):
-            column.clear()
 
     def __bool__(self) -> bool:
         return self.enabled
 
     def __len__(self) -> int:
-        return len(self._records) + len(self._kinds)
+        return len(self._kinds)
 
     def __iter__(self) -> t.Iterator[TelemetryEvent]:
-        return iter(self.records)
+        return self.stream()
 
     def stream(self, kinds: t.Container[str] | None = None) -> t.Iterator[TelemetryEvent]:
         """Stored events in order (only ``kinds``, if given), uncached.
 
-        Buffered events are built one at a time and dropped after use,
-        so a pass over a long log (a monitor replay) leaves no object per
-        event behind; events of other ``kinds`` are never built at all.
+        Events are built one at a time and dropped after use, so a pass
+        over a long log (a monitor replay) leaves no object per event
+        behind; events of other ``kinds`` are never built at all.
         """
-        for event in self._records:
-            if kinds is None or event.kind in kinds:
-                yield event
         for kind, ts, actor, data in zip(self._kinds, self._ts, self._actors, self._data):
             if kinds is None or kind in kinds:
                 yield TelemetryEvent(kind, ts, actor, data)
@@ -194,28 +164,13 @@ class EventLog:
         """Publish one event (no-op when disabled; counted when full)."""
         if not self.enabled:
             return
-        if self._taps:
-            self.record(TelemetryEvent(kind, ts, actor, data))
-        elif len(self._records) + len(self._kinds) < self.max_events:
+        if len(self._kinds) < self.max_events:
             self._kinds.append(kind)
             self._ts.append(ts)
             self._actors.append(actor)
             self._data.append(data)
         else:
             self.dropped += 1
-
-    def record(self, event: TelemetryEvent) -> None:
-        """Publish an already-built event (same gating as :meth:`emit`)."""
-        if not self.enabled:
-            return
-        if len(self._records) + len(self._kinds) < self.max_events:
-            if self._kinds:
-                self._flush()
-            self._records.append(event)
-        else:
-            self.dropped += 1
-        for tap in self._taps:
-            tap.observe(event)
 
     def seal(self, ts: float) -> None:
         """Make a hit storage cap visible as a terminal record.
@@ -224,8 +179,7 @@ class EventLog:
         so sealing appends one ``log.truncated`` event carrying that count
         (bypassing the cap): replayed monitors then return *inconclusive*
         verdicts and summaries flag the gap. No-op when nothing was
-        dropped; re-sealing refreshes the record in place. Taps are *not*
-        notified: a live tap saw every event, dropped ones included.
+        dropped; re-sealing refreshes the record in place.
         """
         if not self.enabled or not self.dropped:
             return
@@ -233,51 +187,26 @@ class EventLog:
         if self._kinds and self._kinds[-1] == "log.truncated":
             self._ts[-1], self._data[-1] = ts, data
             return
-        if not self._kinds and self._records and self._records[-1].kind == "log.truncated":
-            self._records[-1] = TelemetryEvent("log.truncated", ts, "", data)
-            return
         self._kinds.append("log.truncated")
         self._ts.append(ts)
         self._actors.append("")
         self._data.append(data)
 
-    # -- streaming subscribers -------------------------------------------
-    def attach(self, tap: t.Any) -> t.Any:
-        """Subscribe ``tap`` (anything with ``observe(event)``) to every
-        later event, even ones the cap drops; returns it."""
-        if not hasattr(tap, "observe"):
-            raise TypeError(f"tap {tap!r} has no observe(event) method")
-        self._taps.append(tap)
-        return tap
-
-    def detach(self, tap: t.Any) -> None:
-        """Unsubscribe a previously attached tap (no-op if absent)."""
-        if tap in self._taps:
-            self._taps.remove(tap)
-
     # -- queries ---------------------------------------------------------
-    def of_kind(self, kind: str) -> list[TelemetryEvent]:
-        """All records with exactly this kind."""
-        return [e for e in self.records if e.kind == kind]
-
     def counts_by_kind(self) -> dict[str, int]:
-        """kind -> number of records, sorted by kind; read from the
-        columns, so summarizing a run materializes no event."""
-        kinds = itertools.chain((e.kind for e in self._records), self._kinds)
-        return dict(sorted(collections.Counter(kinds).items()))
+        """kind -> number of records, sorted by kind."""
+        return dict(sorted(collections.Counter(self._kinds).items()))
 
     def actors(self) -> list[str]:
         """Distinct actors in first-seen order (excluding "")."""
-        seen = dict.fromkeys(
-            itertools.chain((e.actor for e in self._records), self._actors)
-        )
+        seen = dict.fromkeys(self._actors)
         seen.pop("", None)
         return list(seen)
 
     def clear(self) -> None:
         """Drop all records (the cap and enabled flag are unchanged)."""
-        self._records.clear()
-        self._clear_columns()
+        for column in (self._kinds, self._ts, self._actors, self._data):
+            column.clear()
         self.dropped = 0
 
     # -- serialization ---------------------------------------------------
@@ -323,15 +252,9 @@ class EventLog:
 
     def _chunks(self) -> t.Iterator[tuple[list, list, list, list]]:
         """Stored events as ``(kinds, ts, actors, data)`` lists per chunk."""
-        split = len(self._records)
         columns = (self._kinds, self._ts, self._actors, self._data)
         for lo in range(0, len(self), _CHUNK):
-            hi, part = lo + _CHUNK, self._records[lo:lo + _CHUNK]
-            start, stop = max(lo - split, 0), max(hi - split, 0)
-            yield tuple(
-                [*map(attrgetter(field), part), *column[start:stop]]
-                for field, column in zip(("kind", "ts", "actor", "data"), columns)
-            )
+            yield tuple(column[lo:lo + _CHUNK] for column in columns)
 
     @classmethod
     def from_dict(cls, payload: t.Mapping[str, t.Any]) -> "EventLog":
@@ -357,19 +280,6 @@ class EventLog:
             if next(pieces, None) is not None:
                 raise ValueError("trailing pieces after the last chunk")
         return log
-
-    # -- pickling ---------------------------------------------------------
-    # Taps are live-run subscribers (monitors holding arbitrary state);
-    # a log shipped home from a worker carries only its stored stream,
-    # as it is: the materialized prefix and the columns.
-    def __getstate__(self) -> tuple:
-        return (self.enabled, self.max_events, self.dropped, self._records,
-                self._kinds, self._ts, self._actors, self._data)
-
-    def __setstate__(self, state: tuple) -> None:
-        (self.enabled, self.max_events, self.dropped, self._records,
-         self._kinds, self._ts, self._actors, self._data) = state
-        self._taps = []
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "on" if self.enabled else "off"
@@ -490,7 +400,7 @@ NULL_LOG = EventLog(enabled=False, max_events=0)
 
 
 def discharge_curves(
-    events: t.Iterable[TelemetryEvent],
+    events: EventLog | t.Iterable[TelemetryEvent],
 ) -> dict[str, list[tuple[float, float]]]:
     """node -> [(time_s, charge fraction)] from ``battery.draw`` events.
 
@@ -498,8 +408,10 @@ def discharge_curves(
     fraction at the jump's end ``t1``: charge falls linearly in time
     under the periodic load it skipped, so the curve stays exact at its
     samples. Nodes appear in first-sample order, each curve in event
-    order.
+    order. A log is streamed, building only those two kinds.
     """
+    if isinstance(events, EventLog):
+        events = events.stream({"battery.draw", "ff.epoch"})
     curves: dict[str, list[tuple[float, float]]] = {}
     for event in events:
         if event.kind == "battery.draw":

@@ -180,7 +180,7 @@ def events_to_rows(events: EventLog) -> list[dict[str, t.Any]]:
             "actor": event.actor,
             "data": json.dumps(event.data, sort_keys=True, separators=(",", ":")),
         }
-        for event in events.records
+        for event in events
     ]
 
 
@@ -418,7 +418,7 @@ def chrome_trace(
             )
 
     if events is not None:
-        for event in events.records:
+        for event in events:
             out.append(
                 {
                     "name": event.kind,
@@ -432,7 +432,7 @@ def chrome_trace(
                 }
             )
 
-        curves = discharge_curves(events.records)
+        curves = discharge_curves(events)
         for node in sorted(curves):
             for ts, fraction in curves[node]:
                 out.append(

@@ -292,7 +292,7 @@ def _discharge_series(run: "ExperimentRun") -> dict[str, list[tuple[float, float
         return {}
     return {
         node: [(ts / 3600.0, fraction) for ts, fraction in curve]
-        for node, curve in discharge_curves(run.obs.events.records).items()
+        for node, curve in discharge_curves(run.obs.events).items()
     }
 
 

@@ -27,6 +27,7 @@ file — or ``repro runs reset`` — clears all history.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -39,7 +40,7 @@ import time
 import typing as t
 
 import repro
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RegistryError
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.core.experiments import ExperimentRun
@@ -381,8 +382,20 @@ class RunRegistry:
     def __init__(self, path: str | os.PathLike = DEFAULT_DB):
         self.path = pathlib.Path(path)
 
-    def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(self.path)
+    @contextlib.contextmanager
+    def _connect(self) -> t.Iterator[sqlite3.Connection]:
+        """One transaction on the database, schema ensured first. A file
+        that is not a sound SQLite database raises :class:`RegistryError`."""
+        try:
+            conn = sqlite3.connect(self.path)
+            with conn:
+                self._migrate(conn)
+                yield conn
+        except sqlite3.DatabaseError as exc:
+            raise RegistryError(f"run registry {self.path}: {exc}") from exc
+
+    @staticmethod
+    def _migrate(conn: sqlite3.Connection) -> None:
         conn.execute(_SCHEMA)
         conn.execute(_EXPLORE_SCHEMA)
         conn.execute(_JOURNAL_SCHEMA)
@@ -401,7 +414,6 @@ class RunRegistry:
         }
         if "cursor" not in explore_columns:
             conn.execute("ALTER TABLE explore_sessions ADD COLUMN cursor TEXT")
-        return conn
 
     # -- writes ----------------------------------------------------------
     def record(self, record: RunRecord) -> bool:

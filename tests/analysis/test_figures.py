@@ -75,7 +75,7 @@ class TestDischargeCurves:
             telemetry=True,
             monitor_interval_s=30.0,
         )
-        curves = discharge_curves(run.obs.events.records)
+        curves = discharge_curves(run.obs.events)
         assert set(curves) == {"node1", "node2"}
         # Fractions are non-increasing per node.
         for samples in curves.values():
@@ -95,8 +95,8 @@ class TestDischargeCurves:
             monitor_interval_s=300.0,
             mode="fast",
         )
-        (epoch,) = run.obs.events.of_kind("ff.epoch")
-        curves = discharge_curves(run.obs.events.records)
+        (epoch,) = list(run.obs.events.stream({"ff.epoch"}))
+        curves = discharge_curves(run.obs.events)
         assert set(curves) == {"node1", "node2"}
         for node, samples in curves.items():
             assert (epoch.data["t1"], epoch.data["charge_fraction"][node]) in samples
@@ -115,7 +115,7 @@ class TestDischargeCurves:
             telemetry=True,
             max_frames=3,
         )
-        assert discharge_curves(run.obs.events.records) == {}
+        assert discharge_curves(run.obs.events) == {}
         page = build_html_report([run], battery_factory=tiny_battery_factory)
         assert "Battery discharge" not in page
 

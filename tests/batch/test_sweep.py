@@ -140,7 +140,7 @@ class TestExecutorWiring:
         def epoch_events(obs):
             return [
                 (e.kind, e.ts, e.actor, sorted(e.data.items()))
-                for e in obs.events.records
+                for e in obs.events
                 if e.kind == "batch.epoch"
             ]
 

@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.batch import CohortCell, CohortStepper, KiBaMCohort
 from repro.hw.battery.kibam import PAPER_KIBAM_PARAMETERS
-from repro.obs import Telemetry
+from repro.obs import EventLog, Telemetry
 from repro.obs.checks import (
     FrameDeadlineMonitor,
     LinkBusyFractionMonitor,
@@ -25,7 +25,7 @@ def run_with_telemetry(n_cells=6, limit_s=400.0 * 3600.0):
 class TestBatchEpochEvents:
     def test_one_event_per_epoch(self):
         result, obs = run_with_telemetry()
-        events = [e for e in obs.events.records if e.kind == "batch.epoch"]
+        events = [e for e in obs.events if e.kind == "batch.epoch"]
         assert len(events) == result.epochs
         assert all(e.actor == "batch" for e in events)
 
@@ -34,7 +34,7 @@ class TestBatchEpochEvents:
         result, obs = run_with_telemetry()
         folded = sum(
             e.data["frames"]
-            for e in obs.events.records
+            for e in obs.events
             if e.kind == "batch.epoch"
         )
         assert folded == int(result.cycles.sum())
@@ -51,7 +51,7 @@ class TestBatchEpochEvents:
 
     def test_epoch_timestamps_are_monotonic(self):
         _, obs = run_with_telemetry()
-        ts = [e.ts for e in obs.events.records if e.kind == "batch.epoch"]
+        ts = [e.ts for e in obs.events if e.kind == "batch.epoch"]
         assert ts == sorted(ts)
 
 
@@ -73,13 +73,12 @@ class TestMonitorFolding:
         assert verdicts[0].ok
         assert monitor.events_seen > 0
 
-    def test_streaming_attach_matches_replay(self):
+    def test_decoded_log_replays_identically(self):
         cells = [CohortCell(PAPER_KIBAM_PARAMETERS, ((120.0, 1.1),))]
         obs = Telemetry()
-        streamed = FrameDeadlineMonitor(deadline_s=2.3)
-        obs.events.attach(streamed)
         CohortStepper(KiBaMCohort(cells), 400.0 * 3600.0, obs=obs).run()
-        replayed = FrameDeadlineMonitor(deadline_s=2.3)
-        replay(obs.events, [replayed])
-        assert streamed.frames == replayed.frames
-        assert streamed.events_seen == replayed.events_seen
+        live, decoded = (FrameDeadlineMonitor(deadline_s=2.3) for _ in range(2))
+        (verdict,) = replay(obs.events, [live])
+        (again,) = replay(EventLog.from_dict(obs.events.as_dict()), [decoded])
+        assert again.as_dict() == verdict.as_dict()
+        assert (decoded.frames, decoded.events_seen) == (live.frames, live.events_seen)

@@ -104,7 +104,7 @@ class TestRunner:
             monitor_interval_s=60.0,
             telemetry=True,
         )
-        assert run.obs.events.of_kind("battery.draw")
+        assert list(run.obs.events.stream({"battery.draw"}))
 
 
 class TestSharedRecorderDeprecation:

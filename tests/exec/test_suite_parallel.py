@@ -73,8 +73,8 @@ def test_monitored_runs_are_cached(tmp_path):
     first = run_paper_suite(["1"], **kwargs)
     second = run_paper_suite(["1"], **kwargs)
     assert cache.misses == 1 and cache.hits == 1
-    draws1 = first["1"].obs.events.of_kind("battery.draw")
-    draws2 = second["1"].obs.events.of_kind("battery.draw")
+    draws1 = list(first["1"].obs.events.stream({"battery.draw"}))
+    draws2 = list(second["1"].obs.events.stream({"battery.draw"}))
     assert draws2 and draws1 == draws2
     # A decoded run has no live battery; what it left is on record.
     assert second["1"].pipeline.remaining_mah == first["1"].pipeline.remaining_mah

@@ -36,7 +36,7 @@ def _hold(sim, node, mode, level, seconds):
 
 
 def _draws(log):
-    return log.of_kind("battery.draw")
+    return list(log.stream({"battery.draw"}))
 
 
 def _time_by_mode(ledger, node):
@@ -99,7 +99,7 @@ class TestSampling:
         for _ in range(30):  # 65 of the cell's 100 mAh
             _hold(sim, node, PowerMode.COMPUTATION, MAX, 60.0)
         node.set_state(PowerMode.IDLE, MIN)
-        fractions = [f for _, f in discharge_curves(log.records)["n1"]]
+        fractions = [f for _, f in discharge_curves(log)["n1"]]
         assert len(fractions) == 30
         assert all(b <= a for a, b in zip(fractions, fractions[1:]))
         assert fractions[-1] == pytest.approx(node.battery.charge_fraction())

@@ -48,7 +48,7 @@ def _fingerprint(runs):
 
 def test_event_logs_identical_serial_vs_parallel():
     runs = run_paper_suite(_LABELS, jobs=1, **_KW)
-    assert all(run.obs.events.of_kind("battery.draw") for run in runs.values())
+    assert all(list(run.obs.events.stream({"battery.draw"})) for run in runs.values())
     serial = _fingerprint(runs)
     parallel = _fingerprint(run_paper_suite(_LABELS, jobs=4, **_KW))
     assert serial == parallel

@@ -4,9 +4,9 @@ The digest hashes a typed, columnar encoding of the stored events, so it
 is not the hash of any JSON text. Its contract is an equivalence: two
 logs share a digest exactly when the canonical JSON of their
 ``as_dict()`` forms is equal. Canonical JSON is therefore the oracle for
-*equality*, and every way of building or shipping a log (emit, record,
-a materialized prefix, pickle, JSON, ``from_dict``) must land on the
-same digest.
+*equality*, and every way of building or shipping a log (emit, a read
+mid-fill, a merge that re-emits another log's events, pickle, JSON,
+``from_dict``) must land on the same digest.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import EventLog, TelemetryEvent
+from repro.obs import EventLog
 from repro.obs.events import _CHUNK
 
 
@@ -64,14 +64,17 @@ events = st.tuples(
 )
 
 
-def _fill(log: EventLog, stream, read_at=None, record_at=None) -> EventLog:
+def _fill(log: EventLog, stream, read_at=None, merge_at=None) -> EventLog:
+    """Emit ``stream`` into ``log``, reading the log at ``read_at``. From
+    ``merge_at`` on, the events are read back from another log and
+    re-emitted, as a batch sweep merges its child logs."""
+    if merge_at is not None:
+        tail = _fill(EventLog(), stream[merge_at:])
+        stream = [*stream[:merge_at], *((e.kind, e.ts, e.actor, e.data) for e in tail)]
     for i, (kind, ts, actor, data) in enumerate(stream):
         if i == read_at:
-            _ = log.records
-        if i == record_at:
-            log.record(TelemetryEvent(kind, ts, actor, dict(data)))
-        else:
-            log.emit(kind, ts, actor, **data)
+            _ = list(log)
+        log.emit(kind, ts, actor, **data)
     return log
 
 
@@ -96,9 +99,9 @@ def log_pairs(draw):
     stream = draw(st.lists(events, min_size=1, max_size=12))
     cap = draw(st.integers(min_value=1, max_value=14))
     read_at = draw(st.none() | st.integers(min_value=0, max_value=12))
-    record_at = draw(st.none() | st.integers(min_value=0, max_value=12))
+    merge_at = draw(st.none() | st.integers(min_value=0, max_value=12))
     seal = draw(st.booleans())
-    log = _fill(EventLog(max_events=cap), stream, read_at, record_at)
+    log = _fill(EventLog(max_events=cap), stream, read_at, merge_at)
     if seal:
         log.seal(99.5)
     how = draw(st.sampled_from(["json", "pickle", "from_dict", "edit", "edit"]))
@@ -191,16 +194,17 @@ def _chunk_stream(stored: int):
 
 
 @pytest.mark.parametrize("delta", [-1, 0, 1])
-@pytest.mark.parametrize("materialized", ["none", "half", "all"])
-def test_lengths_around_the_chunk_size(delta, materialized):
-    """Stored length (truncation marker included) is chunk -1, +0, +1."""
+@pytest.mark.parametrize("read", ["none", "half", "all"])
+def test_lengths_around_the_chunk_size(delta, read):
+    """Stored length (truncation marker included) is chunk -1, +0, +1;
+    a read mid-fill or after the seal changes nothing."""
     stored = _CHUNK + delta
     stream = _chunk_stream(stored + 1)  # the last two are dropped
-    read_at = stored // 2 if materialized == "half" else None
+    read_at = stored // 2 if read == "half" else None
     log = _fill(EventLog(max_events=stored - 1), stream, read_at)
     log.seal(stored * 0.25)
-    if materialized == "all":
-        _ = log.records
+    if read == "all":
+        assert len(list(log)) == stored
     assert len(log) == stored and log.dropped == 2
     digest = log.digest()
     assert digest == EventLog.from_dict(log.as_dict()).digest()
@@ -212,16 +216,17 @@ def test_lengths_around_the_chunk_size(delta, materialized):
 
 @pytest.mark.parametrize("delta", [-1, 0, 1])
 def test_prefix_record_and_seal_around_a_chunk_boundary(delta):
-    """Where the prefix ends, where record() lands and seal() all agree."""
+    """Where a read lands, where a merged log's re-emitted records begin
+    and seal() all agree around a chunk boundary."""
     split = _CHUNK + delta
     stream = _chunk_stream(2 * _CHUNK + 1)
     baseline = _fill(EventLog(max_events=2 * _CHUNK), stream)
     baseline.seal(1e6)
-    for read_at, record_at in [(split, None), (None, split), (split, split),
-                               (split - 1, split + 1)]:
-        log = _fill(EventLog(max_events=2 * _CHUNK), stream, read_at, record_at)
+    for read_at, merge_at in [(split, None), (None, split), (split, split),
+                              (split - 1, split + 1)]:
+        log = _fill(EventLog(max_events=2 * _CHUNK), stream, read_at, merge_at)
         log.seal(1e6)
-        assert log.digest() == baseline.digest(), (read_at, record_at)
+        assert log.digest() == baseline.digest(), (read_at, merge_at)
     shifted = _fill(EventLog(max_events=2 * _CHUNK), stream[1:] + stream[:1])
     shifted.seal(1e6)
     assert shifted.digest() != baseline.digest()

@@ -68,7 +68,7 @@ class TestJsonlRoundTrip:
         draws = _make_draws()
         path = write_jsonl(tmp_path / "b.jsonl", events=draws)
         bundle = read_jsonl(path)
-        assert bundle.events == draws.records
+        assert bundle.events == list(draws)
         curve = discharge_curves(bundle.events)["node1"]
         assert curve == [(0.0, 1.0), (60.0, 0.9913 / 3.0)]  # exact
         assert "battery_sample" not in path.read_text()
@@ -89,7 +89,7 @@ class TestJsonlRoundTrip:
         )
         bundle = read_jsonl(path)
         assert bundle.segments == trace.all_segments()
-        assert bundle.events == events.records
+        assert bundle.events == list(events)
         assert bundle.metrics is not None
         assert bundle.metrics.as_dict() == metrics.as_dict()
 
@@ -103,7 +103,8 @@ class TestJsonlRoundTrip:
         for seg in bundle.segments:
             clone._segments.setdefault(seg.actor, []).append(seg)
         events = EventLog()
-        events.records = bundle.events
+        for event in bundle.events:
+            events.emit(event.kind, event.ts, event.actor, **event.data)
         p2 = write_jsonl(tmp_path / "b.jsonl", trace=clone, events=events)
         assert p1.read_bytes() == p2.read_bytes()
 

@@ -4,7 +4,7 @@ import sqlite3
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RegistryError
 from repro.obs import RunRegistry
 from repro.obs.store import RunRecord, build_explore_record
 
@@ -133,3 +133,44 @@ class TestMigration:
         # 9 content columns + seq; the wall-clock column must not leak
         # into the determinism dump.
         assert len(rows[0]) == 10
+
+
+def _not_a_database(path):
+    path.write_text("this is not a database\n" * 100)
+
+
+def _torn(path):
+    registry = RunRegistry(path)
+    for i in range(200):
+        registry.record(fake_record(i))
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+class TestTornRegistry:
+    """A damaged registry file raises a typed error naming it, never a
+    bare ``sqlite3.DatabaseError``, through the library and the CLI."""
+
+    CASES = [(_not_a_database, "file is not a database"),
+             (_torn, "database disk image is malformed")]
+
+    @pytest.mark.parametrize("damage, message", CASES, ids=["not-a-db", "torn"])
+    def test_library_raises_registry_error(self, tmp_path, damage, message):
+        path = tmp_path / "runs.sqlite"
+        damage(path)
+        registry = RunRegistry(path)
+        for call in (RunRegistry.list_runs, len, lambda r: r.record(fake_record(0))):
+            with pytest.raises(RegistryError, match=message) as info:
+                call(registry)
+            assert str(path) in str(info.value)
+            assert isinstance(info.value.__cause__, sqlite3.DatabaseError)
+
+    @pytest.mark.parametrize("damage, message", CASES, ids=["not-a-db", "torn"])
+    def test_cli_prints_an_error_and_exits_1(self, tmp_path, capsys, damage, message):
+        from repro.cli import main
+
+        path = tmp_path / "runs.sqlite"
+        damage(path)
+        assert main(["runs", "--db", str(path), "list"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: run registry ") and str(path) in err
+        assert message in err and "Traceback" not in err

@@ -7,7 +7,6 @@ import pytest
 from repro.core.experiments import PAPER_EXPERIMENTS, run_experiment
 from repro.obs import Telemetry
 from repro.obs.checks import (
-    ChargeMonotonicMonitor,
     FrameDeadlineMonitor,
     paper_monitors,
     replay,
@@ -28,7 +27,7 @@ class TestSeal:
         _fill(log, 5)
         log.seal(5.0)
         assert log.dropped == 0
-        assert all(e.kind != "log.truncated" for e in log.records)
+        assert all(e.kind != "log.truncated" for e in log)
 
     def test_terminal_record_carries_drop_count(self):
         log = EventLog(max_events=4)
@@ -37,7 +36,7 @@ class TestSeal:
         log.seal(10.0)
         # The marker bypasses the cap: 4 stored + 1 terminal record.
         assert len(log) == 5
-        tail = log.records[-1]
+        *_, tail = log
         assert tail.kind == "log.truncated"
         assert tail.ts == 10.0
         assert tail.data == {"dropped": 6}
@@ -48,7 +47,7 @@ class TestSeal:
         log.seal(5.0)
         log.emit("frame.emit", 6.0, "host", frame=6)  # dropped too
         log.seal(6.0)
-        tails = [e for e in log.records if e.kind == "log.truncated"]
+        tails = list(log.stream({"log.truncated"}))
         assert len(tails) == 1
         assert tails[0].ts == 6.0
         assert tails[0].data == {"dropped": 4}
@@ -57,10 +56,11 @@ class TestSeal:
         log = EventLog(max_events=2)
         _fill(log, 4)
         log.seal(4.0)
-        assert log.records[-1].data == {"dropped": 2}  # forces _flush
+        *_, tail = log  # a read builds events but stores none
+        assert tail.data == {"dropped": 2}
         log.emit("frame.emit", 5.0, "host", frame=5)
         log.seal(5.0)
-        tails = [e for e in log.records if e.kind == "log.truncated"]
+        tails = list(log.stream({"log.truncated"}))
         assert len(tails) == 1 and tails[0].data == {"dropped": 3}
 
     def test_disabled_log_ignores_seal(self):
@@ -99,22 +99,6 @@ class TestInconclusiveVerdicts:
         assert not verdict.inconclusive
         assert "truncated" not in verdict.detail
 
-    def test_live_tap_stays_conclusive(self):
-        log = EventLog(max_events=3)
-        monitor = log.attach(ChargeMonotonicMonitor())
-        for i in range(8):
-            log.emit(
-                "battery.draw", float(i), "node1",
-                charge_fraction=1.0 - i / 10.0,
-            )
-        log.seal(8.0)
-        # The tap saw every event (including dropped ones), so its
-        # verdict is conclusive; only stored-log replays go inconclusive.
-        live = monitor.verdict()
-        assert live.ok and not live.inconclusive
-        (replayed,) = replay(log, [ChargeMonotonicMonitor()])
-        assert replayed.inconclusive
-
 
 class TestEngineIntegration:
     def test_run_seals_truncated_log(self):
@@ -126,8 +110,9 @@ class TestEngineIntegration:
         )
         log = run.obs.events
         assert log.dropped > 0
-        assert log.records[-1].kind == "log.truncated"
-        assert log.records[-1].data["dropped"] == log.dropped
+        *_, tail = log
+        assert tail.kind == "log.truncated"
+        assert tail.data["dropped"] == log.dropped
         verdicts = replay(log, paper_monitors(PAPER_EXPERIMENTS["2"]))
         assert any(v.inconclusive for v in verdicts)
         assert all("violated" not in v.detail for v in verdicts if v.inconclusive)
@@ -141,7 +126,7 @@ class TestEngineIntegration:
         )
         log = run.obs.events
         assert log.dropped == 0
-        assert all(e.kind != "log.truncated" for e in log.records)
+        assert all(e.kind != "log.truncated" for e in log)
         verdicts = replay(log, paper_monitors(PAPER_EXPERIMENTS["2"]))
         assert not any(v.inconclusive for v in verdicts)
 

@@ -64,7 +64,7 @@ class TestNoIOEquivalence:
         run = run_experiment(
             PAPER_EXPERIMENTS["0A"], mode="fast", telemetry=True, **TINY
         )
-        epochs = run.obs.events.of_kind("ff.epoch")
+        epochs = list(run.obs.events.stream({"ff.epoch"}))
         assert len(epochs) == 1
         (e,) = epochs
         assert e.data["frames"] == e.data["periods"] > 0

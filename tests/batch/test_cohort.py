@@ -35,6 +35,39 @@ def random_cells(n, seed):
     return cells
 
 
+def edge_cells(n, seed):
+    """Small cells whose cycles hit the closed form's edge cases.
+
+    Segments of 0.1-5 ms take the small-``k'dt`` series branch of the
+    factors; zero-current and zero-duration segments sit beside them.
+    Every cycle keeps one segment that draws charge, so each cell dies.
+    """
+    rng = random.Random(seed)
+    cells = []
+    for _ in range(n):
+        params = KiBaMParameters(
+            capacity_mah=PAPER_KIBAM_PARAMETERS.capacity_mah * rng.uniform(0.001, 0.01),
+            c=min(0.95, PAPER_KIBAM_PARAMETERS.c * rng.uniform(0.5, 2.0)),
+            k_prime_per_hour=PAPER_KIBAM_PARAMETERS.k_prime_per_hour
+            * rng.uniform(0.5, 2.0),
+        )
+        cycle = []
+        for _ in range(rng.randint(1, 5)):
+            kind = rng.randrange(4)
+            if kind == 0:
+                cycle.append((rng.uniform(20.0, 400.0), rng.uniform(1e-4, 5e-3)))
+            elif kind == 1:
+                cycle.append((0.0, rng.uniform(0.05, 3.0)))
+            elif kind == 2:
+                cycle.append((rng.uniform(20.0, 400.0), 0.0))
+            else:
+                cycle.append((rng.uniform(20.0, 400.0), rng.uniform(0.05, 3.0)))
+        if not any(current > 0.0 and dt > 0.0 for current, dt in cycle):
+            cycle.append((rng.uniform(20.0, 400.0), rng.uniform(1e-4, 5e-3)))
+        cells.append(CohortCell(params, tuple(cycle)))
+    return cells
+
+
 class TestCohortCell:
     def test_rejects_empty_cycle(self):
         with pytest.raises(BatteryError):
@@ -109,9 +142,14 @@ class TestKiBaMCohort:
 class TestStepperEquivalence:
     LIMIT_S = 400.0 * 3600.0
 
-    def test_bitwise_identical_to_scalar_reference(self):
+    @pytest.mark.parametrize(
+        "draw",
+        [lambda: random_cells(80, seed=42), lambda: edge_cells(200, seed=43)],
+        ids=["paper-range", "series-and-zero"],
+    )
+    def test_bitwise_identical_to_scalar_reference(self, draw):
         """Death times AND completed-cycle counts match bit for bit."""
-        cells = random_cells(80, seed=42)
+        cells = draw()
         cohort = KiBaMCohort(cells)
         result = CohortStepper(cohort, self.LIMIT_S).run()
         for i, cell in enumerate(cells):

@@ -9,21 +9,16 @@ once (see :class:`repro.batch.stepper.CohortStepper`).
 Bit-identity with the scalar path
 ---------------------------------
 The cohort reproduces :class:`repro.hw.battery.kibam.KiBaM` *bit for
-bit*, not merely to float noise. Three details make that work:
-
-- **``math.exp`` at setup.** numpy's SIMD ``exp`` differs from libm's
-  ``math.exp`` by an ULP on a few percent of inputs, so every
-  ``(e^-x, 1-e^-x, r)`` factor is computed elementwise with
-  ``math.exp`` (memoized per ``(k', dt)`` — sweeps share segment
-  durations, so the memo collapses the cost). All *hot-loop*
-  arithmetic is float64 ``+ - * /``, where numpy and Python floats are
-  IEEE-identical.
-- **Same expression order.** Every formula below is transcribed from
-  ``KiBaM._step`` / ``cycle_map`` / ``advance_cycles`` with the same
-  association order, including the scalar tuple-assignment semantics
-  (the affine-offset update reads the *old* result matrix).
-- **Same accumulation order.** ``drain`` and ``cycle_s`` accumulate
-  segment by segment, matching the scalar generator sums.
+bit*, not merely to float noise, because it evaluates the scalar
+model's own closed-form functions (:func:`~repro.hw.battery.kibam.step_factors`,
+:func:`~repro.hw.battery.kibam.step_state`,
+:func:`~repro.hw.battery.kibam.segment_map`,
+:func:`~repro.hw.battery.kibam.affine_mul`,
+:func:`~repro.hw.battery.kibam.affine_apply`) on float64 columns.
+Those use only ``+ - * /`` past the per-``(k', dt)`` factors, which
+are computed once per distinct pair with the scalar function itself.
+What is left here is lane logic: padding, row selection, and the
+``np.where`` selects of the vector binary powering.
 
 Ragged cycles are padded with zero-duration, zero-current segments
 whose factors form the exact identity affine map, so padding composes
@@ -34,13 +29,22 @@ slots are padding so near-death walks can skip them.
 from __future__ import annotations
 
 import dataclasses
-import math
 import typing as t
 
 import numpy as np
 
 from repro.errors import BatteryError
-from repro.hw.battery.kibam import KiBaM, KiBaMParameters
+from repro.hw.battery.kibam import (
+    IDENTITY_MAP,
+    KiBaM,
+    KiBaMParameters,
+    affine_apply,
+    affine_mul,
+    check_cycle,
+    segment_map,
+    step_factors,
+    step_state,
+)
 from repro.units import mah_to_mas
 
 __all__ = ["CohortCell", "KiBaMCohort"]
@@ -54,35 +58,7 @@ class CohortCell:
     cycle: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        if not self.cycle:
-            raise BatteryError("cohort cell needs a non-empty duty cycle")
-        for current, dt in self.cycle:
-            if current < 0 or dt < 0:
-                raise BatteryError(
-                    "cycle needs non-negative currents and durations"
-                )
-        if sum(dt for _, dt in self.cycle) <= 0.0:
-            raise BatteryError("duty cycle needs a positive total duration")
-
-
-def _factors(
-    kp_s: float, dt_s: float, memo: dict[tuple[float, float], tuple[float, float, float]]
-) -> tuple[float, float, float]:
-    """``(e^-x, 1-e^-x, r)`` exactly as ``KiBaM._dt_factors`` computes them."""
-    key = (kp_s, dt_s)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    x = kp_s * dt_s
-    ex = math.exp(-x)
-    if x < 1e-6:
-        r = (x * x / 2.0 - x * x * x / 6.0) / kp_s
-        om = x - x * x / 2.0 + x * x * x / 6.0
-    else:
-        r = (x - 1.0 + ex) / kp_s
-        om = 1.0 - ex
-    memo[key] = factors = (ex, om, r)
-    return factors
+        check_cycle(self.cycle)
 
 
 class KiBaMCohort:
@@ -144,43 +120,27 @@ class KiBaMCohort:
                 self.cur[i, s] = current
                 self.dt[i, s] = dt_s
                 self.pad[i, s] = False
-                ex[i, s], om[i, s], r[i, s] = _factors(kps, dt_s, memo)
+                factors = memo.get((kps, dt_s))
+                if factors is None:
+                    memo[kps, dt_s] = factors = step_factors(kps, dt_s)
+                ex[i, s], om[i, s], r[i, s] = factors
         self.ex = ex
         self.om = om
         self.r = r
 
-        # Compose the per-row affine cycle map segment by segment,
-        # mirroring KiBaM.cycle_map (padding slots compose the exact
+        # Compose each row's affine cycle map segment by segment, as
+        # KiBaM.cycle_map does (padding slots compose the exact
         # identity, so ragged rows are unaffected).
-        a11 = np.ones(n)
-        a12 = np.zeros(n)
-        a21 = np.zeros(n)
-        a22 = np.ones(n)
-        b1 = np.zeros(n)
-        b2 = np.zeros(n)
+        amap = tuple(np.full(n, v) for v in IDENTITY_MAP)
         drain = np.zeros(n)
         cycle_s = np.zeros(n)
         for s in range(smax):
-            exs, oms, rs = ex[:, s], om[:, s], r[:, s]
             cur_s, dt_s = self.cur[:, s], self.dt[:, s]
-            m11 = exs + c * oms
-            m12 = c * oms
-            m21 = (1.0 - c) * oms
-            m22 = exs + (1.0 - c) * oms
-            s1 = -cur_s * (oms / kp + c * rs)
-            s2 = -cur_s * (1.0 - c) * rs
-            a11, a12, a21, a22, b1, b2 = (
-                m11 * a11 + m12 * a21,
-                m11 * a12 + m12 * a22,
-                m21 * a11 + m22 * a21,
-                m21 * a12 + m22 * a22,
-                m11 * b1 + m12 * b2 + s1,
-                m21 * b1 + m22 * b2 + s2,
-            )
+            segment = segment_map(cur_s, kp, c, ex[:, s], om[:, s], r[:, s])
+            amap = affine_mul(segment, amap)
             drain = drain + cur_s * dt_s
             cycle_s = cycle_s + dt_s
-        self.a11, self.a12, self.a21, self.a22 = a11, a12, a21, a22
-        self.b1, self.b2 = b1, b2
+        self.a11, self.a12, self.a21, self.a22, self.b1, self.b2 = amap
         self.drain = drain
         self.cycle_s = cycle_s
 
@@ -188,12 +148,11 @@ class KiBaMCohort:
     def advance(self, rows: np.ndarray, n_cycles: np.ndarray) -> None:
         """``KiBaM.advance_cycles`` over ``rows``, with per-row counts.
 
-        Vectorized binary powering of each row's affine cycle map.
-        Lanes whose exponent is exhausted keep computing and discard
-        the result via ``np.where`` — cheaper than repacking, and the
-        select keeps their state bit-stable. The update expressions use
-        the *old* matrix values exactly like the scalar tuple
-        assignment, which the bit-identity tests depend on.
+        Vectorized binary powering of each row's affine cycle map, with
+        the scalar loop's :func:`affine_mul` steps. Lanes whose exponent
+        is exhausted keep computing and discard the result via
+        ``np.where`` — cheaper than repacking, and the select keeps
+        their state bit-stable.
         """
         if rows.size == 0:
             return
@@ -204,76 +163,40 @@ class KiBaMCohort:
             raise BatteryError(
                 "advance may cross death; leave at least one cycle's margin"
             )
-        A11 = self.a11[rows].copy()
-        A12 = self.a12[rows].copy()
-        A21 = self.a21[rows].copy()
-        A22 = self.a22[rows].copy()
-        B1 = self.b1[rows].copy()
-        B2 = self.b2[rows].copy()
-        m = rows.size
-        R11 = np.ones(m)
-        R12 = np.zeros(m)
-        R21 = np.zeros(m)
-        R22 = np.ones(m)
-        C1 = np.zeros(m)
-        C2 = np.zeros(m)
+        amap = tuple(
+            m[rows] for m in (self.a11, self.a12, self.a21, self.a22, self.b1, self.b2)
+        )
+        power = tuple(np.full(rows.size, v) for v in IDENTITY_MAP)
         k = n.copy()
         while (k > 0).any():
             odd = (k & 1) == 1
-            nR11 = R11 * A11 + R12 * A21
-            nR12 = R11 * A12 + R12 * A22
-            nR21 = R21 * A11 + R22 * A21
-            nR22 = R21 * A12 + R22 * A22
-            nC1 = R11 * B1 + R12 * B2 + C1
-            nC2 = R21 * B1 + R22 * B2 + C2
-            R11 = np.where(odd, nR11, R11)
-            R12 = np.where(odd, nR12, R12)
-            R21 = np.where(odd, nR21, R21)
-            R22 = np.where(odd, nR22, R22)
-            C1 = np.where(odd, nC1, C1)
-            C2 = np.where(odd, nC2, C2)
+            power = _select(odd, affine_mul(power, amap), power)
             k >>= 1
             live = k > 0
             if not live.any():
                 break
-            sA11 = A11 * A11 + A12 * A21
-            sA12 = A11 * A12 + A12 * A22
-            sA21 = A21 * A11 + A22 * A21
-            sA22 = A21 * A12 + A22 * A22
-            sB1 = A11 * B1 + A12 * B2 + B1
-            sB2 = A21 * B1 + A22 * B2 + B2
-            A11 = np.where(live, sA11, A11)
-            A12 = np.where(live, sA12, A12)
-            A21 = np.where(live, sA21, A21)
-            A22 = np.where(live, sA22, A22)
-            B1 = np.where(live, sB1, B1)
-            B2 = np.where(live, sB2, B2)
-        y1 = self.y1[rows]
-        y2 = self.y2[rows]
-        self.y1[rows] = R11 * y1 + R12 * y2 + C1
-        self.y2[rows] = R21 * y1 + R22 * y2 + C2
+            amap = _select(live, affine_mul(amap, amap), amap)
+        self.y1[rows], self.y2[rows] = affine_apply(power, self.y1[rows], self.y2[rows])
         self.delivered_mas[rows] += n * self.drain[rows]
 
     def preview(self, rows: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
         """The ``(y1, y2)`` state of ``rows`` after segment ``s``, unapplied.
 
-        The exact vector transcription of ``KiBaM._step`` (the scalar
-        ``KiBaM.preview``), so each row's values equal the scalar
-        preview bit for bit; the stepper's end-of-segment death test
-        reads ``y1`` from here.
+        :func:`step_state` on the rows' columns, as the scalar
+        ``KiBaM.preview`` evaluates it, so each row's values equal the
+        scalar preview bit for bit; the stepper's end-of-segment death
+        test reads ``y1`` from here.
         """
-        kp = self.kp[rows]
-        c = self.c[rows]
-        y1 = self.y1[rows]
-        y2 = self.y2[rows]
-        current = self.cur[rows, s]
-        ex = self.ex[rows, s]
-        om = self.om[rows, s]
-        r = self.r[rows, s]
-        y0 = y1 + y2
-        ny1 = y1 * ex + (y0 * kp * c - current) * om / kp - current * c * r
-        ny2 = y2 * ex + y0 * (1.0 - c) * om - current * (1.0 - c) * r
-        return ny1, ny2
+        return step_state(
+            self.y1[rows],
+            self.y2[rows],
+            self.cur[rows, s],
+            self.kp[rows],
+            self.c[rows],
+            self.ex[rows, s],
+            self.om[rows, s],
+            self.r[rows, s],
+        )
 
     def step_segment(self, rows: np.ndarray, s: int) -> None:
         """One closed-form constant-current step of segment ``s``.
@@ -308,9 +231,9 @@ class KiBaMCohort:
         empties within the segment, exactly when the scalar reference
         solves. ``time_to_death`` then runs the same bracket expansion
         and Brent iteration the scalar path runs, from bitwise-equal
-        state, so the death instant is bitwise-equal too. (State
-        injection reaches into KiBaM's private fields deliberately — the
-        cohort is the model's batch twin, maintained alongside it.)
+        state, so the death instant is bitwise-equal too. State
+        injection reaches into KiBaM's private fields deliberately: the
+        clone must be the scalar cell at this row's exact state.
         """
         cell = KiBaM(self.cells[i].params)
         cell._y1 = float(self.y1[i])
@@ -318,3 +241,8 @@ class KiBaMCohort:
         cell._dead = bool(self.latched[i])
         cell._delivered_mas = float(self.delivered_mas[i])
         return cell
+
+
+def _select(mask: np.ndarray, new: tuple, old: tuple) -> tuple:
+    """Each map entry from ``new`` where ``mask`` holds, else from ``old``."""
+    return tuple(np.where(mask, a, b) for a, b in zip(new, old))

@@ -21,10 +21,10 @@ jump/walk sequence of the scalar reference loop
   solve per death, not per near-death segment.
 
 Because each row sees the same jump counts, the same closed-form
-arithmetic (in the same expression order), the same sign test and the
-same Brent solves from bitwise-equal state, the resulting death times
-and cycle counts are **bit-identical** to the scalar path — asserted by
-the equivalence tests in ``tests/batch/``.
+functions (the cohort calls :mod:`repro.hw.battery.kibam`'s own), the
+same sign test and the same Brent solves from bitwise-equal state, the
+resulting death times and cycle counts are **bit-identical** to the
+scalar path — asserted by the equivalence tests in ``tests/batch/``.
 
 Each epoch emits one coalesced ``batch.epoch`` telemetry event
 (mirroring PR 5's ``ff.epoch``) so monitors can fold batched frames
@@ -123,9 +123,9 @@ class CohortStepper:
             t0 = float(t_now[rows].min())
             drained_before = float(cohort.delivered_mas[rows].sum())
 
-            # Mirror of the scalar jump policy: int() truncation equals
-            # floor for these non-negative quantities, so the vector
-            # int64 cast reproduces the scalar cycle counts exactly.
+            # The jump policy of lifetime_seconds, int(y1 / drain) - 2:
+            # for these non-negative quantities the int64 cast truncates
+            # as int() does, so the cycle counts equal the scalar ones.
             drain = cohort.drain[rows]
             cyc_s = cohort.cycle_s[rows]
             can = can_jump[rows]

@@ -40,11 +40,10 @@ import math
 import time
 import typing as t
 
-import numpy as np
-
 from repro.apps.atr.profile import PAPER_PROFILE
 from repro.batch.kibam import CohortCell, KiBaMCohort
 from repro.batch.stepper import CohortStepper
+from repro.core.optimizer import duty_cycle_currents
 from repro.core.policies import BaselinePolicy, DVSDuringIOPolicy, SlowestFeasiblePolicy
 from repro.core.prediction import role_duty_cycle
 from repro.errors import CalibrationError, ConfigurationError, decoding
@@ -292,18 +291,11 @@ def _task_cycles(
         tuple(id(curve) for curve in power.curves.values()),
     )
     got = memo.get(key)
-    if got is not None:
-        return got
-    table = SA1100_TABLE
-    cycles = tuple(
-        tuple(
-            (power.current_ma(seg.mode, table.level_at(seg.level_mhz)), seg.duration_s)
-            for seg in segments
+    if got is None:
+        memo[key] = got = tuple(
+            duty_cycle_currents(segments, power) for segments in segments4
         )
-        for segments in segments4
-    )
-    memo[key] = cycles
-    return cycles
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -360,31 +352,28 @@ def evaluate_tasks_batch(
 ) -> BatchScenarioResult:
     """Evaluate many sensitivity scenarios in one cohort pass.
 
-    The batch twin of mapping :func:`task_reference_scalar` over
-    ``tasks`` — same outcomes, bit for bit, at cohort speed.
+    Each outcome equals :func:`task_reference_scalar`'s for the same
+    task, bit for bit: that function stays the scalar reference.
     """
     if not tasks:
         return BatchScenarioResult((), (), 0, 0)
     segments4 = scenario_segments(deadline_s)
     memo: dict[t.Any, tuple] = {}
-    cells: list[CohortCell] = []
+    cells = []
     for task in tasks:
-        _, battery, _ = task
-        for cycle in _task_cycles(task, segments4, memo):
-            cells.append(CohortCell(battery, cycle))
-    cohort = KiBaMCohort(cells)
-    result = CohortStepper(cohort, max_hours * SECONDS_PER_HOUR, obs=obs).run()
-    if np.isinf(result.death_s).any():
-        row = int(np.flatnonzero(np.isinf(result.death_s))[0])
+        cells.extend((task[1], cycle) for cycle in _task_cycles(task, segments4, memo))
+    death_s, cycles, epochs, root_solves = evaluate_cycles_batch(
+        cells, max_hours, obs
+    )
+    if math.inf in death_s:
+        row = death_s.index(math.inf)
         raise CalibrationError(
             f"{tasks[row // 4][0]} ({SCENARIO_KINDS[row % 4]}): no death "
             f"within {max_hours} h (current too low for this parameterization)"
         )
-    hours = result.death_s / SECONDS_PER_HOUR
     outcomes = []
-    cycle_counts = []
     for i, (label, _, _) in enumerate(tasks):
-        base, s0, s1, rot = (float(h) for h in hours[4 * i : 4 * i + 4])
+        base, s0, s1, rot = (d / SECONDS_PER_HOUR for d in death_s[4 * i : 4 * i + 4])
         outcomes.append(
             ScenarioOutcome(
                 label=label,
@@ -393,17 +382,16 @@ def evaluate_tasks_batch(
                 rotating_norm_h=rot / 2.0,
             )
         )
-        cycle_counts.append(tuple(int(c) for c in result.cycles[4 * i : 4 * i + 4]))
     return BatchScenarioResult(
         outcomes=tuple(outcomes),
-        cycles=tuple(cycle_counts),
-        epochs=result.epochs,
-        root_solves=result.root_solves,
+        cycles=tuple(cycles[4 * i : 4 * i + 4] for i in range(len(tasks))),
+        epochs=epochs,
+        root_solves=root_solves,
     )
 
 
 # ---------------------------------------------------------------------------
-# scalar reference twin
+# scalar reference
 # ---------------------------------------------------------------------------
 
 def task_reference_scalar(
@@ -411,7 +399,7 @@ def task_reference_scalar(
     deadline_s: float = 2.3,
     max_hours: float = 400.0,
 ) -> tuple[ScenarioOutcome, tuple[int, int, int, int]]:
-    """The scalar twin of one batched scenario: outcome + cycle counts.
+    """The scalar reference for one batched scenario: outcome + cycle counts.
 
     Runs the shared reference loop
     (:func:`repro.hw.battery.kibam.lifetime_seconds`) over the same

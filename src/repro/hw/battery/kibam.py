@@ -25,6 +25,14 @@ have the closed form (``k'`` below, ``y0 = y1_0 + y2_0``)::
 
 which conserves charge exactly: ``y1(t) + y2(t) = y0 - I*t``.
 
+Each closed-form operation is written once, as a module-level function
+below (:func:`step_factors`, :func:`step_state`, :func:`segment_map`,
+:func:`affine_mul`, :func:`affine_apply`). :class:`KiBaM` and the
+vectorized :class:`repro.batch.kibam.KiBaMCohort` both call them. Past
+the ``exp`` in :func:`step_factors` they use only float ``+ - * /``,
+which numpy float64 arrays evaluate bit for bit like Python floats, so
+a cohort row lands on the scalar cell's state by construction.
+
 The paper-calibrated parameters (see :mod:`repro.core.calibration` and
 DESIGN.md) are exposed as :data:`PAPER_BATTERY`.
 """
@@ -41,7 +49,106 @@ from repro.errors import BatteryError
 from repro.hw.battery.base import Battery
 from repro.units import SECONDS_PER_HOUR, mah_to_mas
 
-__all__ = ["KiBaMParameters", "KiBaM", "PAPER_BATTERY", "lifetime_seconds"]
+__all__ = [
+    "KiBaMParameters", "KiBaM", "PAPER_BATTERY", "lifetime_seconds",
+    "IDENTITY_MAP", "step_factors", "step_state", "segment_map",
+    "affine_mul", "affine_apply", "check_cycle",
+]
+
+#: An affine map ``state' = A state + b`` of the ``(y1, y2)`` state,
+#: laid out ``(a11, a12, a21, a22, b1, b2)``. Entries are floats, or
+#: float64 arrays holding one map per cohort row.
+AffineMap = tuple[t.Any, t.Any, t.Any, t.Any, t.Any, t.Any]
+
+IDENTITY_MAP: AffineMap = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+
+
+def check_cycle(cycle: t.Sequence[tuple[float, float]]) -> float:
+    """A duty cycle's total duration, once it is known to be repeatable.
+
+    Raises :class:`BatteryError` for a negative current or duration, or
+    for a total duration that is not positive (an empty cycle included).
+    """
+    for current_ma, dt_s in cycle:
+        if current_ma < 0 or dt_s < 0:
+            raise BatteryError("cycle needs non-negative currents and durations")
+    cycle_s = sum(dt for _, dt in cycle)
+    if cycle_s <= 0.0:
+        raise BatteryError("duty cycle needs a positive total duration")
+    return cycle_s
+
+
+def step_factors(kp: float, dt_s: float) -> tuple[float, float, float]:
+    """The duration factors ``(e^-x, 1 - e^-x, r)`` of one step, ``x = k' dt``.
+
+    ``r = (x - 1 + e^-x) / k'``. Below ``x = 1e-6`` both ``1 - e^-x``
+    and ``r`` come from their series (``x - x^2/2 + x^3/6`` and
+    ``x^2/2 - x^3/6``), since the direct forms cancel catastrophically.
+    Scalar only: numpy's ``exp`` differs from libm's by an ULP on some
+    inputs, so array callers map this over their distinct ``(k', dt)``.
+    """
+    x = kp * dt_s
+    ex = math.exp(-x)
+    if x < 1e-6:
+        r = (x * x / 2.0 - x * x * x / 6.0) / kp
+        one_minus_ex = x - x * x / 2.0 + x * x * x / 6.0
+    else:
+        r = (x - 1.0 + ex) / kp
+        one_minus_ex = 1.0 - ex
+    return ex, one_minus_ex, r
+
+
+def step_state(y1, y2, current_ma, kp, c, ex, om, r):
+    """The ``(y1, y2)`` state after one constant-current step.
+
+    ``ex, om, r`` are the step's :func:`step_factors`.
+    """
+    y0 = y1 + y2
+    return (
+        y1 * ex + (y0 * kp * c - current_ma) * om / kp - current_ma * c * r,
+        y2 * ex + y0 * (1.0 - c) * om - current_ma * (1.0 - c) * r,
+    )
+
+
+def segment_map(current_ma, kp, c, ex, om, r) -> AffineMap:
+    """:func:`step_state` as an affine map of the state.
+
+    ``y1' = y1 (ex + c om) + y2 (c om) - I (om/kp + c r)`` and
+    ``y2' = y1 ((1-c) om) + y2 (ex + (1-c) om) - I (1-c) r``.
+    """
+    return (
+        ex + c * om,
+        c * om,
+        (1.0 - c) * om,
+        ex + (1.0 - c) * om,
+        -current_ma * (om / kp + c * r),
+        -current_ma * (1.0 - c) * r,
+    )
+
+
+def affine_mul(outer: AffineMap, inner: AffineMap) -> AffineMap:
+    """The map that applies ``inner``, then ``outer``.
+
+    ``(A, a) . (B, b) = (A B, A b + a)``; ``affine_mul(m, m)`` squares
+    ``m``. Every entry reads the old maps, so callers that update in a
+    loop keep the old-value order binary powering needs.
+    """
+    o11, o12, o21, o22, p1, p2 = outer
+    i11, i12, i21, i22, q1, q2 = inner
+    return (
+        o11 * i11 + o12 * i21,
+        o11 * i12 + o12 * i22,
+        o21 * i11 + o22 * i21,
+        o21 * i12 + o22 * i22,
+        o11 * q1 + o12 * q2 + p1,
+        o21 * q1 + o22 * q2 + p2,
+    )
+
+
+def affine_apply(amap: AffineMap, y1, y2):
+    """The ``(y1, y2)`` state ``amap`` maps ``(y1, y2)`` to."""
+    a11, a12, a21, a22, b1, b2 = amap
+    return a11 * y1 + a12 * y2 + b1, a21 * y1 + a22 * y2 + b2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,48 +255,24 @@ class KiBaM(Battery):
     # -- closed-form stepping -------------------------------------------
     def _step(self, y1: float, y2: float, current_ma: float, dt_s: float) -> tuple[float, float]:
         """Pure function: the closed-form KiBaM step (no state change)."""
-        kp = self.params.k_prime_per_second
-        c = self.params.c
-        y0 = y1 + y2
-        x = kp * dt_s
-        ex = math.exp(-x)
-        # (x - 1 + e^-x)/kp, computed stably for small x via the series
-        # x^2/2 - x^3/6 + ... (the naive form cancels catastrophically).
-        if x < 1e-6:
-            r = (x * x / 2.0 - x * x * x / 6.0) / kp
-            one_minus_ex = x - x * x / 2.0 + x * x * x / 6.0
-        else:
-            r = (x - 1.0 + ex) / kp
-            one_minus_ex = 1.0 - ex
-        ny1 = y1 * ex + (y0 * kp * c - current_ma) * one_minus_ex / kp - current_ma * c * r
-        ny2 = y2 * ex + y0 * (1.0 - c) * one_minus_ex - current_ma * (1.0 - c) * r
-        return ny1, ny2
+        kp = self._kp
+        return step_state(y1, y2, current_ma, kp, self._c, *step_factors(kp, dt_s))
 
     def _dt_factors(self, dt_s: float) -> tuple[float, float, float]:
         """The duration-dependent closed-form factors, memoized per dt.
 
         Duty-cycled loads repeat the same handful of segment lengths
         hundreds of thousands of times; caching ``(e^-x, 1-e^-x, r)``
-        removes the ``exp`` from the hot path. Values are computed with
-        exactly the expressions :meth:`_step` uses (including the
-        small-x series switch), so cached and uncached steps agree bit
-        for bit.
+        removes the ``exp`` from the hot path. The values are
+        :func:`step_factors`', the ones :meth:`_step` uses, so cached and
+        uncached steps agree bit for bit.
         """
         cached = self._factors.get(dt_s)
         if cached is not None:
             return cached
-        kp = self.params.k_prime_per_second
-        x = kp * dt_s
-        ex = math.exp(-x)
-        if x < 1e-6:
-            r = (x * x / 2.0 - x * x * x / 6.0) / kp
-            one_minus_ex = x - x * x / 2.0 + x * x * x / 6.0
-        else:
-            r = (x - 1.0 + ex) / kp
-            one_minus_ex = 1.0 - ex
         if len(self._factors) >= self._FACTOR_CACHE_MAX:
             self._factors.clear()
-        self._factors[dt_s] = factors = (ex, one_minus_ex, r)
+        self._factors[dt_s] = factors = step_factors(self._kp, dt_s)
         return factors
 
     def draw(self, current_ma: float, dt_s: float) -> None:
@@ -199,10 +282,11 @@ class KiBaM(Battery):
         (it drains no faster than ``I``), so the generic safety dance —
         ``time_to_death_lower_bound`` then possibly the exact root
         solve — and the death latch are skipped, and the closed form is
-        evaluated inline with cached per-duration factors. Arithmetic
-        (expression order and the small-x series) is identical to
-        :meth:`_step`, so fast and reference stepping produce bit-equal
-        states. Near death, delegates to the careful base-class path.
+        evaluated inline with cached per-duration factors. This is the
+        one inlined copy of :func:`step_state`, kept for speed in the
+        same expression order, so fast and reference stepping produce
+        bit-equal states. Near death, delegates to the careful
+        base-class path.
         """
         y1 = self._y1
         if (
@@ -235,7 +319,7 @@ class KiBaM(Battery):
     # -- multi-step fast path -------------------------------------------
     def cycle_map(
         self, cycle: t.Sequence[tuple[float, float]]
-    ) -> tuple[tuple[float, float, float, float, float, float], float]:
+    ) -> tuple[AffineMap, float]:
         """The affine map one duty cycle applies to the ``(y1, y2)`` state.
 
         For each constant-current segment the closed form is affine in
@@ -246,34 +330,15 @@ class KiBaM(Battery):
         Charge conservation makes ``A`` column-stochastic, so its
         powers are numerically stable.
         """
-        kp = self.params.k_prime_per_second
-        c = self.params.c
-        a11, a12, a21, a22 = 1.0, 0.0, 0.0, 1.0
-        b1 = b2 = 0.0
+        check_cycle(cycle)
+        kp, c = self._kp, self._c
+        amap = IDENTITY_MAP
         drain = 0.0
         for current_ma, dt_s in cycle:
-            if current_ma < 0 or dt_s < 0:
-                raise BatteryError("cycle needs non-negative currents and durations")
-            ex, om, r = self._dt_factors(dt_s)
-            # Segment map: y1' = y1 (ex + c om) + y2 (c om) - I (om/kp + c r)
-            #              y2' = y1 ((1-c) om) + y2 (ex + (1-c) om) - I (1-c) r
-            m11 = ex + c * om
-            m12 = c * om
-            m21 = (1.0 - c) * om
-            m22 = ex + (1.0 - c) * om
-            s1 = -current_ma * (om / kp + c * r)
-            s2 = -current_ma * (1.0 - c) * r
-            # Compose: new = M . (A state + b) + s
-            a11, a12, a21, a22, b1, b2 = (
-                m11 * a11 + m12 * a21,
-                m11 * a12 + m12 * a22,
-                m21 * a11 + m22 * a21,
-                m21 * a12 + m22 * a22,
-                m11 * b1 + m12 * b2 + s1,
-                m21 * b1 + m22 * b2 + s2,
-            )
+            segment = segment_map(current_ma, kp, c, *self._dt_factors(dt_s))
+            amap = affine_mul(segment, amap)
             drain += current_ma * dt_s
-        return (a11, a12, a21, a22, b1, b2), drain
+        return amap, drain
 
     def _heads_ordered(self) -> bool:
         """True when the bound head is not below the available head.
@@ -315,7 +380,7 @@ class KiBaM(Battery):
         """
         if limit <= 0 or self._dead or not cycle:
             return 0
-        (a11, a12, a21, a22, b1, b2), drain = self.cycle_map(cycle)
+        amap, drain = self.cycle_map(cycle)
         floor = margin_cycles * drain + self.DEATH_EPS_MAS
         y1, y2 = self._y1, self._y2
         if y1 <= floor or not self._heads_ordered():
@@ -323,28 +388,18 @@ class KiBaM(Battery):
         # powers[j] is the cycle map raised to 2**j; squaring stops once
         # 2**j cycles from the start no longer clear the floor (then
         # K < 2**j), so the cost is O(log K) even for a huge limit.
-        powers = [(a11, a12, a21, a22, b1, b2)]
-        while 1 << len(powers) <= limit and a11 * y1 + a12 * y2 + b1 > floor:
-            powers.append(
-                (
-                    a11 * a11 + a12 * a21,
-                    a11 * a12 + a12 * a22,
-                    a21 * a11 + a22 * a21,
-                    a21 * a12 + a22 * a22,
-                    a11 * b1 + a12 * b2 + b1,
-                    a21 * b1 + a22 * b2 + b2,
-                )
-            )
-            a11, a12, a21, a22, b1, b2 = powers[-1]
+        powers = [amap]
+        while 1 << len(powers) <= limit and affine_apply(amap, y1, y2)[0] > floor:
+            amap = affine_mul(amap, amap)
+            powers.append(amap)
         n = 0
         for j in range(len(powers) - 1, -1, -1):
             step = 1 << j
             if n + step > limit:
                 continue
-            p11, p12, p21, p22, q1, q2 = powers[j]
-            ny1 = p11 * y1 + p12 * y2 + q1
+            ny1, ny2 = affine_apply(powers[j], y1, y2)
             if ny1 > floor:
-                y1, y2 = ny1, p21 * y1 + p22 * y2 + q2
+                y1, y2 = ny1, ny2
                 n += step
         return n
 
@@ -371,7 +426,7 @@ class KiBaM(Battery):
             return
         if self._dead:
             raise BatteryError("cannot advance a dead cell")
-        (a11, a12, a21, a22, b1, b2), drain = self.cycle_map(cycle)
+        amap, drain = self.cycle_map(cycle)
         floor = drain + self.DEATH_EPS_MAS
         if self._y1 <= floor or not self._heads_ordered():
             raise BatteryError(
@@ -379,38 +434,22 @@ class KiBaM(Battery):
                 "the cell must start above one cycle's drain with h2 >= h1"
             )
         # Binary power of the affine map: (A, b)^2 = (A A, A b + b).
-        r11, r12, r21, r22 = 1.0, 0.0, 0.0, 1.0
-        c1 = c2 = 0.0
+        power = IDENTITY_MAP
         n = n_cycles
         while n:
             if n & 1:
-                r11, r12, r21, r22, c1, c2 = (
-                    r11 * a11 + r12 * a21,
-                    r11 * a12 + r12 * a22,
-                    r21 * a11 + r22 * a21,
-                    r21 * a12 + r22 * a22,
-                    r11 * b1 + r12 * b2 + c1,
-                    r21 * b1 + r22 * b2 + c2,
-                )
+                power = affine_mul(power, amap)
             n >>= 1
             if n:
-                a11, a12, a21, a22, b1, b2 = (
-                    a11 * a11 + a12 * a21,
-                    a11 * a12 + a12 * a22,
-                    a21 * a11 + a22 * a21,
-                    a21 * a12 + a22 * a22,
-                    a11 * b1 + a12 * b2 + b1,
-                    a21 * b1 + a22 * b2 + b2,
-                )
-        y1, y2 = self._y1, self._y2
-        ny1 = r11 * y1 + r12 * y2 + c1
+                amap = affine_mul(amap, amap)
+        ny1, ny2 = affine_apply(power, self._y1, self._y2)
         if ny1 <= floor:
             raise BatteryError(
                 f"advance_cycles({n_cycles}) may cross death; "
                 "leave at least one cycle's drain of margin"
             )
         self._y1 = ny1
-        self._y2 = r21 * y1 + r22 * y2 + c2
+        self._y2 = ny2
         self._delivered_mas += n_cycles * drain
 
     def _draw_survivor(self, current_ma: float, dt_s: float) -> None:
@@ -553,9 +592,7 @@ def lifetime_seconds(
     count is the batch layer's frame-count identity oracle.
     """
     cycle = [(current, dt) for current, dt in cycle]
-    cycle_s = sum(dt for _, dt in cycle)
-    if not cycle or cycle_s <= 0.0:
-        raise BatteryError("duty cycle needs a positive total duration")
+    cycle_s = check_cycle(cycle)
     drain_mas = sum(current * dt for current, dt in cycle)
     t = t_s
     cycles = 0

@@ -2,8 +2,9 @@
 
 The registry absorbs the loose per-run counters the pipeline result
 used to surface ad hoc (link transactions, stalls, level switches,
-kernel events) and adds latency histograms populated by span-based
-profiling hooks. Two properties drive the design:
+kernel events) and adds latency histograms: the pipeline engine
+observes each frame's latency into ``frame.latency_s`` as the frame
+completes. Two properties drive the design:
 
 - **Deterministic aggregation.** A sweep fans runs over worker
   processes; each run carries its own registry home and the caller

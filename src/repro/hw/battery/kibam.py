@@ -263,8 +263,8 @@ class KiBaM(Battery):
 
         Duty-cycled loads repeat the same handful of segment lengths
         hundreds of thousands of times; caching ``(e^-x, 1-e^-x, r)``
-        removes the ``exp`` from the hot path. The values are
-        :func:`step_factors`', the ones :meth:`_step` uses, so cached and
+        removes the ``exp`` from the hot path. The values come from
+        :func:`step_factors`, as :meth:`_step`'s do, so cached and
         uncached steps agree bit for bit.
         """
         cached = self._factors.get(dt_s)

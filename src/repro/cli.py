@@ -480,9 +480,11 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             }
             for m in result.frontier
         ]
+        audit = result.rungs[-1]
         print(format_table(rows, float_fmt=".3f",
-                           title=f"Pareto frontier ({len(rows)} point(s), "
-                                 "exact-confirmed)"))
+                           title=f"Pareto frontier ({len(rows)} point(s) "
+                                 f"from the fast rung; {audit.evaluated} of "
+                                 f"{audit.entered} exact-audited)"))
     else:
         print("empty frontier: every config was disqualified")
     print(f"\n{result.n_configs:,} configs in {wall:.2f} s "

@@ -24,6 +24,7 @@ __all__ = [
     "ConfigurationError",
     "PayloadFormatError",
     "RegistryError",
+    "AuditError",
     "decoding",
 ]
 
@@ -112,6 +113,27 @@ class PayloadFormatError(ReproError):
 class RegistryError(ReproError):
     """The run registry's SQLite file cannot be used: it is not a
     database, it is torn, or it cannot be opened. Names the file."""
+
+
+class AuditError(ReproError):
+    """An audited explore config's exact run departs from its fast run.
+
+    Attributes
+    ----------
+    index:
+        The config's enumeration index in the explored space.
+    field:
+        The first field that differs (see
+        :func:`repro.sim.fastforward.divergence`).
+    """
+
+    def __init__(self, index: int, field: str, detail: str):
+        self.index = index
+        self.field = field
+        super().__init__(
+            f"audit of config {index}: exact and fast runs differ in "
+            f"{field} ({detail})"
+        )
 
 
 @contextlib.contextmanager

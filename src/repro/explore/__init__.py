@@ -9,8 +9,8 @@ rotation × link × battery × workload) space is worth running at all?
   deterministic enumeration of :class:`ExploreConfig` candidates.
 - :mod:`repro.explore.halving` resolves it: successive halving over a
   four-rung fidelity ladder (analytic prescreen → exact battery cohort
-  → fast simulation → exact confirmation), so 100k+ configs reduce to
-  a frontier in seconds with ≥90% never touching a simulator.
+  → fast simulation → sampled exact-mode audit), so 100k+ configs
+  reduce to a frontier in seconds with ≥90% never touching a simulator.
 - :mod:`repro.explore.pareto` keeps what matters: the non-dominated
   set over (lifetime, frames, deadline misses).
 """

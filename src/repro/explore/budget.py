@@ -3,10 +3,10 @@
 :func:`promote` is the only place candidates are grouped by deadline:
 every rung promotion and the guided sampler's stall test call it.
 
-The halving ladder's exact-simulation budget (``keep[2]``) is the
-scarcest resource in an exploration — rung 3 costs seconds per config
-while rung 1 costs milliseconds — so *where* that budget lands matters
-more than its size. The fixed strategy (equal round-robin across
+The halving ladder's last budget (``keep[2]``) picks the configs the
+frontier is drawn from, and the ones rung 3 may audit in exact mode at
+seconds per config, while rung 1 costs milliseconds — so *where* that
+budget lands matters more than its size. The fixed strategy (equal round-robin across
 deadline strata) spends the same effort on a stratum whose cheap and
 expensive fidelities already agree as on one where they rank survivors
 in a different order.
@@ -16,9 +16,9 @@ DVS literature it reproduces: the measured signal is per-stratum rank
 disagreement between rung-1 (cohort battery walk) and rung-2 (fast
 simulation) scores of the same survivors — a normalized Kendall-tau
 distance in [0, 1] — and the actuator is the per-stratum share of the
-exact-rung budget. Strata where the fidelities disagree get more exact
-confirmations (their cheap scores are least trustworthy); strata in
-perfect agreement fall back to their proportional share.
+last rung's budget. Strata where the fidelities disagree get more
+places (their cheap scores are least trustworthy); strata in perfect
+agreement fall back to their proportional share.
 
 Everything is deterministic: apportionment is D'Hondt-style highest
 averages with ties broken by stratum order, which with equal weights

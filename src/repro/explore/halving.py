@@ -1,6 +1,6 @@
 """Successive halving over a four-rung fidelity ladder.
 
-The whole design space enters rung 0 and almost nothing leaves rung 3:
+The whole design space enters rung 0 and rung 2 settles the frontier:
 
 =====  ==========  =====================================  ============
 rung   name        evaluator                              cost/config
@@ -10,7 +10,8 @@ rung   name        evaluator                              cost/config
                    closed-form bucket for the ablation
                    chemistries)
 2      fast        full simulation, ``mode="fast"``       ~ 0.1 s
-3      exact       full simulation, ``mode="exact"``      ~ seconds
+3      exact       audit: a hash-picked sample re-run     ~ seconds per
+                   with ``mode="exact"``                  audited config
 =====  ==========  =====================================  ============
 
 The ladder is data. :data:`RUNGS` lists each :class:`Rung`: its name,
@@ -24,23 +25,29 @@ its resume cursor.
 After each rung, candidates are ranked by normalized lifetime (T/N,
 the paper's efficiency metric at that rung's fidelity) and only the
 top ``keep[rung]`` promote — so with the default budgets well over 99%
-of a 100k-config space never reaches a simulation, yet every frontier
-member is confirmed in exact mode. Every promotion is the one rule
-:func:`repro.explore.budget.promote`: stratify by deadline value,
-split ``keep`` across the strata, take each stratum's head, sort the
-result on ``(-score, index)``. Rungs 0 and 1 split evenly and rank by
-score. Promotion into rung 3 is *adaptive* — strata get exact
-confirmations in proportion to how much rung 1 and rung 2 disagreed
+of a 100k-config space never reaches a simulation. Every promotion is
+the one rule :func:`repro.explore.budget.promote`: stratify by
+deadline value, split ``keep`` across the strata, take each stratum's
+head, sort the result on ``(-score, index)``. Rungs 0 and 1 split
+evenly and rank by score. Promotion into rung 3 is *adaptive* — strata
+get places in proportion to how much rung 1 and rung 2 disagreed
 about their ranking — and *frontier-aware*: within a stratum,
 candidates promote by Pareto layer over (lifetime, frames, deadline
 misses) before scalar score, so a config that trades lifetime for
-throughput is confirmed in exact mode instead of being buried by a
-scalar sort (:func:`repro.explore.pareto.pareto_layers`).
+throughput reaches the frontier instead of being buried by a scalar
+sort (:func:`repro.explore.pareto.pareto_layers`).
+
+Rung 3 is an audit, after Yu et al.'s assertions on sampled traces
+(arXiv 0710.4714). Its entrants keep their fast-rung numbers and
+``run_id``s; the one in :data:`AUDIT_EVERY` that a hash of (session
+fingerprint, index) picks re-runs in exact mode and must match its
+fast run (:func:`repro.sim.fastforward.divergence`), or the session
+raises :class:`~repro.errors.AuditError`.
 
 Constraints ride the ladder too: each rung applies the cheapest check
 that can already disqualify a config (static schedule feasibility and
 link budget at rung 0, death-within-horizon at rung 1, the full
-:func:`repro.obs.checks.paper_monitors` replay at rungs 2/3), all
+:func:`repro.obs.checks.paper_monitors` replay at rung 2), all
 speaking the same :class:`~repro.obs.checks.Verdict` vocabulary.
 
 Rung 0 is driven by the model-guided sampler
@@ -56,20 +63,22 @@ Determinism contract
 The exported frontier is byte-identical across serial, ``--jobs N``,
 and cache-replayed executions because every ingredient is: enumeration
 order and indices are fixed by the space; promotion sorts on
-``(-score, index)``; workers return JSON-round-trippable payloads the
-parent folds in input order; and no wall-clock or scheduling value
-enters scores, verdicts, records, or the export payload. The guided
-sampler and the budget controller keep the contract — no RNG, ties on
-enumeration index — and ``resume=`` extends it across process deaths:
-each completed rung persists a cursor (promoted set, scores, verdicts)
-through the registry's explore-session snapshots, and a resumed run
-replays that cursor into exactly the state an uninterrupted run would
-hold, so the resumed frontier is byte-identical too.
+``(-score, index)``; the audit sample is a hash, not a draw; workers
+return JSON-round-trippable payloads the parent folds in input order;
+and no wall-clock or scheduling value enters scores, verdicts,
+records, or the export payload. The guided sampler and the budget
+controller keep the contract — no RNG, ties on enumeration index —
+and ``resume=`` extends it across process deaths: each completed rung
+persists a cursor (promoted set, scores, verdicts) through the
+registry's explore-session snapshots, and a resumed run replays that
+cursor into exactly the state an uninterrupted run would hold, so the
+resumed frontier is byte-identical too.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import time
 import typing as t
 
@@ -77,6 +86,7 @@ from repro.apps.atr.profile import PAPER_PROFILE, TaskProfile
 from repro.core.optimizer import duty_cycle_currents, resolve_roles
 from repro.core.prediction import role_duty_cycle
 from repro.errors import (
+    AuditError,
     ConfigurationError,
     InfeasiblePartitionError,
     ScheduleError,
@@ -97,9 +107,12 @@ from repro.obs.checks import (
     static_link_budget_verdict,
     static_verdict,
 )
+from repro.sim.fastforward import divergence
 from repro.units import SECONDS_PER_HOUR, mah_to_mas
 
 __all__ = [
+    "AUDIT_EVERY",
+    "FRONTIER_FORMAT",
     "RUNGS",
     "Rung",
     "RungReport",
@@ -129,20 +142,17 @@ class RungReport:
     executed: int = 0
     cache_hits: int = 0
 
+    #: The deterministic fields, in record order.
+    CONTENT: t.ClassVar = ("name", "entered", "evaluated", "disqualified", "promoted")
+
     def content(self) -> dict[str, t.Any]:
         """The deterministic subset (registry / export form)."""
-        return {
-            "name": self.name,
-            "entered": self.entered,
-            "evaluated": self.evaluated,
-            "disqualified": self.disqualified,
-            "promoted": self.promoted,
-        }
+        return {field: getattr(self, field) for field in self.CONTENT}
 
 
 @dataclasses.dataclass(frozen=True)
 class FrontierMember:
-    """One exact-confirmed survivor with its objective values."""
+    """One last-rung survivor with the objectives of its fast run."""
 
     config: ExploreConfig
     lifetime_hours: float
@@ -159,17 +169,9 @@ class FrontierMember:
         """JSON-stable form for exports and registry records."""
         return {
             "label": self.config.label,
-            "config": {
-                "index": self.config.index,
-                "policy": self.config.policy,
-                "cut": list(self.config.cut),
-                "rotation_period": self.config.rotation_period,
-                "bandwidth_bps": self.config.bandwidth_bps,
-                "chemistry": self.config.chemistry,
-                "capacity_mah": self.config.capacity_mah,
-                "io_activity": self.config.io_activity,
-                "deadline_s": self.config.deadline_s,
-            },
+            "config": dict(
+                dataclasses.asdict(self.config), cut=list(self.config.cut)
+            ),
             "lifetime_hours": self.lifetime_hours,
             "tnorm_hours": self.tnorm_hours,
             "frames": self.frames,
@@ -214,11 +216,13 @@ class ExploreResult:
     def frontier_payload(self) -> dict[str, t.Any]:
         """The deterministic export: byte-identical across modes.
 
-        ``sampler`` is the deterministic rung-0 sampler accounting; the
-        ``frontier`` array is what serial, ``--jobs N``, cache-replayed
-        and resumed runs agree on byte-for-byte.
+        ``format`` is :data:`FRONTIER_FORMAT`; ``sampler`` is the
+        deterministic rung-0 sampler accounting; the ``frontier`` array
+        is what serial, ``--jobs N``, cache-replayed and resumed runs
+        agree on byte-for-byte.
         """
         return {
+            "format": FRONTIER_FORMAT,
             "space": {"size": self.n_configs, "fingerprint": self.fingerprint},
             "keep": list(self.keep),
             "objectives": [[name, sense] for name, sense in OBJECTIVES],
@@ -247,8 +251,17 @@ class _Candidate:
 # ---------------------------------------------------------------------------
 
 #: Resume-cursor format. Since 2, candidate run ids hash the columnar
-#: event digest (:meth:`repro.obs.events.EventLog.digest`).
-CURSOR_VERSION = 2
+#: event digest (:meth:`repro.obs.events.EventLog.digest`); since 3,
+#: the last rung keeps the fast runs' ids instead of minting exact ones.
+CURSOR_VERSION = 3
+#: The rungs an older cursor may resume after: those whose run ids
+#: (none before ``fast``) this build reproduces.
+_OLDER_CURSORS = ((1, ("predict", "cohort")), (2, ("predict", "cohort", "fast")))
+#: The last rung re-runs in exact mode one entrant in this many.
+AUDIT_EVERY = 8
+#: The export's format: since 2, frontier values and run ids come from
+#: the fast rung; exports without the key confirmed each in exact mode.
+FRONTIER_FORMAT = "repro-frontier/2"
 
 
 @dataclasses.dataclass
@@ -269,17 +282,16 @@ class _Ladder:
     rungs: list[RungReport] = dataclasses.field(default_factory=list)
     #: Guided-sampler accounting (:meth:`GuidedReport.content` form).
     sampler: dict[str, t.Any] | None = None
+    #: Fast runs of the survivors the audit picks, by config index.
+    fast_runs: dict[int, t.Any] = dataclasses.field(default_factory=dict)
 
     def cursor(self, candidates: list[_Candidate]) -> dict[str, t.Any]:
         """The resumable state after the last completed rung — pure content.
 
-        Everything needed to re-enter the ladder exactly where it
-        stopped: the promoted survivor set (as enumeration indices plus
-        the scores and metrics later rungs read), the cumulative rung
-        reports and verdict tallies, and the identity fields a resume
-        checks. No wall clock enters; JSON floats round-trip exactly,
-        so a cursor written, stored, and restored reproduces
-        bit-identical state.
+        The promoted set (enumeration indices plus the scores and metrics
+        later rungs read), the rung reports, verdict tallies and the
+        identity fields a resume checks. No wall clock enters, and JSON
+        floats round-trip exactly, so a restored cursor is bit-identical.
         """
         return {
             "version": CURSOR_VERSION,
@@ -292,15 +304,8 @@ class _Ladder:
             "disqualified": dict(sorted(self.disqualified.items())),
             "sampler": self.sampler,
             "candidates": [
-                [
-                    c.config.index,
-                    c.score,
-                    c.prev_score,
-                    c.lifetime_hours,
-                    c.frames,
-                    c.deadline_misses,
-                    c.run_id,
-                ]
+                [c.config.index, c.score, c.prev_score, c.lifetime_hours,
+                 c.frames, c.deadline_misses, c.run_id]
                 for c in candidates
             ],
         }
@@ -308,11 +313,9 @@ class _Ladder:
     def restore(self, resume: dict[str, t.Any]) -> tuple[list[_Candidate], int]:
         """Validate a resume cursor against this ladder and load its state.
 
-        The cursor must describe the same exploration — same driver
-        mode, budgets, limit, and universe size (the space itself is
-        pinned by the caller matching fingerprints) — or resuming would
-        silently mix two different ladders. Loads the rung reports,
-        verdict tallies and sampler accounting; returns ``(candidates,
+        The cursor must name the same driver mode, budgets, limit and
+        universe size (the caller matches the space by fingerprint), or
+        resuming would mix two ladders. Returns ``(candidates,
         completed_rungs)``.
         """
         if not isinstance(resume, dict) or "rung" not in resume:
@@ -321,11 +324,8 @@ class _Ladder:
                 f"{type(resume).__name__})"
             )
         version, rung = resume.get("version"), resume["rung"]
-        # Version 1 predates the columnar event digest: its simulated
-        # rungs carry run_ids this build would not reproduce, while the
-        # rungs before them carry none.
-        if version != CURSOR_VERSION and not (
-            version == 1 and rung in ("predict", "cohort")
+        if version != CURSOR_VERSION and not any(
+            version == v and rung in rungs for v, rungs in _OLDER_CURSORS
         ):
             raise ConfigurationError(
                 f"resume cursor version {version!r} after rung {rung!r} "
@@ -356,13 +356,7 @@ class _Ladder:
                 f"resume cursor rung reports inconsistent with rung {rung!r}"
             )
         self.rungs = [
-            RungReport(
-                name=r["name"],
-                entered=int(r["entered"]),
-                evaluated=int(r["evaluated"]),
-                disqualified=int(r["disqualified"]),
-                promoted=int(r["promoted"]),
-            )
+            RungReport(r["name"], *(int(r[k]) for k in RungReport.CONTENT[1:]))
             for r in contents
         ]
         self.disqualified = {
@@ -371,15 +365,12 @@ class _Ladder:
         self.sampler = resume.get("sampler")
         candidates = [
             _Candidate(
-                config=self.space.config_at(int(row[0])),
-                score=float(row[1]),
-                prev_score=float(row[2]),
-                lifetime_hours=float(row[3]),
-                frames=int(row[4]),
-                deadline_misses=int(row[5]),
-                run_id=str(row[6]),
+                self.space.config_at(int(index)), float(score), float(prev),
+                float(hours), int(frames), int(misses), str(run_id),
             )
-            for row in resume.get("candidates", [])
+            for index, score, prev, hours, frames, misses, run_id in (
+                resume.get("candidates", [])
+            )
         ]
         return candidates, completed
 
@@ -761,7 +752,7 @@ def _cohort_rung(
 
 
 # ---------------------------------------------------------------------------
-# rungs 2/3: full simulation
+# rungs 2/3: full simulation and its audit
 # ---------------------------------------------------------------------------
 
 def _sim_kwargs(config: ExploreConfig) -> dict[str, t.Any]:
@@ -787,22 +778,18 @@ def _sim_job(item: tuple):
     )
 
 
-def _sim_rung(
-    mode: str,
-    ladder: _Ladder,
-    survivors: list[_Candidate],
-    report: RungReport,
-) -> list[_Candidate]:
-    """Rungs 2/3: simulate every survivor, replay the paper monitors."""
+def _simulate(
+    ladder: _Ladder, sims: list[tuple[_Candidate, str]]
+) -> list[tuple[t.Any, str]]:
+    """Run each ``(candidate, mode)`` in one executor map and register
+    each run; returns ``(run, run_id)`` pairs in input order."""
     from repro.core.experiments import (
-        _run_from_payload,
-        _run_payload,
-        experiment_fingerprint,
+        _run_from_payload, _run_payload, experiment_fingerprint,
     )
     from repro.obs.store import build_run_record, git_revision
 
     space, registry = ladder.space, ladder.registry
-    items = [(c.config, mode, space.profile) for c in survivors]
+    items = [(c.config, mode, space.profile) for c, mode in sims]
     cache = ladder.executor.cache
     keys = None
     if cache is not None:
@@ -819,52 +806,72 @@ def _sim_rung(
             payload,
         ),
     )
-    report.evaluated = len(survivors)
     git_sha = git_revision() if registry is not None else None
-    out: list[_Candidate] = []
-    for cand, run in zip(survivors, runs):
-        spec = cand.config.experiment_spec(space.profile)
-        kwargs = dict(_sim_kwargs(cand.config), mode=mode)
+    out = []
+    for (config, mode, _), run in zip(items, runs):
+        kwargs = dict(_sim_kwargs(config), mode=mode)
         record = build_run_record(
-            run, experiment_fingerprint(spec, kwargs), git_sha=git_sha
+            run, experiment_fingerprint(run.spec, kwargs), git_sha=git_sha
         )
         if registry is not None:
             registry.record(record)
-        assert run.obs is not None
-        verdicts = replay(run.obs.events, paper_monitors(spec))
-        failed = [v for v in verdicts if not v.ok]
-        if failed:
-            _disqualify(ladder.disqualified, report, *failed)
-            continue
-        cand.lifetime_hours = run.t_hours
-        cand.frames = run.frames
-        cand.deadline_misses = (
-            run.pipeline.late_results if run.pipeline is not None else 0
-        )
-        cand.score = run.t_hours / spec.n_nodes
-        cand.run_id = record.run_id
-        out.append(cand)
+        out.append((run, record.run_id))
     return out
 
 
 def _fast(
     ladder: _Ladder, candidates: list[_Candidate], report: RungReport
 ) -> list[_Candidate]:
-    """Rung 2: the fast simulation, remembering each cohort score.
-
-    ``prev_score`` is what the exact promotion compares the fast score
-    against, so it is set here and nowhere else.
-    """
-    for cand in candidates:
+    """Rung 2: fast simulation and the paper monitors. Sets ``prev_score``
+    (the cohort score the last promotion compares against) here and
+    nowhere else, and keeps the runs the audit will pick."""
+    out: list[_Candidate] = []
+    runs = _simulate(ladder, [(c, "fast") for c in candidates])
+    for cand, (run, run_id) in zip(candidates, runs):
+        assert run.obs is not None
+        verdicts = replay(run.obs.events, paper_monitors(run.spec))
+        failed = [v for v in verdicts if not v.ok]
+        if failed:
+            _disqualify(ladder.disqualified, report, *failed)
+            continue
+        if _audited(ladder, cand):
+            ladder.fast_runs[cand.config.index] = run
         cand.prev_score = cand.score
-    return _sim_rung("fast", ladder, candidates, report)
+        cand.lifetime_hours = run.t_hours
+        cand.frames = run.frames
+        cand.deadline_misses = run.pipeline.late_results if run.pipeline else 0
+        cand.score = run.t_hours / run.spec.n_nodes
+        cand.run_id = run_id
+        out.append(cand)
+    report.evaluated = len(candidates)
+    return out
 
 
-def _exact(
+def _audited(ladder: _Ladder, cand: _Candidate) -> bool:
+    """Whether the audit re-runs ``cand``: a counter hash, no RNG."""
+    key = f"audit:{ladder.fingerprint}:{cand.config.index}".encode()
+    digest = hashlib.sha256(key).digest()
+    return int.from_bytes(digest[:8], "big") % AUDIT_EVERY == 0
+
+
+def _audit(
     ladder: _Ladder, candidates: list[_Candidate], report: RungReport
 ) -> list[_Candidate]:
-    """Rung 3: exact confirmation of the fast rung's promotions."""
-    return _sim_rung("exact", ladder, candidates, report)
+    """Rung 3: keep every entrant; audited ones must match in exact mode."""
+    audited = [c for c in candidates if _audited(ladder, c)]
+    # A session resumed past rung 2 holds no fast runs: re-run them too.
+    missing = [c for c in audited if c.config.index not in ladder.fast_runs]
+    runs = _simulate(
+        ladder, [(c, "fast") for c in missing] + [(c, "exact") for c in audited]
+    )
+    for cand, (run, _) in zip(missing, runs):
+        ladder.fast_runs[cand.config.index] = run
+    for cand, (run, _) in zip(audited, runs[len(missing):]):
+        problem = divergence(run, ladder.fast_runs[cand.config.index])
+        if problem is not None:
+            raise AuditError(cand.config.index, *problem)
+    report.evaluated = len(audited)
+    return candidates
 
 
 # ---------------------------------------------------------------------------
@@ -889,15 +896,14 @@ def _scalar_promotion(
 def _frontier_promotion(
     candidates: list[_Candidate], keep: int
 ) -> list[_Candidate]:
-    """Promotion into the exact rung: adaptive budgets, frontier-aware.
+    """Promotion into the last rung: adaptive budgets, frontier-aware.
 
     Rung 2 is the first rung that measures all three objectives and the
     first with two fidelities behind it, so two things change:
 
-    - each stratum's share of ``keep`` is weighted by its
-      rung-1-vs-rung-2 :func:`~repro.explore.budget.rank_disagreement`
-      — strata whose cheap fidelity mis-ranked survivors get more exact
-      confirmations;
+    - each stratum's share of ``keep`` is weighted by its rung-1-vs-rung-2
+      :func:`~repro.explore.budget.rank_disagreement`: strata whose cheap
+      fidelity mis-ranked survivors get more places;
     - within a stratum, candidates promote by Pareto layer over
       (lifetime, frames, deadline misses) before scalar score, so a
       config on the running frontier promotes ahead of a dominated
@@ -947,7 +953,7 @@ RUNGS = (
     Rung("predict", _predict, _scalar_promotion),
     Rung("cohort", _cohort_rung, _scalar_promotion),
     Rung("fast", _fast, _frontier_promotion),
-    Rung("exact", _exact, None),
+    Rung("exact", _audit, None),
 )
 
 
@@ -1019,8 +1025,8 @@ def explore(
     space:
         What to search.
     keep:
-        Promotion budgets after rungs 0, 1, and 2 (rung 3 confirms
-        whatever survives rung 2's constraints).
+        Promotion budgets after rungs 0, 1, and 2 (rung 3 keeps all
+        its entrants and audits a sample of them).
     jobs, cache:
         Fan rung work over processes / short-circuit repeated rungs;
         results are bit-identical either way.
@@ -1036,14 +1042,12 @@ def explore(
     progress:
         Called with each rung's :class:`RungReport` as it completes.
     flight:
-        Optional :class:`~repro.obs.flight.FlightRecorder`; attaches to
+        Optional :class:`~repro.obs.flight.FlightRecorder`: attaches to
         the rung executor (per-item journal, heartbeats) and opens one
-        recorder phase per rung so live progress shows the halving
-        ladder.
+        recorder phase per rung.
     guided:
         Must be True: the model-guided sampler is the only rung-0
-        driver. The space is never materialized, so 10^6+ spaces reach
-        the ladder in bounded memory.
+        driver, and it never materializes the space.
     probe:
         Size of the sampler's initial stratified probe batch and of
         each subsequent proposal round. A probe at least the size of
@@ -1051,10 +1055,9 @@ def explore(
     resume:
         A cursor from a previous session's explore snapshot (see
         ``RunRegistry.latest_explore_cursor``). Completed rungs are
-        restored instead of re-executed; the rung that was in flight
-        when the session died re-runs against the result cache, so at
-        most the killed chunk repeats, and the final frontier is
-        byte-identical to an uninterrupted run.
+        restored; the rung in flight when the session died re-runs
+        against the result cache, so at most the killed chunk repeats,
+        and the frontier is byte-identical to an uninterrupted run's.
     """
     check_explore_args(keep, chunk_size, limit, probe, guided)
     started = time.perf_counter()
@@ -1108,11 +1111,7 @@ def explore(
 
     survivors = tuple(
         FrontierMember(
-            config=c.config,
-            lifetime_hours=c.lifetime_hours,
-            frames=c.frames,
-            deadline_misses=c.deadline_misses,
-            run_id=c.run_id,
+            c.config, c.lifetime_hours, c.frames, c.deadline_misses, c.run_id
         )
         for c in candidates
     )

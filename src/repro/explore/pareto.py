@@ -10,8 +10,8 @@ duplicate configurations both survive (and tests pin that).
 
 Everything is plain deterministic Python over small survivor sets —
 by the time a frontier is computed, successive halving has already
-reduced 100k+ configs to a handful of exact-confirmed survivors — so
-an O(n^2) sweep is the simplest correct choice.
+reduced 100k+ configs to a handful of simulated survivors — so an
+O(n^2) sweep is the simplest correct choice.
 """
 
 from __future__ import annotations

@@ -236,6 +236,10 @@ class KiBaM(Battery):
         # the closed form, computed exactly as _step computes them so the
         # fast path below is bit-identical to reference stepping.
         self._factors: dict[float, tuple[float, float, float]] = {}
+        # (cycle, map, drain) of the last cycle composed: the fast-forward
+        # sizes a jump with safe_cycles and then applies it with
+        # advance_cycles, on the same cycle.
+        self._last_cycle: tuple[tuple, AffineMap, float] | None = None
 
     # -- state inspection -------------------------------------------------
     @property
@@ -328,8 +332,13 @@ class KiBaM(Battery):
         ``(A, b)``. Returns ``((a11, a12, a21, a22, b1, b2), drain)``
         where ``drain`` is the total charge the cycle draws in mA*s.
         Charge conservation makes ``A`` column-stochastic, so its
-        powers are numerically stable.
+        powers are numerically stable. The last cycle's map is kept, so
+        asking again for the same cycle composes nothing.
         """
+        key = tuple(cycle)
+        last = self._last_cycle
+        if last is not None and last[0] == key:
+            return last[1], last[2]
         check_cycle(cycle)
         kp, c = self._kp, self._c
         amap = IDENTITY_MAP
@@ -338,6 +347,7 @@ class KiBaM(Battery):
             segment = segment_map(current_ma, kp, c, *self._dt_factors(dt_s))
             amap = affine_mul(segment, amap)
             drain += current_ma * dt_s
+        self._last_cycle = (key, amap, drain)
         return amap, drain
 
     def _heads_ordered(self) -> bool:

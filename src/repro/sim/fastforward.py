@@ -46,6 +46,10 @@ Each jump is reported as one coalesced ``ff.epoch`` telemetry event
 per-direction link busy time)
 so event-log digests and the invariant monitors in
 :mod:`repro.obs.checks` stay well-defined in fast mode.
+
+What fast mode promises is written once, in :func:`divergence`: the
+explore ladder's audit and the differential oracle tests both hold a
+fast run against its exact run through it.
 """
 
 from __future__ import annotations
@@ -55,9 +59,58 @@ import typing as t
 from collections import deque
 
 if t.TYPE_CHECKING:  # pragma: no cover
+    from repro.core.experiments import ExperimentRun
     from repro.pipeline.engine import PipelineEngine
 
-__all__ = ["FastForwardController"]
+__all__ = ["FastForwardController", "divergence"]
+
+
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= 1e-9 * abs(a)
+
+
+def divergence(
+    exact: "ExperimentRun", fast: "ExperimentRun"
+) -> tuple[str, str] | None:
+    """The first field where a fast run departs from its exact run.
+
+    Fast mode promises exact mode's frames and bitwise its
+    ``repr(t_hours)``; the same node deaths, each within 1e-9 relative;
+    the same run end (``end_reason``, and ``end_time_s`` within 1e-9);
+    the same deadline misses; and, when both runs recorded telemetry,
+    the same paper-monitor verdicts. Returns ``(field, "exact vs
+    fast")`` for the first broken promise, or None when all hold.
+    """
+    from repro.obs.checks import paper_monitors, replay
+
+    def differ(field: str, want: t.Any, got: t.Any) -> tuple[str, str]:
+        return field, f"{want!r} vs {got!r}"
+
+    if exact.frames != fast.frames:
+        return differ("frames", exact.frames, fast.frames)
+    if repr(exact.t_hours) != repr(fast.t_hours):
+        return differ("t_hours", exact.t_hours, fast.t_hours)
+    deaths, fast_deaths = exact.death_times_s, fast.death_times_s
+    if deaths.keys() != fast_deaths.keys() or not all(
+        _close(s, fast_deaths[name]) for name, s in deaths.items()
+    ):
+        return differ("death_times_s", deaths, fast_deaths)
+    ex, ff = exact.pipeline, fast.pipeline
+    if ex is not None and ff is not None:
+        if ex.end_reason != ff.end_reason:
+            return differ("end_reason", ex.end_reason, ff.end_reason)
+        if not _close(ex.end_time_s, ff.end_time_s):
+            return differ("end_time_s", ex.end_time_s, ff.end_time_s)
+        if ex.late_results != ff.late_results:
+            return differ("deadline_misses", ex.late_results, ff.late_results)
+    if exact.obs is not None and fast.obs is not None:
+        verdicts = [
+            [(v.monitor, v.ok) for v in replay(r.obs.events, paper_monitors(r.spec))]
+            for r in (exact, fast)
+        ]
+        if verdicts[0] != verdicts[1]:
+            return differ("verdicts", *verdicts)
+    return None
 
 
 def _timing_is_deterministic(timing: t.Any) -> bool:

@@ -1,18 +1,20 @@
-"""Successive halving: pruning, constraints, determinism, confirmation.
+"""Successive halving: pruning, constraints, determinism, the audit.
 
 The small spaces here use quarter-scale-and-below capacities so the
-rung-3 exact simulations stay fast; the determinism assertions are the
-same byte-identity contract the CI explore-smoke job enforces on the
-CLI artifact.
+full simulations, exact-mode audits included, stay fast; the
+determinism assertions are the same byte-identity contract the CI
+explore-smoke job enforces on the CLI artifact.
 """
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.core.experiments import experiment_fingerprint
+from repro.errors import AuditError, ConfigurationError
 from repro.exec import ResultCache
-from repro.explore import Axis, SpaceSpec, explore
+from repro.explore import Axis, SpaceSpec, explore, halving
 from repro.explore.halving import RUNGS, _bucket_walk
 from repro.hw.battery.peukert import PeukertBattery, peukert_rate
 from repro.obs.store import RunRegistry
@@ -42,15 +44,18 @@ class TestExploreEndToEnd:
         assert result.n_configs == 120
         assert result.pruned_before_sim_fraction >= 0.90
 
-    def test_frontier_nonempty_and_exact_confirmed(self, result):
+    def test_frontier_nonempty_from_the_fast_rung(self, result):
         assert result.frontier
-        exact = result.rungs[-1]
-        assert exact.name == "exact"
-        # Every frontier member carries a run id minted from an
-        # exact-mode run record.
+        last = result.rungs[-1]
+        assert last.name == "exact"
+        # The last rung keeps every entrant; its evaluations are the
+        # audited few (none of this session's entrants hash in).
+        assert last.promoted == last.entered == len(result.survivors)
+        assert last.evaluated == 0
+        # Every frontier member carries the run id of its fast-mode run.
         for member in result.frontier:
             assert len(member.run_id) == 64
-        assert len(result.frontier) <= exact.promoted
+        assert len(result.frontier) <= last.promoted
 
     def test_frontier_members_mutually_nondominated(self, result):
         from repro.explore import dominates
@@ -209,10 +214,81 @@ class TestConstraints:
         assert [m["label"] for m in final.frontier] == [
             m.config.label for m in result.frontier
         ]
-        # Exact-rung survivors registered as ordinary run records too.
+        # Frontier members' fast runs registered as ordinary run records.
         run_ids = {record.run_id for record in registry.list_runs()}
         for member in result.frontier:
             assert member.run_id in run_ids
+
+
+def _mode_fingerprints(space: SpaceSpec, mode: str) -> set[str]:
+    """The registry fingerprint of every config's run in ``mode``."""
+    return {
+        experiment_fingerprint(
+            config.experiment_spec(space.profile),
+            dict(halving._sim_kwargs(config), mode=mode),
+        )
+        for config in space.configs()
+    }
+
+
+class TestAudit:
+    KEEP = (8, 4, 2)
+
+    @pytest.fixture(scope="class")
+    def unaudited(self):
+        return explore(small_space(), keep=self.KEEP)
+
+    def test_unaudited_session_registers_no_exact_run(self, tmp_path):
+        registry = RunRegistry(tmp_path / "runs.sqlite")
+        result = explore(small_space(), keep=self.KEEP, registry=registry)
+        assert result.rungs[-1].evaluated == 0
+        registered = {r.fingerprint for r in registry.list_runs()}
+        assert registered
+        assert registered <= _mode_fingerprints(small_space(), "fast")
+        assert not registered & _mode_fingerprints(small_space(), "exact")
+
+    def test_every_entrant_audited_at_rate_one(
+        self, tmp_path, monkeypatch, unaudited
+    ):
+        monkeypatch.setattr(halving, "AUDIT_EVERY", 1)
+        registry = RunRegistry(tmp_path / "runs.sqlite")
+        result = explore(small_space(), keep=self.KEEP, registry=registry)
+        last = result.rungs[-1]
+        assert last.evaluated == last.entered == len(result.survivors) > 0
+        exact = {
+            experiment_fingerprint(
+                m.config.experiment_spec(),
+                dict(halving._sim_kwargs(m.config), mode="exact"),
+            )
+            for m in result.survivors
+        }
+        registered = {r.fingerprint for r in registry.list_runs()}
+        assert exact <= registered
+        assert registered & _mode_fingerprints(small_space(), "exact") == exact
+        # The audit changes no number the frontier reports.
+        assert result.frontier_payload()["frontier"] == (
+            unaudited.frontier_payload()["frontier"]
+        )
+
+    def test_a_dropped_exact_frame_raises_naming_the_config(
+        self, monkeypatch, unaudited
+    ):
+        monkeypatch.setattr(halving, "AUDIT_EVERY", 1)
+        simulate = halving._sim_job
+
+        def drop_a_frame(item):
+            run = simulate(item)
+            if item[1] != "exact":
+                return run
+            return dataclasses.replace(run, frames=run.frames - 1)
+
+        monkeypatch.setattr(halving, "_sim_job", drop_a_frame)
+        with pytest.raises(AuditError, match="frames") as caught:
+            explore(small_space(), keep=self.KEEP)
+        first = unaudited.survivors[0].config.index
+        assert caught.value.index == first
+        assert caught.value.field == "frames"
+        assert f"config {first}" in str(caught.value)
 
 
 class TestChemistries:

@@ -23,6 +23,7 @@ import pytest
 
 from repro.exec import ResultCache
 from repro.explore import explore
+from repro.explore import halving
 from repro.explore.halving import RUNGS
 from repro.obs.store import RunRegistry
 from tests.explore.test_halving import small_space
@@ -62,6 +63,43 @@ V1_COHORT_CURSOR = {
         "universe": 120,
     },
     "version": 1,
+}
+
+#: A version-2 cursor exactly as the registry stored it after rung
+#: "fast" of ``explore(small_space(), keep=KEEP, chunk_size=CHUNK)``,
+#: written by the build whose last rung re-ran every entrant in exact
+#: mode. Its run ids name fast-mode runs, which this build reproduces.
+V2_FAST_CURSOR = {
+    "candidates": [
+        [96, 0.20891666666666664, 0.20926352690955133, 0.20891666666666664,
+         327, 0,
+         "83abb450528bfe6b9cf9474fbae3aeb98a2562b8b9afad4467280d3fe2ff9a71"],
+        [97, 0.2063611111111111, 0.2068133371849105, 0.2063611111111111,
+         323, 0,
+         "f037ff070eb1b78c35766f9e9c79d859c32f5926edad38eed50f982c4710dca0"],
+    ],
+    "disqualified": {},
+    "keep": [8, 4, 2],
+    "limit": None,
+    "mode": "guided",
+    "n_configs": 120,
+    "rung": "fast",
+    "rungs": [
+        {"disqualified": 0, "entered": 120, "evaluated": 120,
+         "name": "predict", "promoted": 8},
+        {"disqualified": 0, "entered": 8, "evaluated": 8,
+         "name": "cohort", "promoted": 4},
+        {"disqualified": 0, "entered": 4, "evaluated": 4,
+         "name": "fast", "promoted": 2},
+    ],
+    "sampler": {
+        "probed": 120,
+        "proposals": 120,
+        "rounds": 1,
+        "stop_reason": "exhausted",
+        "universe": 120,
+    },
+    "version": 2,
 }
 
 _DRIVER = """
@@ -275,6 +313,72 @@ class TestVersionOneCursor:
         assert _frontier_blob(resumed) == _frontier_blob(result)
 
 
+class TestVersionTwoCursor:
+    def test_stored_fast_cursor_resumes_to_same_frontier(self, control):
+        result, _, _ = control
+        resumed = explore(
+            small_space(),
+            keep=KEEP,
+            chunk_size=CHUNK,
+            resume=json.loads(json.dumps(V2_FAST_CURSOR)),
+        )
+        assert resumed.resumed_rungs == 3
+        assert _frontier_blob(resumed) == _frontier_blob(result)
+        # The frontier keeps the stored cursor's fast-run ids.
+        stored = {row[0]: row[6] for row in V2_FAST_CURSOR["candidates"]}
+        for member in resumed.frontier:
+            assert member.run_id == stored[member.config.index]
+
+    def test_audit_after_resume_reruns_the_fast_runs(self, control, monkeypatch):
+        # A cursor holds no runs, so the audit simulates the audited
+        # entrants' fast runs again to compare their exact runs with.
+        monkeypatch.setattr(halving, "AUDIT_EVERY", 1)
+        result, _, _ = control
+        resumed = explore(
+            small_space(),
+            keep=KEEP,
+            chunk_size=CHUNK,
+            resume=json.loads(json.dumps(V2_FAST_CURSOR)),
+        )
+        last = resumed.rungs[-1]
+        assert last.evaluated == last.entered == 2
+        assert last.executed == 4  # two fast runs again, two exact runs
+        assert _frontier_blob(resumed) == _frontier_blob(result)
+
+    @pytest.mark.parametrize("rung", ["predict", "cohort", "fast"])
+    def test_cursor_before_the_last_rung_resumes(self, rung, control):
+        result, registry, _ = control
+        cursor = next(
+            s.cursor for s in registry.list_explore_sessions() if s.rung == rung
+        )
+        resumed = explore(
+            small_space(),
+            keep=KEEP,
+            chunk_size=CHUNK,
+            resume=dict(cursor, version=2),
+        )
+        assert resumed.resumed_rungs == NAMES.index(rung) + 1
+        assert _frontier_blob(resumed) == _frontier_blob(result)
+
+    def test_cursor_at_the_last_rung_refused(self, control):
+        # Its candidates carry the run ids of exact-mode runs, which no
+        # frontier of this build names.
+        from repro.errors import ConfigurationError
+
+        _, registry, _ = control
+        cursors = [
+            s.cursor for s in registry.list_explore_sessions()
+            if s.cursor["rung"] == "exact"
+        ]
+        assert len(cursors) == 2  # the last rung's snapshot and the frontier's
+        for cursor in cursors:
+            with pytest.raises(ConfigurationError, match="version 2"):
+                explore(
+                    small_space(), keep=KEEP, chunk_size=CHUNK,
+                    resume=dict(cursor, version=2),
+                )
+
+
 class TestCursorValidation:
     def test_mismatched_arguments_rejected(self, tmp_path, control):
         from repro.errors import ConfigurationError
@@ -294,10 +398,10 @@ class TestCursorValidation:
         with pytest.raises(ConfigurationError, match="limit"):
             explore(small_space(), keep=KEEP, limit=100, resume=cursor)
 
-    def test_cursor_writes_version_two(self, tmp_path):
+    def test_cursor_writes_version_three(self, tmp_path):
         registry = RunRegistry(tmp_path / "runs.sqlite")
         explore(small_space(), keep=KEEP, registry=registry, chunk_size=CHUNK)
-        assert registry.latest_explore_cursor().cursor["version"] == 2
+        assert registry.latest_explore_cursor().cursor["version"] == 3
 
     @pytest.mark.parametrize("rung", ["fast", "exact"])
     def test_version_one_cursor_past_a_simulated_rung_refused(self, rung):
@@ -309,7 +413,7 @@ class TestCursorValidation:
         with pytest.raises(ConfigurationError, match="version"):
             explore(small_space(), keep=KEEP, chunk_size=CHUNK, resume=cursor)
 
-    @pytest.mark.parametrize("version", ["missing", 0, 3, "2"])
+    @pytest.mark.parametrize("version", ["missing", 0, 4, "2"])
     def test_missing_or_unknown_version_refused(self, version):
         from repro.errors import ConfigurationError
 

@@ -325,6 +325,17 @@ class TestFastPath:
         assert z11 + z21 == pytest.approx(1.0)
         assert z12 + z22 == pytest.approx(1.0)
 
+    def test_cycle_map_kept_for_the_same_cycle(self):
+        # safe_cycles and then advance_cycles ask for the same cycle: the
+        # second call hands back the first call's map, composing nothing.
+        cell = KiBaM(PARAMS)
+        amap, drain = cell.cycle_map(self.CYCLE)
+        again, again_drain = cell.cycle_map(tuple(self.CYCLE))
+        assert again is amap and again_drain == drain
+        other, _ = cell.cycle_map(self.CYCLE[:2])
+        assert other != amap
+        assert other == KiBaM(PARAMS).cycle_map(self.CYCLE[:2])[0]
+
     def test_cycle_map_rejects_negative(self):
         cell = KiBaM(PARAMS)
         with pytest.raises(BatteryError):
